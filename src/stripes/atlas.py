@@ -22,7 +22,6 @@ starts a comment.  Any interval not named in a ``glue`` line is free.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -440,55 +439,113 @@ def is_valid_witness(
     return True
 
 
-def _shape(strip: Strip) -> tuple[int, int]:
-    # Unordered side-size pair; a side flip may exchange the two sides.
-    return tuple(sorted((len(strip.side0), len(strip.side1))))  # type: ignore[return-value]
+def _traverse(
+    atlas: StripedAtlas, root: str, flip: int, rev: int
+) -> tuple[str, list[str], dict[str, tuple[int, int]]]:
+    """Relabel a connected atlas breadth first from one root frame.
+
+    The root is read with side ``flip`` as its side 0 and in reversed
+    order when ``rev`` is set.  Each newly reached strip takes the side
+    holding the partner interval as its side 0, and the reversal bit that
+    makes the reaching gluing read ``+``.  Strips become ``T1..`` in visit
+    order and intervals are named by position, so the text depends only
+    on the structure and the root frame.  Returns the text, the visit
+    order and every strip's frame ``(flip, rev)``.
+    """
+    frames = {root: (flip, rev)}
+    order = [root]
+    names: dict[str, str] = {}
+    strips = []
+    for k, sid in enumerate(order, start=1):
+        f, r = frames[sid]
+        tag = f"T{k}"
+        sides = []
+        for which in (0, 1):
+            side = atlas.strip(sid).side(which ^ f)
+            if r:
+                side = side[::-1]
+            renamed = tuple(f"{tag}.{which}.{i}" for i in range(len(side)))
+            names.update(zip(side, renamed))
+            sides.append(renamed)
+            for name in side:
+                g = atlas.gluing_of.get(name)
+                if g is None:
+                    continue
+                other, other_side, _ = atlas.location(g.other(name))
+                if other not in frames:
+                    frames[other] = (other_side, r ^ (g.parity is Parity.DECREASING))
+                    order.append(other)
+        strips.append(Strip(tag, sides[0], sides[1]))
+
+    gluings = []
+    for g in atlas.gluings:
+        change = frames[atlas.location(g.a)[0]][1] ^ frames[atlas.location(g.b)[0]][1]
+        gluings.append(Gluing(names[g.a], names[g.b], g.parity.xor(change)))
+    gluings.sort(key=lambda g: (g.a, g.b))
+    return serialize_atlas(StripedAtlas(tuple(strips), tuple(gluings))), order, frames
+
+
+def _root_frames(atlas: StripedAtlas) -> Iterator[tuple[str, int, int]]:
+    for sid in atlas.strip_ids:
+        for flip in (0, 1):
+            for rev in (0, 1):
+                yield sid, flip, rev
+
+
+def _connected_witnesses(
+    src: StripedAtlas, dst: StripedAtlas
+) -> Iterator[tuple[dict[str, str], dict[str, int], dict[str, int]]]:
+    # Both atlases read the same from matching root frames exactly when a
+    # witness sends one root frame to the other; composing the two frames
+    # strip by strip gives that witness.
+    text, order, frames = _traverse(src, src.strip_ids[0], 0, 0)
+    for root in _root_frames(dst):
+        other_text, other_order, other_frames = _traverse(dst, *root)
+        if other_text != text:
+            continue
+        strip_map = dict(zip(order, other_order))
+        yield (
+            strip_map,
+            {s: frames[s][0] ^ other_frames[t][0] for s, t in strip_map.items()},
+            {s: frames[s][1] ^ other_frames[t][1] for s, t in strip_map.items()},
+        )
 
 
 def iter_witnesses(
-    src: StripedAtlas, dst: StripedAtlas, prune: bool = True
+    src: StripedAtlas, dst: StripedAtlas
 ) -> Iterator[tuple[dict[str, str], dict[str, int], dict[str, int]]]:
     """Yield every valid witness from ``src`` to ``dst``.
 
-    With ``prune`` the candidate strip assignments are filtered by side-size
-    shape before validation; the yielded set is identical either way.
+    On connected atlases one root frame of ``src`` is matched against the
+    4n root frames of ``dst``, each an O(size) traversal.  Components are
+    paired with components of equal canonical form, in every way.
     """
-    src_ids = src.strip_ids
-    dst_ids = dst.strip_ids
-    if len(src_ids) != len(dst_ids) or len(src.gluings) != len(dst.gluings):
+    if len(src.strips) != len(dst.strips) or len(src.gluings) != len(dst.gluings):
+        return
+    src_parts, dst_parts = component_atlases(src), component_atlases(dst)
+    if len(src_parts) != len(dst_parts):
+        return
+    if len(src_parts) == 1:
+        yield from _connected_witnesses(src, dst)
+        return
+    src_forms = [canonical_form(part) for part in src_parts]
+    dst_forms = [canonical_form(part) for part in dst_parts]
+    if sorted(src_forms) != sorted(dst_forms):
         return
 
-    if prune:
-        candidates = {
-            sid: [
-                tid for tid in dst_ids if _shape(dst.strip(tid)) == _shape(src.strip(sid))
-            ]
-            for sid in src_ids
-        }
-    else:
-        candidates = {sid: list(dst_ids) for sid in src_ids}
+    def pairings(i: int, unused: tuple[int, ...]):
+        if i == len(src_parts):
+            yield {}, {}, {}
+            return
+        for j in unused:
+            if dst_forms[j] != src_forms[i]:
+                continue
+            rest = tuple(k for k in unused if k != j)
+            for head in _connected_witnesses(src_parts[i], dst_parts[j]):
+                for tail in pairings(i + 1, rest):
+                    yield tuple({**h, **t} for h, t in zip(head, tail))
 
-    for assignment in itertools.permutations(dst_ids):
-        strip_map = dict(zip(src_ids, assignment))
-        if any(strip_map[sid] not in candidates[sid] for sid in src_ids):
-            continue
-        flip_options: list[tuple[int, ...]] = []
-        for sid in src_ids:
-            source = src.strip(sid)
-            target = dst.strip(strip_map[sid])
-            options = tuple(
-                flip
-                for flip in (0, 1)
-                if len(source.side0) == len(target.side(flip))
-                and len(source.side1) == len(target.side(1 ^ flip))
-            )
-            flip_options.append(options if prune else (0, 1))
-        for flips in itertools.product(*flip_options):
-            side_flip = dict(zip(src_ids, flips))
-            for bits in itertools.product((0, 1), repeat=len(src_ids)):
-                reversal = dict(zip(src_ids, bits))
-                if is_valid_witness(src, dst, strip_map, side_flip, reversal):
-                    yield strip_map, side_flip, reversal
+    yield from pairings(0, tuple(range(len(dst_parts))))
 
 
 def isomorphic(
@@ -498,58 +555,15 @@ def isomorphic(
     return next(iter_witnesses(a, b), None)
 
 
-def relabelled(
-    atlas: StripedAtlas,
-    order: tuple[Strip, ...],
-    names: tuple[str, ...],
-    flips: tuple[int, ...],
-    bits: tuple[int, ...],
-) -> StripedAtlas:
-    """Apply a witness-shaped relabelling and rename intervals positionally."""
-    new_name = dict(zip((s.id for s in order), names))
-    flip = dict(zip((s.id for s in order), flips))
-    reverse = dict(zip((s.id for s in order), bits))
-
-    interval_names: dict[str, str] = {}
-    new_strips = []
-    for s in order:
-        sides = []
-        for which in (0, 1):
-            side = s.side(which ^ flip[s.id])
-            if reverse[s.id]:
-                side = side[::-1]
-            renamed = tuple(
-                f"{new_name[s.id]}.{which}.{i}" for i in range(len(side))
-            )
-            interval_names.update(zip(side, renamed))
-            sides.append(renamed)
-        new_strips.append(Strip(new_name[s.id], sides[0], sides[1]))
-
-    new_gluings = []
-    for g in atlas.gluings:
-        change = reverse[atlas.location(g.a)[0]] ^ reverse[atlas.location(g.b)[0]]
-        new_gluings.append(
-            Gluing(interval_names[g.a], interval_names[g.b], g.parity.xor(change))
-        )
-    new_gluings.sort(key=lambda g: (g.a, g.b, g.parity.symbol))
-    return StripedAtlas(tuple(new_strips), tuple(new_gluings))
-
-
 def canonical_form(atlas: StripedAtlas) -> str:
-    """Canonical text form: minimum over all relabellings.
+    """Canonical text form: equal exactly for isomorphic valid atlases.
 
-    Two valid atlases are isomorphic exactly when their canonical forms are
-    equal, because a witness is determined by a strip assignment, a side
-    flip and an order reversal per strip, interval names being positional.
+    A connected atlas takes the least of its 4n rooted traversal texts;
+    a witness carries each root frame to one that reads the same.  The
+    forms of several components are sorted and joined by blank lines,
+    which no single form contains.
     """
-    count = len(atlas.strips)
-    names = tuple(f"T{i}" for i in range(1, count + 1))
-    best: str | None = None
-    for order in itertools.permutations(atlas.strips):
-        for flips in itertools.product((0, 1), repeat=count):
-            for bits in itertools.product((0, 1), repeat=count):
-                text = serialize_atlas(relabelled(atlas, order, names, flips, bits))
-                if best is None or text < best:
-                    best = text
-    assert best is not None
-    return best
+    parts = component_atlases(atlas)
+    if len(parts) == 1:
+        return min(_traverse(atlas, *root)[0] for root in _root_frames(atlas))
+    return "\n".join(sorted(canonical_form(part) for part in parts))

@@ -3,14 +3,16 @@
 One subcommand per invocation; output is line oriented, one fact per
 line, and byte-stable for fixed inputs and seeds.  Exit codes: 0 success,
 1 validation failure, 2 usage error, 3 precondition error (for example a
-disconnected atlas passed to ``kernel``).  ``STRIPES_THREADS`` caps
-internal parallelism of the automorphism search (0 or unset = serial).
+disconnected atlas passed to ``kernel``).
+
+``aut``, ``iso``, ``kernel`` and ``report`` find witnesses by rooted
+traversal: one root strip's image, side flip and reversal bit force the
+rest, so a connected atlas of n strips needs 4n traversals, each O(size).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -42,20 +44,13 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 
 
-def _threads() -> int:
-    raw = os.environ.get("STRIPES_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 0
-    return max(value, 0)
-
-
 def _load(path: str) -> StripedAtlas:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SystemExit2(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SystemExit2(f"cannot read {path}: not UTF-8 text") from exc
     atlas = parse_atlas(text)
     problems = validate(atlas)
     if problems:
@@ -135,9 +130,15 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "random":
-        atlas = random_atlas(args.strips, args.max_ints, args.seed, args.glue_prob)
+        try:
+            atlas = random_atlas(args.strips, args.max_ints, args.seed, args.glue_prob)
+        except ValueError as exc:
+            raise SystemExit2(str(exc)) from exc
         _emit(serialize_atlas(atlas), args.out)
         return EXIT_OK
+
+    if args.command == "selfcheck" and args.samples < 1:
+        raise SystemExit2("--samples must be at least 1")
 
     if args.command == "iso":
         witness = isomorphic(_load(args.file), _load(args.other))
@@ -202,7 +203,7 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "aut":
-        for aut in enumerate_automorphisms(atlas, threads=_threads()):
+        for aut in enumerate_automorphisms(atlas):
             print(aut.format())
         return EXIT_OK
 

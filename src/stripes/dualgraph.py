@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .atlas import Gluing, Parity, Strip, StripedAtlas
+from .render import dot_quote
 
 
 @dataclass(frozen=True, order=True)
@@ -65,10 +66,11 @@ def export_dot(graph: DualGraph) -> str:
     """Deterministic DOT multigraph with parity and end decorations."""
     lines = ["graph dual {"]
     for name, side0, side1 in graph.vertices:
-        lines.append(f'  "{name}" [side0={side0}, side1={side1}];')
+        lines.append(f"  {dot_quote(name)} [side0={side0}, side1={side1}];")
     for edge in graph.edges:
         a, b = edge.ends
-        lines.append(f'  "{a.strip}" -- "{b.strip}" [label="{edge.label()}"];')
+        ends, label = f"{dot_quote(a.strip)} -- {dot_quote(b.strip)}", dot_quote(edge.label())
+        lines.append(f"  {ends} [label={label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -5,23 +5,27 @@ from __future__ import annotations
 from .leafspace import ArcEnd, LeafSpaceModel
 
 
+def dot_quote(text: str) -> str:
+    """A DOT quoted string holding ``text`` verbatim."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def leafspace_dot(model: LeafSpaceModel) -> str:
     """DOT digraph: arcs as oriented edges between their end nodes, leaf
     points as nodes, attachment order as edge labels."""
     lines = ["digraph leafspace {"]
     for arc in sorted(model.arcs):
-        lines.append(f'  "{arc}.0" [shape=point];')
-        lines.append(f'  "{arc}.1" [shape=point];')
+        lines.append(f"  {dot_quote(arc + '.0')} [shape=point];")
+        lines.append(f"  {dot_quote(arc + '.1')} [shape=point];")
     for point in model.points:
-        lines.append(f'  "{point.label()}" [shape=circle];')
+        lines.append(f"  {dot_quote(point.label())} [shape=circle];")
     for arc in sorted(model.arcs):
-        lines.append(f'  "{arc}.0" -> "{arc}.1" [label="{arc}"];')
+        tail, head, label = dot_quote(arc + ".0"), dot_quote(arc + ".1"), dot_quote(arc)
+        lines.append(f"  {tail} -> {head} [label={label}];")
     for point in model.points:
         for attachment in model.attachments[point]:
-            end = attachment.end
-            lines.append(
-                f'  "{end.label()}" -> "{point.label()}" [label="{attachment.index}"];'
-            )
+            end, target = dot_quote(attachment.end.label()), dot_quote(point.label())
+            lines.append(f'  {end} -> {target} [label="{attachment.index}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -29,6 +33,10 @@ def leafspace_dot(model: LeafSpaceModel) -> str:
 def leafspace_svg(model: LeafSpaceModel) -> str:
     """Arcs as horizontal segments, attached points as stacked dots at the
     ends.  Presentational only; no layout guarantees."""
+    # Imported here: saxutils pulls in urllib, which every other command
+    # would pay for at start-up.
+    from xml.sax.saxutils import escape
+
     row_height = 70
     left, right = 120, 680
     width = 800
@@ -42,7 +50,7 @@ def leafspace_svg(model: LeafSpaceModel) -> str:
         parts.append(
             f'<line x1="{left}" y1="{y}" x2="{right}" y2="{y}" stroke="black"/>'
         )
-        parts.append(f'<text x="{(left + right) // 2}" y="{y - 6}">{arc}</text>')
+        parts.append(f'<text x="{(left + right) // 2}" y="{y - 6}">{escape(arc)}</text>')
         for side, x in ((0, left), (1, right)):
             attached = model.end_points[ArcEnd(arc, side)]
             for slot, point in enumerate(attached):
@@ -52,7 +60,7 @@ def leafspace_svg(model: LeafSpaceModel) -> str:
                 tx = x - 8 if side == 0 else x + 8
                 parts.append(
                     f'<text x="{tx}" y="{cy + 4}" font-size="10" '
-                    f'text-anchor="{anchor}">{point.label()}</text>'
+                    f'text-anchor="{anchor}">{escape(point.label())}</text>'
                 )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -26,7 +26,6 @@ exists, the all-ones reversal, and the kernel is trivial or of order two.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import factorial
 
@@ -167,35 +166,14 @@ def is_valid_automorphism(
     return is_valid_witness(atlas, atlas, strip_map, side_flip, reversal)
 
 
-def enumerate_automorphisms(
-    atlas: StripedAtlas, prune: bool = True, threads: int = 0
-) -> tuple[AtlasAutomorphism, ...]:
-    """Every valid automorphism, canonically sorted.
-
-    ``prune`` filters strip assignments by side-size shape before
-    validation; the result is the same as the unpruned brute force.
-    ``threads`` > 1 splits the search by strip assignment; candidate
-    validation is pure, and the sorted result is order independent.
-    """
-    if threads and threads > 1:
-        assignments = list(itertools.permutations(atlas.strip_ids))
-
-        def chunk(assignment):
-            found = []
-            sub = _witnesses_for_assignment(atlas, assignment, prune)
-            for strip_map, side_flip, reversal in sub:
-                found.append(AtlasAutomorphism(strip_map, side_flip, reversal))
-            return found
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(chunk, assignments))
-        elements = [aut for part in parts for aut in part]
-    else:
-        elements = [
-            AtlasAutomorphism(strip_map, side_flip, reversal)
-            for strip_map, side_flip, reversal in iter_witnesses(atlas, atlas, prune)
-        ]
-    return tuple(sorted(elements, key=AtlasAutomorphism.key))
+def enumerate_automorphisms(atlas: StripedAtlas) -> tuple[AtlasAutomorphism, ...]:
+    """Every valid automorphism, canonically sorted."""
+    return tuple(
+        sorted(
+            (AtlasAutomorphism(*w) for w in iter_witnesses(atlas, atlas)),
+            key=AtlasAutomorphism.key,
+        )
+    )
 
 
 def composition_table(
@@ -212,32 +190,6 @@ def composition_table(
                 raise ValueError("element list is not closed under composition")
             table[(i, j)] = index[product]
     return table
-
-
-def _witnesses_for_assignment(atlas: StripedAtlas, assignment, prune: bool):
-    # Same search as atlas.iter_witnesses restricted to one strip assignment.
-    ids = atlas.strip_ids
-    strip_map = dict(zip(ids, assignment))
-    flip_options = []
-    for sid in ids:
-        source = atlas.strip(sid)
-        target = atlas.strip(strip_map[sid])
-        if prune:
-            options = tuple(
-                flip
-                for flip in (0, 1)
-                if len(source.side0) == len(target.side(flip))
-                and len(source.side1) == len(target.side(1 ^ flip))
-            )
-        else:
-            options = (0, 1)
-        flip_options.append(options)
-    for flips in itertools.product(*flip_options):
-        side_flip = dict(zip(ids, flips))
-        for bits in itertools.product((0, 1), repeat=len(ids)):
-            reversal = dict(zip(ids, bits))
-            if is_valid_witness(atlas, atlas, strip_map, side_flip, reversal):
-                yield strip_map, side_flip, reversal
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +246,6 @@ class LeafMap:
 def induced_leaf_map(atlas: StripedAtlas, aut: AtlasAutomorphism) -> LeafMap:
     """Push an automorphism down to the leaf-space model."""
     model = build_leaf_space(atlas)
-    return _induced_leaf_map(model, atlas, aut)
-
-
-def _induced_leaf_map(
-    model: LeafSpaceModel, atlas: StripedAtlas, aut: AtlasAutomorphism
-) -> LeafMap:
     interval_map = aut.interval_map(atlas)
     point_map: dict[LeafPoint, LeafPoint] = {}
     for point in model.points:
@@ -315,6 +261,11 @@ def _induced_leaf_map(
 
 # ---------------------------------------------------------------------------
 # Isotopy triviality on both sides, kernel, and reports
+
+
+def _fixes_every_point(atlas: StripedAtlas, aut: AtlasAutomorphism) -> bool:
+    leaf_map = induced_leaf_map(atlas, aut)
+    return all(p == q for p, q in leaf_map.point_map.items())
 
 
 def _require_reduced(atlas: StripedAtlas) -> None:
@@ -351,9 +302,7 @@ def is_isotopically_trivial_on_leaf_space(
         return False
     if any(aut.side_flip.values()):
         return False
-    model = build_leaf_space(atlas)
-    leaf_map = _induced_leaf_map(model, atlas, aut)
-    return all(p == q for p, q in leaf_map.point_map.items())
+    return _fixes_every_point(atlas, aut)
 
 
 def kernel_members(atlas: StripedAtlas) -> tuple[AtlasAutomorphism, ...]:
@@ -402,11 +351,7 @@ def reversal_witness(atlas: StripedAtlas) -> AtlasAutomorphism | None:
         atlas, candidate.strip_map, candidate.side_flip, candidate.reversal
     ):
         return None
-    model = build_leaf_space(atlas)
-    leaf_map = _induced_leaf_map(model, atlas, candidate)
-    if all(p == q for p, q in leaf_map.point_map.items()):
-        return candidate
-    return None
+    return candidate if _fixes_every_point(atlas, candidate) else None
 
 
 def leaf_action_kernel(atlas: StripedAtlas) -> KernelResult:

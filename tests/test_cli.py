@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import xml.etree.ElementTree as ET
+
 import pytest
 
 from stripes.cli import main
@@ -100,11 +102,15 @@ def test_aut_cyl(atlas_file, capsys):
     )
 
 
-def test_aut_respects_thread_env(atlas_file, capsys, monkeypatch):
-    monkeypatch.setenv("STRIPES_THREADS", "4")
+def test_aut_punctured(atlas_file, capsys):
     code, out, _ = run(capsys, "aut", atlas_file("PUNCTURED"))
     assert code == 0
-    assert len(out.splitlines()) == 4
+    assert out == (
+        "sigma: S->S,T->T m: S=0,T=0 r: S=0,T=0\n"
+        "sigma: S->S,T->T m: S=0,T=0 r: S=1,T=1\n"
+        "sigma: S->T,T->S m: S=1,T=1 r: S=0,T=0\n"
+        "sigma: S->T,T->S m: S=1,T=1 r: S=1,T=1\n"
+    )
 
 
 def test_report_punctured(atlas_file, capsys):
@@ -205,3 +211,50 @@ def test_selfcheck_samples_flag(atlas_file, capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["random", "--strips", "0", "--max-ints", "1", "--seed", "1"],
+        ["random", "--strips", "2", "--max-ints", "-1", "--seed", "1"],
+        ["validate", "{binary}"],
+        ["iso", "{binary}", "{binary}"],
+        ["selfcheck", "{punctured}", "--samples", "0"],
+        ["selfcheck", "{punctured}", "--samples", "-3"],
+    ],
+)
+def test_bad_input_exits_2_with_one_line(atlas_file, capsys, tmp_path, argv):
+    binary = tmp_path / "binary.atlas"
+    binary.write_bytes(b"strip S\xff\n")
+    paths = {"binary": str(binary), "punctured": atlas_file("PUNCTURED")}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("stripes: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+ODD_NAMES = 'strip S"x\nside0 a<b c\\d&\nstrip T\nside1 e\nglue a<b e +\n'
+
+
+def _balanced_quotes(line: str) -> bool:
+    unescaped = line.replace("\\\\", "").replace('\\"', "")
+    return unescaped.count('"') % 2 == 0
+
+
+def test_dot_escapes_identifiers(atlas_file, capsys):
+    path = atlas_file(ODD_NAMES)
+    for argv in (["leafspace", path, "--dot"], ["dual", path, "--dot"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert all(_balanced_quotes(line) for line in out.splitlines())
+    assert '"S\\"x.0" -> "{a<b,e}"' in run(capsys, "leafspace", path, "--dot")[1]
+
+
+def test_svg_escapes_identifiers(atlas_file, capsys, tmp_path):
+    svg_path = tmp_path / "odd.svg"
+    code, _, _ = run(capsys, "leafspace", atlas_file(ODD_NAMES), "--svg", str(svg_path))
+    assert code == 0
+    texts = {node.text for node in ET.parse(svg_path).getroot().iter()}
+    assert {'S"x', "{a<b,e}", "{c\\d&}"} <= texts

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import bruteforce
 from stripes.atlas import parse_atlas
 from stripes.corpus import random_connected_atlas
 from stripes.leafspace import LeafPoint, build_leaf_space
@@ -103,33 +104,10 @@ def test_group_orders(fixtures, name, order):
     assert len(enumerate_automorphisms(fixtures[name])) == order
 
 
-def _naive_enumeration(atlas):
-    ids = atlas.strip_ids
-    found = []
-    for assignment in itertools.permutations(ids):
-        strip_map = dict(zip(ids, assignment))
-        for flips in itertools.product((0, 1), repeat=len(ids)):
-            for bits in itertools.product((0, 1), repeat=len(ids)):
-                side_flip = dict(zip(ids, flips))
-                reversal = dict(zip(ids, bits))
-                if is_valid_automorphism(atlas, strip_map, side_flip, reversal):
-                    found.append(AtlasAutomorphism(strip_map, side_flip, reversal))
-    return sorted(found, key=AtlasAutomorphism.key)
-
-
-def test_pruned_enumeration_equals_brute_force(fixtures):
+def test_enumeration_equals_brute_force(fixtures):
     for atlas in fixtures.values():
-        pruned = enumerate_automorphisms(atlas, prune=True)
-        unpruned = enumerate_automorphisms(atlas, prune=False)
-        naive = tuple(_naive_enumeration(atlas))
-        assert pruned == unpruned == naive
-
-
-def test_threaded_enumeration_matches_serial(fixtures):
-    for atlas in fixtures.values():
-        assert enumerate_automorphisms(atlas, threads=4) == enumerate_automorphisms(
-            atlas
-        )
+        found = [a.key() for a in enumerate_automorphisms(atlas)]
+        assert found == bruteforce.witnesses(atlas, atlas)
 
 
 def test_group_laws(fixtures):

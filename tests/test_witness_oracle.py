@@ -1,0 +1,128 @@
+"""The rooted-traversal witness search against the brute-force oracles.
+
+``iter_witnesses`` must yield exactly the brute-force witness set, and
+``canonical_form`` must agree exactly when a brute-force witness exists,
+on every small connected class and on a seeded random corpus that
+includes disconnected atlases.
+"""
+
+from __future__ import annotations
+
+import time
+from random import Random
+
+import pytest
+
+import bruteforce
+from stripes.atlas import (
+    Gluing,
+    Parity,
+    Strip,
+    StripedAtlas,
+    canonical_form,
+    is_connected,
+    iter_witnesses,
+)
+from stripes.corpus import random_atlas
+from stripes.symmetry import enumerate_automorphisms
+
+RANDOM_SEEDS = range(100)
+
+
+def witnesses(src, dst):
+    return sorted(bruteforce.witness_key(w) for w in iter_witnesses(src, dst))
+
+
+def moved_copy(atlas: StripedAtlas, rng: Random) -> StripedAtlas:
+    """An isomorphic copy: new names, shuffled order, and a random side
+    flip and leaf reversal on every strip."""
+    flip = {s.id: rng.randint(0, 1) for s in atlas.strips}
+    rev = {s.id: rng.randint(0, 1) for s in atlas.strips}
+    names = {}
+    strips = []
+    for s in atlas.strips:
+        sides = []
+        for which in (0, 1):
+            side = s.side(which ^ flip[s.id])
+            side = side[::-1] if rev[s.id] else side
+            sides.append(tuple(names.setdefault(n, f"c{len(names)}") for n in side))
+        strips.append(Strip(f"C{s.id}", *sides))
+    gluings = [
+        Gluing(
+            names[g.a],
+            names[g.b],
+            g.parity.xor(rev[atlas.location(g.a)[0]] ^ rev[atlas.location(g.b)[0]]),
+        )
+        for g in atlas.gluings
+    ]
+    rng.shuffle(strips)
+    rng.shuffle(gluings)
+    return StripedAtlas(tuple(strips), tuple(gluings))
+
+
+def parity_flipped(atlas: StripedAtlas) -> StripedAtlas:
+    """The same atlas with its first gluing's parity flipped."""
+    first, *rest = atlas.gluings
+    return StripedAtlas(
+        atlas.strips, (Gluing(first.a, first.b, first.parity.flipped()), *rest)
+    )
+
+
+def test_witnesses_match_oracle_on_exhaustive_connected(exhaustive_connected):
+    rng = Random(1)
+    for atlas in exhaustive_connected:
+        copy = moved_copy(atlas, rng)
+        assert witnesses(atlas, atlas) == bruteforce.witnesses(atlas, atlas)
+        assert witnesses(atlas, copy) == bruteforce.witnesses(atlas, copy)
+
+
+def test_random_corpus_has_disconnected_atlases():
+    corpus = [random_atlas(1 + seed % 4, 2, 5000 + seed) for seed in RANDOM_SEEDS]
+    assert sum(not is_connected(a) for a in corpus) >= 10
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_random_atlas_matches_oracle(seed):
+    atlas = random_atlas(1 + seed % 4, 2, 5000 + seed)
+    copy = moved_copy(atlas, Random(seed))
+    assert witnesses(atlas, atlas) == bruteforce.witnesses(atlas, atlas)
+    expected = bruteforce.witnesses(atlas, copy)
+    assert expected and witnesses(atlas, copy) == expected
+    assert canonical_form(atlas) == canonical_form(copy)
+
+    others = [random_atlas(1 + seed % 4, 2, 6000 + seed)]
+    if atlas.gluings:
+        others.append(moved_copy(parity_flipped(atlas), Random(seed)))
+    for other in others:
+        same = canonical_form(atlas) == canonical_form(other)
+        assert same == bool(bruteforce.witnesses(atlas, other))
+
+
+def test_oracle_canonical_forms_separate_the_exhaustive_classes(exhaustive_all):
+    forms = {bruteforce.canonical_form(atlas) for atlas in exhaustive_all}
+    assert len(forms) == len(exhaustive_all) == 1043
+
+
+def _necklace(n: int, prefix: str, order: list[int]) -> StripedAtlas:
+    # Side 1 of strip i glued to side 0 of strip i+1, cyclically, all +.
+    strips = [
+        Strip(f"{prefix}{i}", (f"{prefix}c{i}", f"{prefix}d{i}"), (f"{prefix}a{i}", f"{prefix}b{i}"))
+        for i in order
+    ]
+    gluings = []
+    for i in order:
+        j = (i + 1) % n
+        gluings.append(Gluing(f"{prefix}a{i}", f"{prefix}c{j}", Parity.INCREASING))
+        gluings.append(Gluing(f"{prefix}b{i}", f"{prefix}d{j}", Parity.INCREASING))
+    return StripedAtlas(tuple(strips), tuple(gluings))
+
+
+def test_necklace_of_sixty_beyond_oracle_reach():
+    start = time.perf_counter()
+    atlas = _necklace(60, "N", list(range(60)))
+    order = list(range(60))
+    Random(3).shuffle(order)
+    copy = _necklace(60, "M", order)
+    assert len(enumerate_automorphisms(atlas)) == 240
+    assert canonical_form(atlas) == canonical_form(copy)
+    assert time.perf_counter() - start < 5
