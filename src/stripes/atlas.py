@@ -192,9 +192,6 @@ class StripedAtlas:
         glued = self.gluing_of
         return tuple(name for name in self.intervals() if name not in glued)
 
-    def is_free(self, interval: str) -> bool:
-        return interval not in self.gluing_of
-
 
 def validate(atlas: StripedAtlas) -> list[str]:
     """Return all invariant violations of an atlas; empty means valid.

@@ -113,10 +113,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SystemExit2(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -160,7 +163,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "leafspace":
         model = build_leaf_space(atlas)
         if args.svg:
-            Path(args.svg).write_text(leafspace_svg(model), encoding="utf-8")
+            _emit(leafspace_svg(model), args.svg)
         if args.dot:
             sys.stdout.write(leafspace_dot(model))
             return EXIT_OK

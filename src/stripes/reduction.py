@@ -2,18 +2,19 @@
 
 A seam both of whose intervals fill their sides bounds a trivially
 foliated collar, so the two strips it joins can be replaced by a single
-strip.  Repeating until no regular seam remains either produces a reduced
-atlas (every surviving seam is singular) or ends in a single strip whose
-two full sides are glued to each other, in which case the connected
-surface is an open cylinder (increasing gluing) or an open Moebius band
-(decreasing gluing) and has no reduced atlas at all.
+strip.  Merging keeps every side's intervals, so the regular seams are
+found once; as a strip has at most one regular seam per side, they form
+paths and cycles of strips, and each is walked once.  A path becomes one
+strip: the result is a reduced atlas (every surviving seam is singular).
+A cycle uses up every side of its strips, so it is the whole connected
+surface: an open cylinder when its seam parities multiply to increasing,
+an open Moebius band otherwise, and it has no reduced atlas at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from random import Random
 
 from .atlas import Gluing, Parity, Strip, StripedAtlas, component_atlases
 from .leafspace import LeafClass, LeafPoint, classify_leaf
@@ -63,102 +64,75 @@ def is_reduced(atlas: StripedAtlas) -> bool:
     return not regular_seams(atlas)
 
 
-def _merge_regular_seam(
-    atlas: StripedAtlas, seam: Gluing
-) -> StripedAtlas | SurfaceClass:
-    """Merge the strips of one regular seam, or report an exceptional surface.
+def _walk(links: dict[str, list[tuple[Gluing, str]]], start: str):
+    """Strips and seams met from ``start`` up to a chain end or back at it."""
+    path, walked = [start], []
+    while True:
+        steps = [(g, o) for g, o in links[path[-1]] if not walked or g != walked[-1]]
+        if not steps:
+            return path, walked
+        seam, other = steps[0]
+        walked.append(seam)
+        if other == start:
+            return path, walked
+        path.append(other)
 
-    When the gluing parity is decreasing, the strip that is second in id
-    order is mirrored first: both of its side orders are reversed and the
-    parity of every gluing flips once per endpoint on that strip.  The
-    surviving strip keeps the first strip's id; its side 0 is the first
-    strip's outer side and its side 1 the second strip's.
+
+def reduce_component(atlas: StripedAtlas) -> SurfaceClass:
+    """Reduce one connected atlas to a SurfaceClass in one linear pass.
+
+    The result is that of merging the seams of each path one at a time in
+    gluing order, keeping the lesser strip id and mirroring (reversing
+    both side orders of) the other strip when the seam is decreasing.  So
+    the least-id strip survives in place, a strip is mirrored when the
+    seams from the least-id one multiply to decreasing, and side 0 is the
+    outer side on the least-id strip's side of the path's last seam.
     """
-    strip_a = atlas.location(seam.a)[0]
-    strip_b = atlas.location(seam.b)[0]
+    seam_rank = {g: i for i, g in enumerate(regular_seams(atlas))}
+    strip_of = lambda name: atlas.location(name)[0]
+    links: dict[str, list[tuple[Gluing, str]]] = {}
+    for g in seam_rank:
+        a, b = strip_of(g.a), strip_of(g.b)
+        links.setdefault(a, []).append((g, b))
+        links.setdefault(b, []).append((g, a))
 
-    if strip_a == strip_b:
-        # A regular seam on a single side would glue one full side to
-        # itself, which validation forbids; only the opposite-sides case
-        # can reach this point, and it pins down the whole component.
-        if atlas.location(seam.a)[1] == atlas.location(seam.b)[1]:
-            raise RuntimeError("regular seam joining a side to itself")
-        kind = (
-            SurfaceKind.OPEN_CYLINDER
-            if seam.parity is Parity.INCREASING
-            else SurfaceKind.OPEN_MOEBIUS_BAND
-        )
+    mirror: dict[str, int] = {}
+    replaced: dict[str, Strip | None] = {}
+    for end, here in links.items():
+        if len(here) != 1 or end in mirror:
+            continue
+        path, walked = _walk(links, end)
+        bits = [0]
+        for g in walked:
+            bits.append(bits[-1] ^ (g.parity is Parity.DECREASING))
+        root = path.index(min(path))
+        mirror.update((sid, bit ^ bits[root]) for sid, bit in zip(path, bits))
+        outer = []
+        for sid, g in ((path[0], walked[0]), (path[-1], walked[-1])):
+            seam_side = atlas.location(g.a if strip_of(g.a) == sid else g.b)[1]
+            side = atlas.strip(sid).side(1 - seam_side)
+            outer.append(side[::-1] if mirror[sid] else side)
+        if root > max(range(len(walked)), key=lambda i: seam_rank[walked[i]]):
+            outer.reverse()
+        replaced.update(dict.fromkeys(path))
+        replaced[path[root]] = Strip(path[root], *outer)
+
+    on_cycle = next((sid for sid in links if sid not in mirror), None)
+    if on_cycle is not None:
+        twist = sum(g.parity is Parity.DECREASING for g in _walk(links, on_cycle)[1])
+        kind = SurfaceKind.OPEN_MOEBIUS_BAND if twist % 2 else SurfaceKind.OPEN_CYLINDER
         return SurfaceClass(kind)
 
-    first, second = sorted((strip_a, strip_b))
-    sides: dict[str, list[tuple[str, ...]]] = {
-        s.id: [s.side0, s.side1] for s in atlas.strips
-    }
-
-    def endpoints_on(gluing: Gluing, strip_id: str) -> int:
-        return sum(
-            1
-            for name in (gluing.a, gluing.b)
-            if atlas.location(name)[0] == strip_id
-        )
-
-    parity_now: dict[Gluing, Parity] = {g: g.parity for g in atlas.gluings}
-    if seam.parity is Parity.DECREASING:
-        sides[second] = [sides[second][0][::-1], sides[second][1][::-1]]
-        for g in atlas.gluings:
-            parity_now[g] = parity_now[g].xor(endpoints_on(g, second))
-
-    assert parity_now[seam] is Parity.INCREASING
-
-    seam_first = seam.a if atlas.location(seam.a)[0] == first else seam.b
-    seam_second = seam.other(seam_first)
-
-    # Stack the first strip below the second: its seam side must face up
-    # (side 1) and the second strip's seam side must face down (side 0).
-    # Swapping a strip's sides leaves every gluing parity unchanged.
-    if seam_first in sides[first][0]:
-        sides[first].reverse()
-    if seam_second in sides[second][1]:
-        sides[second].reverse()
-    assert sides[first][1] == (seam_first,)
-    assert sides[second][0] == (seam_second,)
-
-    merged = Strip(first, sides[first][0], sides[second][1])
-    new_strips = tuple(
-        merged if s.id == first else Strip(s.id, *sides[s.id])
-        for s in atlas.strips
-        if s.id != second
+    flip = lambda name: mirror.get(strip_of(name), 0)
+    strips = tuple(t for t in (replaced.get(s.id, s) for s in atlas.strips) if t)
+    gluings = tuple(
+        Gluing(g.a, g.b, g.parity.xor(flip(g.a) ^ flip(g.b)))
+        for g in atlas.gluings
+        if g not in seam_rank
     )
-    new_gluings = tuple(
-        Gluing(g.a, g.b, parity_now[g]) for g in atlas.gluings if g != seam
-    )
-    return StripedAtlas(new_strips, new_gluings)
+    return SurfaceClass(SurfaceKind.PROPER, StripedAtlas(strips, gluings))
 
 
-def reduce_component(atlas: StripedAtlas, rng: Random | None = None) -> SurfaceClass:
-    """Reduce one connected atlas to a SurfaceClass.
-
-    Merge order is deterministic (first regular seam in gluing order)
-    unless ``rng`` is given; any order yields an isomorphic result.
-    """
-    current = atlas
-    while True:
-        seams = regular_seams(current)
-        if not seams:
-            return SurfaceClass(SurfaceKind.PROPER, current)
-        seam = seams[0] if rng is None else seams[rng.randrange(len(seams))]
-        outcome = _merge_regular_seam(current, seam)
-        if isinstance(outcome, SurfaceClass):
-            return outcome
-        # Every merge removes exactly one strip and one seam, so the
-        # strip/seam difference of the gluing graph is preserved.
-        assert len(outcome.strips) == len(current.strips) - 1
-        assert len(outcome.gluings) == len(current.gluings) - 1
-        current = outcome
-
-
-def reduce_atlas(
-    atlas: StripedAtlas, rng: Random | None = None
-) -> tuple[SurfaceClass, ...]:
+def reduce_atlas(atlas: StripedAtlas) -> tuple[SurfaceClass, ...]:
     """Reduce every connected component, in order of first appearance."""
-    return tuple(reduce_component(sub, rng) for sub in component_atlases(atlas))
+    return tuple(reduce_component(sub) for sub in component_atlases(atlas))

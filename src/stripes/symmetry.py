@@ -31,6 +31,7 @@ from math import factorial
 
 from .atlas import (
     StripedAtlas,
+    component_atlases,
     connected_components,
     is_valid_witness,
     iter_witnesses,
@@ -38,6 +39,7 @@ from .atlas import (
 )
 from .leafspace import LeafPoint, LeafSpaceModel, build_leaf_space
 from .reduction import (
+    SurfaceClass,
     SurfaceKind,
     canonical_exceptional_atlas,
     is_reduced,
@@ -268,6 +270,11 @@ def _fixes_every_point(atlas: StripedAtlas, aut: AtlasAutomorphism) -> bool:
     return all(p == q for p, q in leaf_map.point_map.items())
 
 
+def _require_connected(atlas: StripedAtlas) -> None:
+    if len(connected_components(atlas)) != 1:
+        raise DisconnectedAtlasError("atlas disconnected - apply per component")
+
+
 def _require_reduced(atlas: StripedAtlas) -> None:
     if not is_reduced(atlas):
         raise NotReducedError("operation requires a reduced atlas")
@@ -308,8 +315,7 @@ def is_isotopically_trivial_on_leaf_space(
 def kernel_members(atlas: StripedAtlas) -> tuple[AtlasAutomorphism, ...]:
     """Automorphisms of a reduced connected atlas acting trivially on the
     leaf space.  Their classes form the kernel of the induced action."""
-    if len(connected_components(atlas)) != 1:
-        raise DisconnectedAtlasError("atlas disconnected - apply per component")
+    _require_connected(atlas)
     _require_reduced(atlas)
     return tuple(
         aut
@@ -344,8 +350,7 @@ def reversal_witness(atlas: StripedAtlas) -> AtlasAutomorphism | None:
     is conjugated by two reversals); the only obstruction is a leaf point
     moved by reversing side orders.
     """
-    if len(connected_components(atlas)) != 1:
-        raise DisconnectedAtlasError("atlas disconnected - apply per component")
+    _require_connected(atlas)
     candidate = all_leaf_reversal(atlas)
     if not is_valid_automorphism(
         atlas, candidate.strip_map, candidate.side_flip, candidate.reversal
@@ -363,9 +368,12 @@ def leaf_action_kernel(atlas: StripedAtlas) -> KernelResult:
     order two; otherwise the reduced atlas is enumerated and the kernel is
     read off the automorphisms acting trivially on the leaf space.
     """
-    if len(connected_components(atlas)) != 1:
-        raise DisconnectedAtlasError("atlas disconnected - apply per component")
-    outcome = reduce_component(atlas)
+    _require_connected(atlas)
+    return _kernel(atlas, reduce_component(atlas))
+
+
+def _kernel(atlas: StripedAtlas, outcome: SurfaceClass) -> KernelResult:
+    # ``outcome`` is the reduction of the connected ``atlas``.
     if outcome.kind is not SurfaceKind.PROPER:
         witness = reversal_witness(atlas)
         if witness is None:
@@ -388,8 +396,6 @@ def component_kernels(
     atlas: StripedAtlas,
 ) -> tuple[tuple[frozenset[str], KernelResult], ...]:
     """Kernels of all connected components, for disconnected atlases."""
-    from .atlas import component_atlases
-
     return tuple(
         (frozenset(sub.strip_ids), leaf_action_kernel(sub))
         for sub in component_atlases(atlas)
@@ -417,8 +423,9 @@ def homeotopy_report(atlas: StripedAtlas) -> HomeotopyReport:
     Works on the reduced atlas; an exceptional component is replaced by
     its canonical one-strip atlas, to which it is foliated homeomorphic.
     """
-    kernel = leaf_action_kernel(atlas)
+    _require_connected(atlas)
     outcome = reduce_component(atlas)
+    kernel = _kernel(atlas, outcome)
     if outcome.kind is SurfaceKind.PROPER:
         working = outcome.atlas
     else:

@@ -1,15 +1,27 @@
-"""Brute-force oracles for the witness search.
+"""Brute-force oracles for the witness search and the reduction.
 
-Both routes try every one of the n!·4^n candidate triples (strip
+Both witness routes try every one of the n!·4^n candidate triples (strip
 assignment, side flip bits, reversal bits), so they are only usable on a
 few strips.  The package's rooted traversal is checked against them.
+``reduce_stepwise`` merges one regular seam at a time and rescans after
+every merge, in any order; the package's one-pass chain walk is checked
+against it.
 """
 
 from __future__ import annotations
 
 import itertools
+from random import Random
 
-from stripes.atlas import Gluing, Strip, StripedAtlas, is_valid_witness, serialize_atlas
+from stripes.atlas import (
+    Gluing,
+    Parity,
+    Strip,
+    StripedAtlas,
+    is_valid_witness,
+    serialize_atlas,
+)
+from stripes.reduction import SurfaceClass, SurfaceKind, regular_seams
 
 
 def _candidates(src: StripedAtlas, dst: StripedAtlas):
@@ -71,4 +83,112 @@ def canonical_form(atlas: StripedAtlas) -> str:
     )
     return min(
         serialize_atlas(_relabelled(atlas, *w)) for w in _candidates(atlas, target)
+    )
+
+
+def _merge_regular_seam(
+    atlas: StripedAtlas, seam: Gluing
+) -> StripedAtlas | SurfaceClass:
+    """Merge the strips of one regular seam, or report an exceptional surface.
+
+    When the gluing parity is decreasing, the strip that is second in id
+    order is mirrored first: both of its side orders are reversed and the
+    parity of every gluing flips once per endpoint on that strip.  The
+    surviving strip keeps the first strip's id; its side 0 is the first
+    strip's outer side and its side 1 the second strip's.
+    """
+    strip_a = atlas.location(seam.a)[0]
+    strip_b = atlas.location(seam.b)[0]
+
+    if strip_a == strip_b:
+        # A regular seam on a single side would glue one full side to
+        # itself, which validation forbids; only the opposite-sides case
+        # can reach this point, and it pins down the whole component.
+        if atlas.location(seam.a)[1] == atlas.location(seam.b)[1]:
+            raise RuntimeError("regular seam joining a side to itself")
+        kind = (
+            SurfaceKind.OPEN_CYLINDER
+            if seam.parity is Parity.INCREASING
+            else SurfaceKind.OPEN_MOEBIUS_BAND
+        )
+        return SurfaceClass(kind)
+
+    first, second = sorted((strip_a, strip_b))
+    sides: dict[str, list[tuple[str, ...]]] = {
+        s.id: [s.side0, s.side1] for s in atlas.strips
+    }
+
+    def endpoints_on(gluing: Gluing, strip_id: str) -> int:
+        return sum(
+            1
+            for name in (gluing.a, gluing.b)
+            if atlas.location(name)[0] == strip_id
+        )
+
+    parity_now: dict[Gluing, Parity] = {g: g.parity for g in atlas.gluings}
+    if seam.parity is Parity.DECREASING:
+        sides[second] = [sides[second][0][::-1], sides[second][1][::-1]]
+        for g in atlas.gluings:
+            parity_now[g] = parity_now[g].xor(endpoints_on(g, second))
+
+    assert parity_now[seam] is Parity.INCREASING
+
+    seam_first = seam.a if atlas.location(seam.a)[0] == first else seam.b
+    seam_second = seam.other(seam_first)
+
+    # Stack the first strip below the second: its seam side must face up
+    # (side 1) and the second strip's seam side must face down (side 0).
+    # Swapping a strip's sides leaves every gluing parity unchanged.
+    if seam_first in sides[first][0]:
+        sides[first].reverse()
+    if seam_second in sides[second][1]:
+        sides[second].reverse()
+    assert sides[first][1] == (seam_first,)
+    assert sides[second][0] == (seam_second,)
+
+    merged = Strip(first, sides[first][0], sides[second][1])
+    new_strips = tuple(
+        merged if s.id == first else Strip(s.id, *sides[s.id])
+        for s in atlas.strips
+        if s.id != second
+    )
+    new_gluings = tuple(
+        Gluing(g.a, g.b, parity_now[g]) for g in atlas.gluings if g != seam
+    )
+    return StripedAtlas(new_strips, new_gluings)
+
+
+def reduce_stepwise(atlas: StripedAtlas, rng: Random | None = None) -> SurfaceClass:
+    """Reduce one connected atlas by merging one regular seam at a time.
+
+    Rescans for regular seams after every merge.  The merge order is the
+    first regular seam in gluing order unless ``rng`` picks one at random;
+    any order yields an isomorphic result.
+    """
+    current = atlas
+    while True:
+        seams = regular_seams(current)
+        if not seams:
+            return SurfaceClass(SurfaceKind.PROPER, current)
+        seam = seams[0] if rng is None else seams[rng.randrange(len(seams))]
+        outcome = _merge_regular_seam(current, seam)
+        if isinstance(outcome, SurfaceClass):
+            return outcome
+        # Every merge removes exactly one strip and one seam, so the
+        # strip/seam difference of the gluing graph is preserved.
+        assert len(outcome.strips) == len(current.strips) - 1
+        assert len(outcome.gluings) == len(current.gluings) - 1
+        current = outcome
+
+
+def functorial_all_pairs(identity, group, leaf_maps) -> bool:
+    """psi(e) = id and psi(a*b) = psi(a)*psi(b) for every pair, |G|^2 checks."""
+    return (
+        identity in leaf_maps
+        and leaf_maps[identity].is_identity
+        and all(
+            leaf_maps.get(a.compose(b)) == leaf_maps[a].compose(leaf_maps[b])
+            for a in group
+            for b in group
+        )
     )

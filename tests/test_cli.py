@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import stripes
 from stripes.cli import main
 from stripes.fixtures import FIXTURE_NAMES, fixture_text
 
@@ -258,3 +263,32 @@ def test_svg_escapes_identifiers(atlas_file, capsys, tmp_path):
     assert code == 0
     texts = {node.text for node in ET.parse(svg_path).getroot().iter()}
     assert {'S"x', "{a<b,e}", "{c\\d&}"} <= texts
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["leafspace", "{ladder}", "--svg", "{dir}"],
+        ["reduce", "{ladder}", "-o", "{missing}"],
+        ["reduce", "{ladder}", "-o", "{dir}"],
+        ["random", "--strips", "2", "--max-ints", "1", "--seed", "1", "-o", "{missing}"],
+    ],
+)
+def test_unwritable_output_exits_2_with_one_line(atlas_file, tmp_path, argv):
+    paths = {
+        "ladder": atlas_file("LADDER"),
+        "dir": str(tmp_path),
+        "missing": str(tmp_path / "missing" / "dir" / "x"),
+    }
+    env = dict(os.environ, PYTHONPATH=str(Path(stripes.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "stripes.cli", *(arg.format(**paths) for arg in argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("stripes: cannot write ")
+    assert done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr

@@ -1,0 +1,124 @@
+"""The one-pass chain walk of ``reduce_component`` against the stepwise oracle.
+
+``bruteforce.reduce_stepwise`` merges one regular seam at a time and
+rescans after each merge.  Merging in gluing order, it must give the same
+kind and the same bytes as the chain walk on every small component, on a
+seeded random corpus rich in regular seams, and on long ladders and
+cycles; merging in random order, an isomorphic result.
+"""
+
+from __future__ import annotations
+
+import time
+from random import Random
+
+import pytest
+
+from bruteforce import reduce_stepwise
+from stripes.atlas import (
+    Gluing,
+    Parity,
+    Strip,
+    StripedAtlas,
+    component_atlases,
+    is_valid,
+    isomorphic,
+    serialize_atlas,
+)
+from stripes.corpus import exhaustive_family, random_atlas
+from stripes.reduction import SurfaceKind, reduce_component
+from stripes.symmetry import leaf_action_kernel
+
+RANDOM_SEEDS = range(1200)
+
+
+def same_as_oracle(atlas: StripedAtlas) -> bool:
+    fast, slow = reduce_component(atlas), reduce_stepwise(atlas)
+    if fast.kind is not slow.kind:
+        return False
+    if fast.kind is not SurfaceKind.PROPER:
+        return fast.atlas is slow.atlas is None
+    return serialize_atlas(fast.atlas) == serialize_atlas(slow.atlas)
+
+
+def random_corpus():
+    # One interval per side at most for half the seeds, so most seams are
+    # regular and chains of several strips are common.
+    for seed in RANDOM_SEEDS:
+        glue_prob = 1.0 if seed % 3 == 0 else 0.9
+        atlas = random_atlas(1 + seed % 8, 1 + seed % 2, 90_000 + seed, glue_prob)
+        yield from component_atlases(atlas)
+
+
+def chain(n: int, seed: int, closed: bool) -> StripedAtlas:
+    """n strips joined by regular seams into a path (or a cycle), with
+    shuffled strip names, strip order, gluing order, side choice and
+    parities.  A path's two end sides carry two intervals each, glued
+    to each other, so kept gluings see the mirror bits of both ends."""
+    rng = Random(seed)
+    parities = (Parity.INCREASING, Parity.DECREASING)
+    names = [f"S{k}" for k in rng.sample(range(10 * n), n)]
+    strips, gluings = [], []
+    for i, name in enumerate(names):
+        down = (f"d{i}",) if closed or i > 0 else ("p", "q")
+        up = (f"u{i}",) if closed or i < n - 1 else ("r", "s")
+        sides = (up, down) if rng.random() < 0.5 else (down, up)
+        strips.append(Strip(name, *sides))
+    for i in range(n - 1 + closed):
+        gluings.append(Gluing(f"u{i}", f"d{(i + 1) % n}", rng.choice(parities)))
+    if not closed:
+        gluings.append(Gluing("p", "r", rng.choice(parities)))
+        gluings.append(Gluing("q", "s", rng.choice(parities)))
+    rng.shuffle(strips)
+    rng.shuffle(gluings)
+    return StripedAtlas(tuple(strips), tuple(gluings))
+
+
+def test_exhaustive_family_matches_oracle():
+    mismatches = [
+        sub
+        for atlas in exhaustive_family(2, 2)
+        for sub in component_atlases(atlas)
+        if not same_as_oracle(sub)
+    ]
+    assert mismatches == []
+
+
+def test_random_corpus_matches_oracle():
+    corpus = list(random_corpus())
+
+    def merges(sub: StripedAtlas) -> int:
+        outcome = reduce_component(sub)
+        return len(sub.strips) - (len(outcome.atlas.strips) if outcome.atlas else 1)
+
+    assert sum(merges(sub) >= 3 for sub in corpus) >= 50, "too few long chains"
+    assert [sub for sub in corpus if not same_as_oracle(sub)] == []
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["ladder", "cycle"])
+@pytest.mark.parametrize("seed", range(4))
+def test_long_chains_match_oracle(seed, closed):
+    atlas = chain(200, seed, closed)
+    assert is_valid(atlas)
+    assert same_as_oracle(atlas)
+
+
+@pytest.mark.parametrize("order_seed", range(3))
+def test_any_merge_order_is_isomorphic(order_seed):
+    chains = [chain(30, seed, closed) for seed in range(3) for closed in (False, True)]
+    corpus = list(random_corpus())[::7] + chains
+    for sub in corpus:
+        fast = reduce_component(sub)
+        other = reduce_stepwise(sub, Random(order_seed))
+        assert other.kind is fast.kind
+        if fast.kind is SurfaceKind.PROPER:
+            assert other.atlas == fast.atlas or isomorphic(other.atlas, fast.atlas)
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["ladder", "cycle"])
+def test_ten_thousand_strips_reduce_in_linear_time(closed):
+    atlas = chain(10_000, 5, closed)
+    for operation in (reduce_component, leaf_action_kernel):
+        start = time.perf_counter()
+        operation(atlas)
+        assert time.perf_counter() - start < 5

@@ -1,9 +1,25 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
-from stripes.atlas import Gluing, Parity, Strip, StripedAtlas, parse_atlas
-from stripes.selfcheck import selfcheck
+import bruteforce
+from stripes.atlas import (
+    Gluing,
+    Parity,
+    Strip,
+    StripedAtlas,
+    component_atlases,
+    parse_atlas,
+)
+from stripes.corpus import random_connected_atlas
+from stripes.selfcheck import _functorial, selfcheck
+from stripes.symmetry import (
+    enumerate_automorphisms,
+    identity_automorphism,
+    induced_leaf_map,
+)
 
 CHECK_NAMES = {
     "interval-partition",
@@ -58,3 +74,48 @@ def test_exhaustive_family_has_zero_failures(exhaustive_all):
         if not report.ok:
             failures.append((atlas, [l for l in report.lines() if l.startswith("FAIL")]))
     assert failures == []
+
+
+def necklace(parities: str) -> StripedAtlas:
+    """Strips N0..N(n-1), side 1 of each glued to side 0 of the next by
+    two gluings, cyclically; gluing pair i reads ``parities[i]``."""
+    n = len(parities)
+    strips = [Strip(f"N{i}", (f"c{i}", f"d{i}"), (f"a{i}", f"b{i}")) for i in range(n)]
+    gluings = []
+    for i, symbol in enumerate(parities):
+        parity = Parity.from_symbol(symbol)
+        gluings.append(Gluing(f"a{i}", f"c{(i + 1) % n}", parity))
+        gluings.append(Gluing(f"b{i}", f"d{(i + 1) % n}", parity))
+    return StripedAtlas(tuple(strips), tuple(gluings))
+
+
+def test_generator_functoriality_agrees_with_all_pairs(fixtures):
+    corpus = list(fixtures.values())
+    corpus += [necklace(p) for p in ("+++", "++-", "++++", "+-+-")]
+    corpus += [random_connected_atlas(3 + seed % 2, 2, 500 + seed) for seed in range(16)]
+    failing = 0
+    for atlas in corpus:
+        for sub in component_atlases(atlas):
+            group = enumerate_automorphisms(sub)
+            identity = identity_automorphism(sub)
+            maps = {aut: induced_leaf_map(sub, aut) for aut in group}
+            # Swapping the images of two elements usually breaks the
+            # homomorphism; both checks must say so together.
+            variants = [maps] + [
+                {**maps, a: maps[b], b: maps[a]}
+                for a, b in zip(group, group[1:])
+                if maps[a] != maps[b]
+            ]
+            for variant in variants:
+                fast = _functorial(identity, group, variant)
+                assert fast == bruteforce.functorial_all_pairs(identity, group, variant)
+                failing += not fast
+            assert _functorial(identity, group, maps)
+    assert failing > 0
+
+
+def test_thirty_strip_necklace_selfcheck_is_fast():
+    start = time.perf_counter()
+    report = selfcheck(necklace("+" * 30), k=2)
+    assert report.ok, report.lines()
+    assert time.perf_counter() - start < 5
