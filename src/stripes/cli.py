@@ -3,16 +3,23 @@
 One subcommand per invocation; output is line oriented, one fact per
 line, and byte-stable for fixed inputs and seeds.  Exit codes: 0 success,
 1 validation failure, 2 usage error, 3 precondition error (for example a
-disconnected atlas passed to ``kernel``).
+disconnected atlas passed to ``kernel``), 4 internal error (a guard on a
+fact the package proves, such as an exceptional component without a leaf
+reversal, did not hold; one ``stripes: internal error: ...`` line).
 
-``aut``, ``iso``, ``kernel`` and ``report`` find witnesses by rooted
-traversal: one root strip's image, side flip and reversal bit force the
-rest, so a connected atlas of n strips needs 4n traversals, each O(size).
+``aut``, ``iso`` and ``report`` find witnesses by rooted traversal: one
+root strip's image, side flip and reversal bit force the rest, so a
+connected atlas of n strips needs 4n traversals, each O(size).  ``kernel``
+checks the single all-leaf reversal of the reduced atlas, O(size).
+
+The argument parser is built once per process, so repeated in-process
+``main`` calls (tests, library users) do not rebuild it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -42,6 +49,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
+EXIT_INTERNAL = 4
 
 
 def _load(path: str) -> StripedAtlas:
@@ -66,6 +74,7 @@ class SystemExit2(Exception):
     """Usage failure carrying its message."""
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stripes",
@@ -254,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
     except DisconnectedAtlasError as exc:
         print(f"stripes: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except RuntimeError as exc:
+        print(f"stripes: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

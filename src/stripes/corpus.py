@@ -1,4 +1,4 @@
-"""Seeded random atlases and the exhaustive small-atlas family.
+"""Seeded random atlases, the exhaustive small-atlas family and necklaces.
 
 The random generator is deterministic in its arguments.  Distribution,
 for ``random_atlas(strips, max_intervals_per_side, seed, glue_probability)``:
@@ -80,6 +80,22 @@ def random_connected_atlas(
     raise RuntimeError(
         f"no connected atlas found in {max_attempts} attempts for seed {seed}"
     )
+
+
+def necklace(n: int, parities: str | None = None) -> StripedAtlas:
+    """Strips N0..N(n-1) with two intervals per side, side 1 of each glued
+    to side 0 of the next, cyclically, by two gluings of parity
+    ``parities[i]`` (``+`` everywhere by default).  Every strip sits
+    between two branch points, so the atlas is reduced, and the all-``+``
+    necklace has 4n automorphisms: the worst case of the witness search."""
+    parities = parities or "+" * n
+    strips = [Strip(f"N{i}", (f"c{i}", f"d{i}"), (f"a{i}", f"b{i}")) for i in range(n)]
+    gluings = []
+    for i, symbol in enumerate(parities):
+        parity = Parity.from_symbol(symbol)
+        gluings.append(Gluing(f"a{i}", f"c{(i + 1) % n}", parity))
+        gluings.append(Gluing(f"b{i}", f"d{(i + 1) % n}", parity))
+    return StripedAtlas(tuple(strips), tuple(gluings))
 
 
 def _partial_matchings(items: tuple[str, ...]) -> Iterator[tuple[tuple[str, str], ...]]:

@@ -136,28 +136,30 @@ def _check_component(
 
     # Group laws of the enumerated automorphisms.
     group = enumerate_automorphisms(atlas)
-    members = set(group)
-    ok = identity_automorphism(atlas) in members
-    ok = ok and all(aut.inverse() in members for aut in group)
-    ok = ok and all(a.compose(b) in members for a in group for b in group)
-    add("group-laws", ok)
+    identity = identity_automorphism(atlas)
+    add("group-laws", _group_laws(identity, group))
 
     # Functoriality of the induced leaf-space action.
     leaf_maps = {aut: induced_leaf_map(atlas, aut) for aut in group}
-    add("psi-functoriality", _functorial(identity_automorphism(atlas), group, leaf_maps))
+    add("psi-functoriality", _functorial(identity, group, leaf_maps))
 
-    # Kernel dichotomy and the independent witness route.
+    # Kernel dichotomy on the enumerated group, and the production route
+    # (the single all-leaf reversal candidate) against it.
     outcome = reduce_component(atlas)
     kernel = leaf_action_kernel(atlas)
     if outcome.kind is SurfaceKind.PROPER:
-        trivial_count = len(kernel_members(outcome.atlas))
-        witness = reversal_witness(outcome.atlas)
-        add("kernel-dichotomy", trivial_count in (1, 2))
+        members = kernel_members(outcome.atlas)
+        nontrivial = [aut for aut in members if not aut.is_identity]
+        detail = ""
+        if any(len(set(aut.reversal.values())) > 1 for aut in members):
+            detail = "kernel member with non-constant reversal bits"
+        elif len(nontrivial) > 1:
+            detail = "kernel larger than order two"
+        add("kernel-dichotomy", not detail and len(members) == len(nontrivial) + 1, detail)
         add(
             "witness-crosscheck",
-            (trivial_count == 2) == (witness is not None)
-            and (kernel.order == trivial_count)
-            and ((reversal_witness(atlas) is not None) == (witness is not None)),
+            nontrivial == ([] if kernel.is_trivial else [kernel.witness])
+            and (reversal_witness(atlas) is not None) == (not kernel.is_trivial),
         )
     else:
         add("kernel-dichotomy", kernel.order == 2)
@@ -200,12 +202,11 @@ def _check_component(
     add("reduction-invariants", ok, detail)
 
 
-def _functorial(identity, group, leaf_maps) -> bool:
-    """Whether ``leaf_maps`` respects composition on a closed ``group``:
-    psi(e) = id and psi(s*b) = psi(s)*psi(b) for each b and each s of a
-    greedy generating set, which covers every pair (a*b) by induction."""
-    if identity not in leaf_maps or not leaf_maps[identity].is_identity:
-        return False
+def _generators(identity, group) -> list:
+    """A greedy generating set of the element list ``group``: each element
+    not yet reached from ``identity`` by left products of the earlier
+    generators that stay inside ``group`` becomes a generator."""
+    members = set(group)
     generators, reached = [], {identity}
     for aut in group:
         if aut in reached:
@@ -216,11 +217,33 @@ def _functorial(identity, group, leaf_maps) -> bool:
             element = frontier.pop()
             for s in generators:
                 product = s.compose(element)
-                if product in leaf_maps and product not in reached:
+                if product in members and product not in reached:
                     reached.add(product)
                     frontier.append(product)
+    return generators
+
+
+def _group_laws(identity, group) -> bool:
+    """Whether ``group`` holds the identity and every inverse and is closed.
+    Closure is checked as s*b in group for each generator s and each b:
+    every element is then a product of generators, so a*b is in group for
+    every pair by induction on the length of a."""
+    members = set(group)
+    return (
+        identity in members
+        and all(aut.inverse() in members for aut in group)
+        and all(s.compose(b) in members for s in _generators(identity, group) for b in group)
+    )
+
+
+def _functorial(identity, group, leaf_maps) -> bool:
+    """Whether ``leaf_maps`` respects composition on a closed ``group``:
+    psi(e) = id and psi(s*b) = psi(s)*psi(b) for each b and each s of a
+    greedy generating set, which covers every pair (a*b) by induction."""
+    if identity not in leaf_maps or not leaf_maps[identity].is_identity:
+        return False
     return all(
         leaf_maps.get(s.compose(b)) == leaf_maps[s].compose(leaf_maps[b])
-        for s in generators
+        for s in _generators(identity, group)
         for b in group
     )

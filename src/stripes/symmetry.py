@@ -15,17 +15,20 @@ rotation of a two-strip cylinder chain is a nontrivial triple although the
 underlying homeomorphism is isotopic to the identity.  Operations that
 carry isotopy meaning therefore insist on reduced input.
 
-The kernel computation rests on two facts checked instance by instance by
-the test suite: an automorphism acting trivially on the leaf space must
-keep every strip and side in place with all leaf points fixed, and its
-reversal bits must then agree across every gluing, hence be constant on a
-connected atlas.  So besides the identity at most one such automorphism
-exists, the all-ones reversal, and the kernel is trivial or of order two.
+The kernel computation rests on two facts: an automorphism acting
+trivially on the leaf space must keep every strip and side in place with
+all leaf points fixed, and its reversal bits must then agree across every
+gluing, hence be constant on a connected atlas.  So besides the identity
+at most one such automorphism exists, the all-ones reversal, and the
+kernel is trivial or of order two.  :func:`leaf_action_kernel` therefore
+checks that single candidate, O(size); ``selfcheck`` and the test suite
+check both facts instance by instance against the enumerated group
+(:func:`kernel_members`).
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
@@ -365,8 +368,9 @@ def leaf_action_kernel(atlas: StripedAtlas) -> KernelResult:
     Requires a connected atlas.  Exceptional components (open cylinder or
     Moebius band) always carry the fibrewise reversal, which preserves
     every leaf and acts trivially on the base circle, so their kernel has
-    order two; otherwise the reduced atlas is enumerated and the kernel is
-    read off the automorphisms acting trivially on the leaf space.
+    order two.  Otherwise the kernel is read off the single candidate the
+    module docstring leaves: it has order two exactly when the all-leaf
+    reversal of the reduced atlas fixes every leaf point.  O(size).
     """
     _require_connected(atlas)
     return _kernel(atlas, reduce_component(atlas))
@@ -374,22 +378,12 @@ def leaf_action_kernel(atlas: StripedAtlas) -> KernelResult:
 
 def _kernel(atlas: StripedAtlas, outcome: SurfaceClass) -> KernelResult:
     # ``outcome`` is the reduction of the connected ``atlas``.
-    if outcome.kind is not SurfaceKind.PROPER:
-        witness = reversal_witness(atlas)
-        if witness is None:
-            raise RuntimeError("exceptional component without a reversal")
-        return KernelResult(witness)
-
-    members = kernel_members(outcome.atlas)
-    for member in members:
-        if len(set(member.reversal.values())) > 1:
-            raise RuntimeError("kernel member with non-constant reversal bits")
-    nontrivial = [aut for aut in members if not aut.is_identity]
-    if not nontrivial:
-        return KernelResult(None)
-    if len(nontrivial) > 1:
-        raise RuntimeError("kernel larger than order two")
-    return KernelResult(nontrivial[0])
+    if outcome.kind is SurfaceKind.PROPER:
+        return KernelResult(reversal_witness(outcome.atlas))
+    witness = reversal_witness(atlas)
+    if witness is None:
+        raise RuntimeError("exceptional component without a reversal")
+    return KernelResult(witness)
 
 
 def component_kernels(
@@ -446,36 +440,105 @@ def leaf_model_automorphism_count(model: LeafSpaceModel) -> int:
     A symmetry permutes arcs with an orientation bit each and permutes
     points so that attachment multisets correspond; side order inside an
     end is deliberately ignored.  Counts triples, the identity included.
+
+    The arc maps with orientation bits that keep the multiset of point
+    incidences form a group, counted exactly along a stabiliser chain: its
+    order is the product, over the arcs in breadth-first order, of the
+    number of images an arc can take while the arcs before it stay fixed.
+    Each image is confirmed by a backtracking search for one symmetry that
+    starts so, pruned three ways: a non-root arc's image must share a point
+    with its parent's image, both ends' attachment signatures must match,
+    and a point whose arcs are all placed must land on an incidence still
+    free in the target multiset.  Points of equal incidence are
+    interchangeable, which contributes the product of their counts'
+    factorials.
     """
-    arcs = model.arcs
+    incidence = {
+        point: tuple(sorted((a.end.strip, a.end.side) for a in model.attachments[point]))
+        for point in model.points
+    }
+    target = Counter(incidence.values())
+    signature: dict[tuple[str, int], list] = {
+        (arc, side): [] for arc in model.arcs for side in (0, 1)
+    }
+    neighbours: dict[str, set[str]] = {arc: set() for arc in model.arcs}
+    for key in incidence.values():
+        for end in set(key):
+            signature[end].append((len(key), key.count(end), target[key]))
+        for strip, _ in key:
+            neighbours[strip].update(s for s, _ in key)
+    for slots in signature.values():
+        slots.sort()
 
-    def incidence(point: LeafPoint) -> tuple[tuple[str, int], ...]:
-        return tuple(
-            sorted((att.end.strip, att.end.side) for att in model.attachments[point])
+    # Breadth-first arc order; a point is checked once its last arc is placed.
+    order, parent = [], {}
+    for root in model.arcs:
+        if root in parent:
+            continue
+        parent[root] = None
+        queue = [root]
+        for arc in queue:
+            for other in sorted(neighbours[arc]):
+                if other not in parent:
+                    parent[other] = arc
+                    queue.append(other)
+        order += queue
+    position = {arc: i for i, arc in enumerate(order)}
+    completed: list[list[tuple]] = [[] for _ in order]
+    for key in incidence.values():
+        completed[max(position[s] for s, _ in key)].append(key)
+
+    def options(arc: str, image: dict, used: set) -> list[tuple[str, int]]:
+        pool = model.arcs if parent[arc] is None else neighbours[image[parent[arc]][0]]
+        return [
+            (other, bit)
+            for other in pool
+            if other not in used
+            for bit in (0, 1)
+            if signature[(arc, 0)] == signature[(other, bit)]
+            and signature[(arc, 1)] == signature[(other, 1 - bit)]
+        ]
+
+    def extends(prefix: list[tuple[str, int]]) -> bool:
+        # Depth-first without recursion: the choices left at each depth,
+        # and the point images each placed choice added, to undo it.
+        image: dict[str, tuple[str, int]] = {}
+        used: set[str] = set()
+        placed: Counter = Counter()
+        choices, trail = [prefix[:1]], []
+        while choices:
+            depth = len(choices) - 1
+            arc = order[depth]
+            if len(trail) > depth:
+                placed.subtract(trail.pop())
+                used.discard(image.pop(arc)[0])
+            if not choices[-1]:
+                choices.pop()
+                continue
+            image[arc] = choices[-1].pop()
+            used.add(image[arc][0])
+            landed = [
+                tuple(sorted((image[s][0], side ^ image[s][1]) for s, side in key))
+                for key in completed[depth]
+            ]
+            placed.update(landed)
+            trail.append(landed)
+            if any(placed[key] > target[key] for key in landed):
+                continue
+            if depth + 1 == len(order):
+                return True
+            choices.append(
+                prefix[depth + 1 : depth + 2] if depth + 1 < len(prefix)
+                else options(order[depth + 1], image, used)
+            )
+        return False
+
+    count = 1
+    for depth, arc in enumerate(order):
+        fixed = {a: (a, 0) for a in order[:depth]}
+        count *= sum(
+            extends([*fixed.values(), choice]) for choice in options(arc, fixed, set(fixed))
         )
-
-    target: dict[tuple, int] = {}
-    for point in model.points:
-        key = incidence(point)
-        target[key] = target.get(key, 0) + 1
-
-    total = 0
-    for assignment in itertools.permutations(arcs):
-        arc_map = dict(zip(arcs, assignment))
-        for bits in itertools.product((0, 1), repeat=len(arcs)):
-            flip = dict(zip(arcs, bits))
-            mapped: dict[tuple, int] = {}
-            for point in model.points:
-                key = tuple(
-                    sorted(
-                        (arc_map[strip], side ^ flip[strip])
-                        for strip, side in incidence(point)
-                    )
-                )
-                mapped[key] = mapped.get(key, 0) + 1
-            if mapped == target:
-                count = 1
-                for size in mapped.values():
-                    count *= factorial(size)
-                total += count
-    return total
+    for size in target.values():
+        count *= factorial(size)
+    return count

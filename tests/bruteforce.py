@@ -11,6 +11,7 @@ against it.
 from __future__ import annotations
 
 import itertools
+from math import factorial
 from random import Random
 
 from stripes.atlas import (
@@ -21,6 +22,7 @@ from stripes.atlas import (
     is_valid_witness,
     serialize_atlas,
 )
+from stripes.leafspace import LeafPoint, LeafSpaceModel
 from stripes.reduction import SurfaceClass, SurfaceKind, regular_seams
 
 
@@ -191,4 +193,53 @@ def functorial_all_pairs(identity, group, leaf_maps) -> bool:
             for a in group
             for b in group
         )
+    )
+
+
+def leaf_model_automorphism_count(model: LeafSpaceModel) -> int:
+    """Incidence-preserving symmetries of a leaf-space model by trying all
+    n!·2^n arc permutations with orientation bits; each one that carries
+    the points' attachment multisets onto themselves counts once per
+    matching of the points of equal incidence."""
+    arcs = model.arcs
+
+    def incidence(point: LeafPoint) -> tuple[tuple[str, int], ...]:
+        return tuple(
+            sorted((att.end.strip, att.end.side) for att in model.attachments[point])
+        )
+
+    target: dict[tuple, int] = {}
+    for point in model.points:
+        key = incidence(point)
+        target[key] = target.get(key, 0) + 1
+
+    total = 0
+    for assignment in itertools.permutations(arcs):
+        arc_map = dict(zip(arcs, assignment))
+        for bits in itertools.product((0, 1), repeat=len(arcs)):
+            flip = dict(zip(arcs, bits))
+            mapped: dict[tuple, int] = {}
+            for point in model.points:
+                key = tuple(
+                    sorted(
+                        (arc_map[strip], side ^ flip[strip])
+                        for strip, side in incidence(point)
+                    )
+                )
+                mapped[key] = mapped.get(key, 0) + 1
+            if mapped == target:
+                count = 1
+                for size in mapped.values():
+                    count *= factorial(size)
+                total += count
+    return total
+
+
+def group_laws_all_pairs(identity, group) -> bool:
+    """Identity, inverses and a*b in group for every pair, |G|^2 checks."""
+    members = set(group)
+    return (
+        identity in members
+        and all(aut.inverse() in members for aut in group)
+        and all(a.compose(b) in members for a in group for b in group)
     )

@@ -292,3 +292,24 @@ def test_unwritable_output_exits_2_with_one_line(atlas_file, tmp_path, argv):
     assert done.stderr.startswith("stripes: cannot write ")
     assert done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
+
+
+def test_parser_is_reused_across_calls(atlas_file, capsys):
+    path = atlas_file("PUNCTURED")
+    first = run(capsys, "report", path)
+    assert first == run(capsys, "report", path)
+    assert first[0] == 0
+    code, out, err = run(capsys, "kernel")
+    assert (code, out) == (2, "")
+    assert "usage: stripes kernel" in err
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: stripes")
+    assert run(capsys, "report", path) == first
+
+
+def test_internal_error_exits_4_with_one_line(atlas_file, capsys, monkeypatch):
+    monkeypatch.setattr("stripes.symmetry.reversal_witness", lambda atlas: None)
+    code, out, err = run(capsys, "kernel", atlas_file("CYL"))
+    assert (code, out) == (4, "")
+    assert err == "stripes: internal error: exceptional component without a reversal\n"

@@ -1,0 +1,124 @@
+"""The kernel and the leaf-model count of ``report`` against their oracles.
+
+``leaf_action_kernel`` checks the single all-leaf reversal of the reduced
+atlas; the oracle enumerates the reduced atlas's group and keeps the
+members acting trivially on the leaf space (``kernel_members``).
+``leaf_model_automorphism_count`` is a pruned backtracking search; the
+oracle ``bruteforce.leaf_model_automorphism_count`` tries all n!·2^n arc
+maps.  Both must agree on every small component, on seeded random
+atlases, on necklaces and on stars, and stay fast where the oracles
+cannot go.
+"""
+
+from __future__ import annotations
+
+import time
+from math import factorial
+
+import pytest
+
+import bruteforce
+from stripes.atlas import component_atlases, parse_atlas, serialize_atlas
+from stripes.corpus import exhaustive_family, necklace, random_atlas
+from stripes.leafspace import build_leaf_space
+from stripes.reduction import SurfaceKind, reduce_component
+from stripes.symmetry import (
+    homeotopy_report,
+    kernel_members,
+    leaf_action_kernel,
+    leaf_model_automorphism_count,
+)
+
+
+def exhaustive_components():
+    """Every distinct component of the exhaustive family (the one-strip
+    components of disconnected atlases repeat)."""
+    distinct = {}
+    for atlas in exhaustive_family(2, 2):
+        for sub in component_atlases(atlas):
+            distinct.setdefault(serialize_atlas(sub), sub)
+    return list(distinct.values())
+
+
+def random_components():
+    for seed in range(400):
+        atlas = random_atlas(1 + seed % 5, 1 + seed % 3, 30_000 + seed, 0.85)
+        yield from component_atlases(atlas)
+
+
+def same_kernel(atlas) -> bool:
+    kernel = leaf_action_kernel(atlas)
+    outcome = reduce_component(atlas)
+    if outcome.kind is not SurfaceKind.PROPER:
+        return kernel.order == 2  # no reduced atlas to enumerate
+    nontrivial = [aut for aut in kernel_members(outcome.atlas) if not aut.is_identity]
+    return nontrivial == ([] if kernel.is_trivial else [kernel.witness])
+
+
+def same_count(atlas) -> bool:
+    model = build_leaf_space(atlas)
+    return leaf_model_automorphism_count(model) == bruteforce.leaf_model_automorphism_count(
+        model
+    )
+
+
+def test_exhaustive_family_matches_oracles():
+    corpus = exhaustive_components()
+    assert len(corpus) > 13_000
+    assert [sub for sub in corpus if not same_count(sub)] == []
+    assert [sub for sub in corpus if not same_kernel(sub)] == []
+
+
+def test_random_corpus_matches_oracles():
+    corpus = list(random_components())
+    assert len(corpus) >= 300
+    assert sum(len(sub.strips) >= 4 for sub in corpus) >= 50, "too few large components"
+    assert sum(leaf_action_kernel(sub).order == 2 for sub in corpus) >= 50
+    assert sum(leaf_action_kernel(sub).is_trivial for sub in corpus) >= 50
+    assert [sub for sub in corpus if not same_count(sub)] == []
+    assert [sub for sub in corpus if not same_kernel(sub)] == []
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_necklace_count_matches_oracle(n):
+    assert same_count(necklace(n))
+
+
+def star(m: int):
+    """Strip C with m intervals on side 1, each glued to side 0 of a leaf
+    strip Li whose side 1 holds two free intervals: reduced, with two
+    automorphisms, while the model alone permutes the leaves freely."""
+    lines = ["strip C", "side1 " + " ".join(f"x{i}" for i in range(m))]
+    for i in range(m):
+        lines += [f"strip L{i}", f"side0 y{i}", f"side1 f{i} g{i}", f"glue x{i} y{i} +"]
+    return parse_atlas("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_star_count_matches_oracle(m):
+    assert same_count(star(m))
+
+
+def test_thirty_leaf_star_count_is_fast():
+    # m! leaf permutations times two orders of each leaf's free points.
+    model = build_leaf_space(star(30))
+    start = time.perf_counter()
+    assert leaf_model_automorphism_count(model) == factorial(30) * 2**30
+    assert time.perf_counter() - start < 5
+
+
+def test_ten_thousand_strip_necklace_kernel_is_fast():
+    atlas = necklace(10_000)
+    start = time.perf_counter()
+    assert leaf_action_kernel(atlas).is_trivial
+    assert time.perf_counter() - start < 5
+
+
+def test_fifty_strip_necklace_report_is_fast():
+    start = time.perf_counter()
+    report = homeotopy_report(necklace(50))
+    assert time.perf_counter() - start < 10
+    # 200 automorphisms act faithfully; the model alone also swaps the two
+    # parallel seams between neighbours independently: 100 arc maps * 2^50.
+    assert (report.aut_order, report.image_order) == (200, 200)
+    assert report.leaf_model_aut_order == 100 * 2**50

@@ -13,9 +13,11 @@ from stripes.atlas import (
     component_atlases,
     parse_atlas,
 )
-from stripes.corpus import random_connected_atlas
-from stripes.selfcheck import _functorial, selfcheck
+from stripes.corpus import necklace, random_connected_atlas
+from stripes.selfcheck import _functorial, _group_laws, selfcheck
 from stripes.symmetry import (
+    AtlasAutomorphism,
+    all_leaf_reversal,
     enumerate_automorphisms,
     identity_automorphism,
     induced_leaf_map,
@@ -76,22 +78,9 @@ def test_exhaustive_family_has_zero_failures(exhaustive_all):
     assert failures == []
 
 
-def necklace(parities: str) -> StripedAtlas:
-    """Strips N0..N(n-1), side 1 of each glued to side 0 of the next by
-    two gluings, cyclically; gluing pair i reads ``parities[i]``."""
-    n = len(parities)
-    strips = [Strip(f"N{i}", (f"c{i}", f"d{i}"), (f"a{i}", f"b{i}")) for i in range(n)]
-    gluings = []
-    for i, symbol in enumerate(parities):
-        parity = Parity.from_symbol(symbol)
-        gluings.append(Gluing(f"a{i}", f"c{(i + 1) % n}", parity))
-        gluings.append(Gluing(f"b{i}", f"d{(i + 1) % n}", parity))
-    return StripedAtlas(tuple(strips), tuple(gluings))
-
-
 def test_generator_functoriality_agrees_with_all_pairs(fixtures):
     corpus = list(fixtures.values())
-    corpus += [necklace(p) for p in ("+++", "++-", "++++", "+-+-")]
+    corpus += [necklace(len(p), p) for p in ("+++", "++-", "++++", "+-+-")]
     corpus += [random_connected_atlas(3 + seed % 2, 2, 500 + seed) for seed in range(16)]
     failing = 0
     for atlas in corpus:
@@ -114,8 +103,55 @@ def test_generator_functoriality_agrees_with_all_pairs(fixtures):
     assert failing > 0
 
 
+def test_generator_group_laws_agree_with_all_pairs(fixtures):
+    corpus = list(fixtures.values())
+    corpus += [necklace(len(p), p) for p in ("++", "+++", "++-", "++++", "+-+-")]
+    corpus += [random_connected_atlas(3 + seed % 2, 2, 700 + seed) for seed in range(16)]
+    removals = subsets = 0
+    for atlas in corpus:
+        for sub in component_atlases(atlas):
+            group = enumerate_automorphisms(sub)
+            identity = identity_automorphism(sub)
+            assert _group_laws(identity, group)
+            assert bruteforce.group_laws_all_pairs(identity, group)
+            # Without one element the list is no group: it lacks the
+            # identity, or it is a proper subset of more than half the group.
+            for missing in group:
+                if len(group) > 2 or missing == identity:
+                    rest = tuple(aut for aut in group if aut != missing)
+                    assert not _group_laws(identity, rest)
+                    assert not bruteforce.group_laws_all_pairs(identity, rest)
+                    removals += 1
+            # Every sub-list of a small group, some of them closed under
+            # one generator but not under the next.
+            if len(group) <= 8:
+                for mask in range(2 ** len(group)):
+                    part = tuple(aut for i, aut in enumerate(group) if mask >> i & 1)
+                    assert _group_laws(identity, part) == bruteforce.group_laws_all_pairs(
+                        identity, part
+                    )
+                    subsets += 1
+    assert removals > 50
+    assert subsets > 500
+
+
+def test_kernel_dichotomy_guards(fixtures, monkeypatch):
+    atlas = fixtures["PUNCTURED"]
+    identity, reversal = identity_automorphism(atlas), all_leaf_reversal(atlas)
+    half = AtlasAutomorphism(reversal.strip_map, reversal.side_flip, {"S": 1, "T": 0})
+    flipped = AtlasAutomorphism(reversal.strip_map, {"S": 1, "T": 1}, reversal.reversal)
+    cases = {
+        "kernel member with non-constant reversal bits": (identity, half),
+        "kernel larger than order two": (identity, reversal, flipped),
+    }
+    for detail, members in cases.items():
+        monkeypatch.setattr("stripes.selfcheck.kernel_members", lambda atlas: members)
+        lines = selfcheck(atlas, k=1).lines()
+        assert f"FAIL S:kernel-dichotomy ({detail})" in lines
+
+
 def test_thirty_strip_necklace_selfcheck_is_fast():
     start = time.perf_counter()
-    report = selfcheck(necklace("+" * 30), k=2)
+    report = selfcheck(necklace(30), k=2)
     assert report.ok, report.lines()
     assert time.perf_counter() - start < 5
