@@ -55,18 +55,11 @@ from .symmetry import (
     HomeotopyReport,
     KernelResult,
     LeafMap,
-    NotReducedError,
     all_leaf_reversal,
-    component_kernels,
-    composition_table,
     enumerate_automorphisms,
     homeotopy_report,
     identity_automorphism,
     induced_leaf_map,
-    is_isotopically_trivial_on_leaf_space,
-    is_isotopically_trivial_on_surface,
-    is_valid_automorphism,
-    kernel_members,
     leaf_action_kernel,
     leaf_model_automorphism_count,
     reversal_witness,

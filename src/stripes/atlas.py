@@ -124,8 +124,7 @@ class StripedAtlas:
     """A finite set of strips plus gluings between their intervals.
 
     Values are immutable after construction and all operations on them are
-    pure, so atlases may be shared freely between workers.  Construction
-    performs no validation; see :func:`validate`.
+    pure.  Construction performs no validation; see :func:`validate`.
     """
 
     strips: tuple[Strip, ...]

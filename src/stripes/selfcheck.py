@@ -29,7 +29,6 @@ from .symmetry import (
     enumerate_automorphisms,
     identity_automorphism,
     induced_leaf_map,
-    kernel_members,
     leaf_action_kernel,
     reversal_witness,
 )
@@ -79,6 +78,7 @@ def _check_component(
     report: SelfCheckReport, atlas: StripedAtlas, label: str, k: int
 ) -> None:
     model = build_leaf_space(atlas)
+    closures = {p: hcl_point(model, p) for p in model.points}
     add = lambda name, ok, detail="": report.results.append(
         CheckResult(label, name, ok, detail)
     )
@@ -102,7 +102,7 @@ def _check_component(
             brute = frozenset(
                 q for q in hcl_bruteforce(space, point) if isinstance(q, LeafPoint)
             )
-            if brute != hcl_point(model, point):
+            if brute != closures[point]:
                 ok = False
                 detail = f"depth {depth}, point {point.label()}"
                 break
@@ -114,7 +114,7 @@ def _check_component(
     add(
         "hcl-symmetry",
         all(
-            (q in hcl_point(model, p)) == (p in hcl_point(model, q))
+            (q in closures[p]) == (p in closures[q])
             for p in model.points
             for q in model.points
         ),
@@ -140,22 +140,29 @@ def _check_component(
     add("group-laws", _group_laws(identity, group))
 
     # Functoriality of the induced leaf-space action.
-    leaf_maps = {aut: induced_leaf_map(atlas, aut) for aut in group}
+    leaf_maps = {aut: induced_leaf_map(model, aut) for aut in group}
     add("psi-functoriality", _functorial(identity, group, leaf_maps))
 
-    # Kernel dichotomy on the enumerated group, and the production route
-    # (the single all-leaf reversal candidate) against it.
+    # Kernel dichotomy on the enumerated group of the reduced atlas, and the
+    # production route (the single all-leaf reversal candidate) against it.
+    # A reduced component is its own reduction: its group and maps serve.
     outcome = reduce_component(atlas)
     kernel = leaf_action_kernel(atlas)
     if outcome.kind is SurfaceKind.PROPER:
-        members = kernel_members(outcome.atlas)
+        reduced = outcome.atlas
+        if reduced == atlas:
+            reduced_model, reduced_closures = model, closures
+            members = [aut for aut in group if leaf_maps[aut].is_identity]
+        else:
+            reduced_model = build_leaf_space(reduced)
+            reduced_closures = {p: hcl_point(reduced_model, p) for p in reduced_model.points}
+            members = [
+                aut
+                for aut in enumerate_automorphisms(reduced)
+                if induced_leaf_map(reduced_model, aut).is_identity
+            ]
+        add("kernel-dichotomy", *_kernel_dichotomy(members))
         nontrivial = [aut for aut in members if not aut.is_identity]
-        detail = ""
-        if any(len(set(aut.reversal.values())) > 1 for aut in members):
-            detail = "kernel member with non-constant reversal bits"
-        elif len(nontrivial) > 1:
-            detail = "kernel larger than order two"
-        add("kernel-dichotomy", not detail and len(members) == len(nontrivial) + 1, detail)
         add(
             "witness-crosscheck",
             nontrivial == ([] if kernel.is_trivial else [kernel.witness])
@@ -170,12 +177,11 @@ def _check_component(
     detail = ""
     euler_before = euler_invariant(build_dual_graph(atlas))
     if outcome.kind is SurfaceKind.PROPER:
-        reduced = outcome.atlas
         if not is_reduced(reduced):
             ok, detail = False, "result not reduced"
         if euler_invariant(build_dual_graph(reduced)) != euler_before:
             ok, detail = False, "euler drift"
-        before, after = model, build_leaf_space(reduced)
+        before, after = model, reduced_model
         if len(special_points(before)) != len(special_points(after)) or len(
             boundary_points(before)
         ) != len(boundary_points(after)):
@@ -185,8 +191,8 @@ def _check_component(
             ok, detail = False, "points renamed"
         else:
             for p in surviving:
-                kept = hcl_point(before, p) & surviving
-                if kept != hcl_point(after, p):
+                kept = closures[p] & surviving
+                if kept != reduced_closures[p]:
                     ok, detail = False, "hcl drift"
         again = reduce_component(reduced)
         if again.kind is not SurfaceKind.PROPER or again.atlas != reduced:
@@ -200,6 +206,19 @@ def _check_component(
     ):
         ok, detail = False, "merge order changed the class"
     add("reduction-invariants", ok, detail)
+
+
+def _kernel_dichotomy(members) -> tuple[bool, str]:
+    """Whether ``members``, the automorphisms of a reduced component that act
+    trivially on the leaf space, are the identity and at most one more
+    element, none with non-constant reversal bits; and the FAIL detail."""
+    nontrivial = [aut for aut in members if not aut.is_identity]
+    detail = ""
+    if any(len(set(aut.reversal.values())) > 1 for aut in members):
+        detail = "kernel member with non-constant reversal bits"
+    elif len(nontrivial) > 1:
+        detail = "kernel larger than order two"
+    return not detail and len(members) == len(nontrivial) + 1, detail
 
 
 def _generators(identity, group) -> list:

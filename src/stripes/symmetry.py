@@ -13,17 +13,19 @@ For a reduced atlas these triples realise the group of isotopy classes.
 On a non-reduced atlas the enumerated group is merely combinatorial: a
 rotation of a two-strip cylinder chain is a nontrivial triple although the
 underlying homeomorphism is isotopic to the identity.  Operations that
-carry isotopy meaning therefore insist on reduced input.
+carry isotopy meaning therefore work on the reduced atlas.
 
-The kernel computation rests on two facts: an automorphism acting
-trivially on the leaf space must keep every strip and side in place with
-all leaf points fixed, and its reversal bits must then agree across every
-gluing, hence be constant on a connected atlas.  So besides the identity
-at most one such automorphism exists, the all-ones reversal, and the
-kernel is trivial or of order two.  :func:`leaf_action_kernel` therefore
-checks that single candidate, O(size); ``selfcheck`` and the test suite
-check both facts instance by instance against the enumerated group
-(:func:`kernel_members`).
+The leaf-space action psi is :func:`induced_leaf_map`, read off a prebuilt
+leaf-space model.  The kernel computation rests on two facts: an
+automorphism acting trivially on the leaf space must keep every strip and
+side in place with all leaf points fixed, and its reversal bits must then
+agree across every gluing, hence be constant on a connected atlas.  So
+besides the identity at most one such automorphism exists, the all-ones
+reversal, and the kernel is trivial or of order two.
+:func:`leaf_action_kernel` therefore checks that single candidate,
+O(size); ``selfcheck`` checks both facts instance by instance on the
+enumerated group of the reduced atlas, keeping the members whose leaf map
+is the identity.
 """
 
 from __future__ import annotations
@@ -32,30 +34,18 @@ from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
-from .atlas import (
-    StripedAtlas,
-    component_atlases,
-    connected_components,
-    is_valid_witness,
-    iter_witnesses,
-    witness_interval_map,
-)
-from .leafspace import LeafPoint, LeafSpaceModel, build_leaf_space
+from .atlas import StripedAtlas, connected_components, is_valid_witness, iter_witnesses
+from .leafspace import ArcEnd, LeafPoint, LeafSpaceModel, build_leaf_space
 from .reduction import (
     SurfaceClass,
     SurfaceKind,
     canonical_exceptional_atlas,
-    is_reduced,
     reduce_component,
 )
 
 
 class DisconnectedAtlasError(ValueError):
     """Raised by operations that are only defined on connected atlases."""
-
-
-class NotReducedError(ValueError):
-    """Raised by isotopy-level tests applied to a non-reduced atlas."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,14 +106,6 @@ class AtlasAutomorphism:
             reversal={t: self.reversal[s] for t, s in backwards.items()},
         )
 
-    def interval_map(self, atlas: StripedAtlas) -> dict[str, str]:
-        mapping = witness_interval_map(
-            atlas, atlas, self.strip_map, self.side_flip, self.reversal
-        )
-        if mapping is None:
-            raise ValueError("automorphism does not fit the atlas")
-        return mapping
-
     def format(self) -> str:
         """One-line rendering, strips in sorted order."""
         strips = sorted(self.strip_map)
@@ -155,22 +137,6 @@ def all_leaf_reversal(atlas: StripedAtlas) -> AtlasAutomorphism:
     )
 
 
-def is_valid_automorphism(
-    atlas: StripedAtlas,
-    strip_map: dict[str, str],
-    side_flip: dict[str, int],
-    reversal: dict[str, int],
-) -> bool:
-    """Validity of a candidate triple on one atlas.
-
-    Side sizes must match under the flip, the induced positional interval
-    bijection must carry every gluing of parity p to a gluing of parity
-    p ^ reversal[strip of a] ^ reversal[strip of b], and free intervals
-    must stay free.
-    """
-    return is_valid_witness(atlas, atlas, strip_map, side_flip, reversal)
-
-
 def enumerate_automorphisms(atlas: StripedAtlas) -> tuple[AtlasAutomorphism, ...]:
     """Every valid automorphism, canonically sorted."""
     return tuple(
@@ -179,22 +145,6 @@ def enumerate_automorphisms(atlas: StripedAtlas) -> tuple[AtlasAutomorphism, ...
             key=AtlasAutomorphism.key,
         )
     )
-
-
-def composition_table(
-    group: tuple[AtlasAutomorphism, ...]
-) -> dict[tuple[int, int], int]:
-    """Index table of a closed element list: ``(i, j) -> k`` with
-    ``group[i].compose(group[j]) == group[k]``."""
-    index = {aut: i for i, aut in enumerate(group)}
-    table = {}
-    for i, a in enumerate(group):
-        for j, b in enumerate(group):
-            product = a.compose(b)
-            if product not in index:
-                raise ValueError("element list is not closed under composition")
-            table[(i, j)] = index[product]
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +198,30 @@ class LeafMap:
         )
 
 
-def induced_leaf_map(atlas: StripedAtlas, aut: AtlasAutomorphism) -> LeafMap:
-    """Push an automorphism down to the leaf-space model."""
-    model = build_leaf_space(atlas)
-    interval_map = aut.interval_map(atlas)
+def induced_leaf_map(model: LeafSpaceModel, aut: AtlasAutomorphism) -> LeafMap:
+    """Push an automorphism down to the leaf-space model: the action psi.
+
+    An attachment at index i of end (s, side) lands on end
+    (strip_map[s], side ^ side_flip[s]), at index i, or at len - 1 - i of
+    that end when ``reversal[s]`` is set.  Raises ``ValueError`` when the
+    triple does not fit the model: an end of another size, or a point whose
+    attachments land on different points or on a point of another kind.
+    """
     point_map: dict[LeafPoint, LeafPoint] = {}
     for point in model.points:
-        image = LeafPoint(tuple(interval_map[name] for name in point.intervals))
-        assert image in model.attachments, "interval bijection must permute points"
+        images = set()
+        for attachment in model.attachments[point]:
+            strip, index = attachment.end.strip, attachment.index
+            source = model.end_points[attachment.end]
+            target = model.end_points[
+                ArcEnd(aut.strip_map[strip], attachment.end.side ^ aut.side_flip[strip])
+            ]
+            if len(target) != len(source):
+                raise ValueError("automorphism does not fit the model: side sizes differ")
+            images.add(target[len(target) - 1 - index if aut.reversal[strip] else index])
+        image, *others = images
+        if others or len(model.attachments[image]) != len(model.attachments[point]):
+            raise ValueError(f"automorphism does not map {point.label()} onto a leaf point")
         point_map[point] = image
     return LeafMap(
         point_map=point_map,
@@ -265,66 +231,12 @@ def induced_leaf_map(atlas: StripedAtlas, aut: AtlasAutomorphism) -> LeafMap:
 
 
 # ---------------------------------------------------------------------------
-# Isotopy triviality on both sides, kernel, and reports
-
-
-def _fixes_every_point(atlas: StripedAtlas, aut: AtlasAutomorphism) -> bool:
-    leaf_map = induced_leaf_map(atlas, aut)
-    return all(p == q for p, q in leaf_map.point_map.items())
+# Kernel and reports
 
 
 def _require_connected(atlas: StripedAtlas) -> None:
     if len(connected_components(atlas)) != 1:
         raise DisconnectedAtlasError("atlas disconnected - apply per component")
-
-
-def _require_reduced(atlas: StripedAtlas) -> None:
-    if not is_reduced(atlas):
-        raise NotReducedError("operation requires a reduced atlas")
-
-
-def is_isotopically_trivial_on_surface(
-    atlas: StripedAtlas, aut: AtlasAutomorphism
-) -> bool:
-    """Whether the automorphism is isotopic to the identity on the surface.
-
-    On a reduced atlas that holds exactly for the identity triple: each
-    strip kept, sides kept (transverse direction increasing) and leaves
-    kept with orientation (reversal bit zero).
-    """
-    _require_reduced(atlas)
-    return aut.is_identity
-
-
-def is_isotopically_trivial_on_leaf_space(
-    atlas: StripedAtlas, aut: AtlasAutomorphism
-) -> bool:
-    """Whether the induced leaf-space map is isotopic to the identity.
-
-    On a reduced atlas every leaf point is either a boundary point or a
-    branch point, and the complement of those is the disjoint union of the
-    open arcs.  The induced map is trivially isotopic exactly when it
-    fixes every leaf point and maps every arc to itself preserving
-    orientation; the reversal bits are invisible on the leaf space.
-    """
-    _require_reduced(atlas)
-    if any(s != t for s, t in aut.strip_map.items()):
-        return False
-    if any(aut.side_flip.values()):
-        return False
-    return _fixes_every_point(atlas, aut)
-
-
-def kernel_members(atlas: StripedAtlas) -> tuple[AtlasAutomorphism, ...]:
-    """Automorphisms of a reduced connected atlas acting trivially on the
-    leaf space.  Their classes form the kernel of the induced action."""
-    _require_connected(atlas)
-    _require_reduced(atlas)
-    return tuple(
-        aut
-        for aut in enumerate_automorphisms(atlas)
-        if is_isotopically_trivial_on_leaf_space(atlas, aut)
-    )
 
 
 @dataclass(frozen=True)
@@ -355,11 +267,12 @@ def reversal_witness(atlas: StripedAtlas) -> AtlasAutomorphism | None:
     """
     _require_connected(atlas)
     candidate = all_leaf_reversal(atlas)
-    if not is_valid_automorphism(
-        atlas, candidate.strip_map, candidate.side_flip, candidate.reversal
+    if not is_valid_witness(
+        atlas, atlas, candidate.strip_map, candidate.side_flip, candidate.reversal
     ):
         return None
-    return candidate if _fixes_every_point(atlas, candidate) else None
+    leaf_map = induced_leaf_map(build_leaf_space(atlas), candidate)
+    return candidate if leaf_map.is_identity else None
 
 
 def leaf_action_kernel(atlas: StripedAtlas) -> KernelResult:
@@ -384,16 +297,6 @@ def _kernel(atlas: StripedAtlas, outcome: SurfaceClass) -> KernelResult:
     if witness is None:
         raise RuntimeError("exceptional component without a reversal")
     return KernelResult(witness)
-
-
-def component_kernels(
-    atlas: StripedAtlas,
-) -> tuple[tuple[frozenset[str], KernelResult], ...]:
-    """Kernels of all connected components, for disconnected atlases."""
-    return tuple(
-        (frozenset(sub.strip_ids), leaf_action_kernel(sub))
-        for sub in component_atlases(atlas)
-    )
 
 
 @dataclass(frozen=True)

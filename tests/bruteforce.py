@@ -1,11 +1,14 @@
-"""Brute-force oracles for the witness search and the reduction.
+"""Brute-force oracles for the witness search, the reduction and the kernel.
 
 Both witness routes try every one of the n!·4^n candidate triples (strip
 assignment, side flip bits, reversal bits), so they are only usable on a
 few strips.  The package's rooted traversal is checked against them.
 ``reduce_stepwise`` merges one regular seam at a time and rescans after
 every merge, in any order; the package's one-pass chain walk is checked
-against it.
+against it.  ``leaf_map`` pushes an automorphism to the leaf space through
+the positional interval bijection instead of the model's arc ends, and
+``kernel_members`` keeps the enumerated automorphisms that act trivially
+through it: the enumeration route of the kernel.
 """
 
 from __future__ import annotations
@@ -19,11 +22,14 @@ from stripes.atlas import (
     Parity,
     Strip,
     StripedAtlas,
+    is_connected,
     is_valid_witness,
     serialize_atlas,
+    witness_interval_map,
 )
-from stripes.leafspace import LeafPoint, LeafSpaceModel
-from stripes.reduction import SurfaceClass, SurfaceKind, regular_seams
+from stripes.leafspace import LeafPoint, LeafSpaceModel, build_leaf_space
+from stripes.reduction import SurfaceClass, SurfaceKind, is_reduced, regular_seams
+from stripes.symmetry import AtlasAutomorphism, LeafMap, enumerate_automorphisms
 
 
 def _candidates(src: StripedAtlas, dst: StripedAtlas):
@@ -242,4 +248,57 @@ def group_laws_all_pairs(identity, group) -> bool:
         identity in members
         and all(aut.inverse() in members for aut in group)
         and all(a.compose(b) in members for a in group for b in group)
+    )
+
+
+def leaf_map(atlas: StripedAtlas, aut: AtlasAutomorphism) -> LeafMap:
+    """The induced leaf-space map, read through the positional interval
+    bijection: a point's image consists of its intervals' images, which
+    must again form a leaf point."""
+    mapping = witness_interval_map(
+        atlas, atlas, aut.strip_map, aut.side_flip, aut.reversal
+    )
+    if mapping is None:
+        raise ValueError("automorphism does not fit the atlas")
+    model = build_leaf_space(atlas)
+    point_map = {}
+    for point in model.points:
+        image = LeafPoint(tuple(mapping[name] for name in point.intervals))
+        if image not in model.attachments:
+            raise ValueError("interval bijection does not permute the points")
+        point_map[point] = image
+    return LeafMap(point_map, dict(aut.strip_map), dict(aut.side_flip))
+
+
+def _require_reduced_connected(atlas: StripedAtlas) -> None:
+    # Triples are isotopy classes only on a reduced atlas.
+    if not (is_connected(atlas) and is_reduced(atlas)):
+        raise ValueError("the kernel oracle needs a reduced connected atlas")
+
+
+def is_isotopically_trivial_on_leaf_space(
+    atlas: StripedAtlas, aut: AtlasAutomorphism
+) -> bool:
+    """Whether the induced leaf-space map is isotopic to the identity.
+
+    On a reduced atlas every leaf point is either a boundary point or a
+    branch point, and the complement of those is the disjoint union of the
+    open arcs.  The induced map is trivially isotopic exactly when it
+    fixes every leaf point and maps every arc to itself preserving
+    orientation; the reversal bits are invisible on the leaf space.
+    """
+    _require_reduced_connected(atlas)
+    if any(s != t for s, t in aut.strip_map.items()) or any(aut.side_flip.values()):
+        return False
+    return all(p == q for p, q in leaf_map(atlas, aut).point_map.items())
+
+
+def kernel_members(atlas: StripedAtlas) -> tuple[AtlasAutomorphism, ...]:
+    """Automorphisms of a reduced connected atlas acting trivially on the
+    leaf space, in enumeration order.  Their classes form the kernel."""
+    _require_reduced_connected(atlas)
+    return tuple(
+        aut
+        for aut in enumerate_automorphisms(atlas)
+        if is_isotopically_trivial_on_leaf_space(atlas, aut)
     )

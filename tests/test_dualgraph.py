@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from stripes.atlas import isomorphic
+from stripes.atlas import isomorphic, witness_interval_map
 from stripes.corpus import random_atlas
 from stripes.dualgraph import (
     EdgeEnd,
@@ -88,7 +88,9 @@ def test_automorphisms_act_on_the_graph(fixtures):
         edge_set = set(graph.edges)
         vertex_set = set(graph.vertices)
         for aut in enumerate_automorphisms(atlas):
-            mapping = aut.interval_map(atlas)
+            mapping = witness_interval_map(
+                atlas, atlas, aut.strip_map, aut.side_flip, aut.reversal
+            )
             for name, side0, side1 in graph.vertices:
                 image = atlas.strip(aut.strip_map[name])
                 assert (image.id, len(image.side0), len(image.side1)) in vertex_set

@@ -2,7 +2,7 @@
 
 ``leaf_action_kernel`` checks the single all-leaf reversal of the reduced
 atlas; the oracle enumerates the reduced atlas's group and keeps the
-members acting trivially on the leaf space (``kernel_members``).
+members acting trivially on the leaf space (``bruteforce.kernel_members``).
 ``leaf_model_automorphism_count`` is a pruned backtracking search; the
 oracle ``bruteforce.leaf_model_automorphism_count`` tries all n!·2^n arc
 maps.  Both must agree on every small component, on seeded random
@@ -24,7 +24,6 @@ from stripes.leafspace import build_leaf_space
 from stripes.reduction import SurfaceKind, reduce_component
 from stripes.symmetry import (
     homeotopy_report,
-    kernel_members,
     leaf_action_kernel,
     leaf_model_automorphism_count,
 )
@@ -51,7 +50,9 @@ def same_kernel(atlas) -> bool:
     outcome = reduce_component(atlas)
     if outcome.kind is not SurfaceKind.PROPER:
         return kernel.order == 2  # no reduced atlas to enumerate
-    nontrivial = [aut for aut in kernel_members(outcome.atlas) if not aut.is_identity]
+    nontrivial = [
+        aut for aut in bruteforce.kernel_members(outcome.atlas) if not aut.is_identity
+    ]
     return nontrivial == ([] if kernel.is_trivial else [kernel.witness])
 
 

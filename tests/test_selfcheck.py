@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 import time
 
 import pytest
@@ -13,8 +14,10 @@ from stripes.atlas import (
     component_atlases,
     parse_atlas,
 )
-from stripes.corpus import necklace, random_connected_atlas
-from stripes.selfcheck import _functorial, _group_laws, selfcheck
+from stripes.corpus import necklace, random_atlas, random_connected_atlas
+from stripes.leafspace import build_leaf_space
+from stripes.reduction import SurfaceKind, reduce_component
+from stripes.selfcheck import _functorial, _group_laws, _kernel_dichotomy, selfcheck
 from stripes.symmetry import (
     AtlasAutomorphism,
     all_leaf_reversal,
@@ -87,7 +90,8 @@ def test_generator_functoriality_agrees_with_all_pairs(fixtures):
         for sub in component_atlases(atlas):
             group = enumerate_automorphisms(sub)
             identity = identity_automorphism(sub)
-            maps = {aut: induced_leaf_map(sub, aut) for aut in group}
+            model = build_leaf_space(sub)
+            maps = {aut: induced_leaf_map(model, aut) for aut in group}
             # Swapping the images of two elements usually breaks the
             # homomorphism; both checks must say so together.
             variants = [maps] + [
@@ -144,10 +148,84 @@ def test_kernel_dichotomy_guards(fixtures, monkeypatch):
         "kernel member with non-constant reversal bits": (identity, half),
         "kernel larger than order two": (identity, reversal, flipped),
     }
+    assert _kernel_dichotomy([identity]) == (True, "")
+    assert _kernel_dichotomy([identity, reversal]) == (True, "")
     for detail, members in cases.items():
-        monkeypatch.setattr("stripes.selfcheck.kernel_members", lambda atlas: members)
+        assert _kernel_dichotomy(members) == (False, detail)
+        # selfcheck prints the helper's verdict on the members it found
+        # (PUNCTURED: the identity only), here replaced by the fake list.
+        seen = []
+
+        def fake(found, members=members):
+            seen.append(found)
+            return _kernel_dichotomy(members)
+
+        monkeypatch.setattr("stripes.selfcheck._kernel_dichotomy", fake)
         lines = selfcheck(atlas, k=1).lines()
         assert f"FAIL S:kernel-dichotomy ({detail})" in lines
+        assert seen == [[identity]]
+
+
+def selfcheck_kernel_members(atlas, monkeypatch) -> list:
+    """The kernel members ``selfcheck`` hands to its dichotomy check, one
+    list per PROPER component."""
+    seen = []
+
+    def record(members):
+        seen.append(members)
+        return _kernel_dichotomy(members)
+
+    monkeypatch.setattr("stripes.selfcheck._kernel_dichotomy", record)
+    assert selfcheck(atlas, k=1).ok
+    return seen
+
+
+def test_kernel_members_match_the_oracle_on_reduced_and_unreduced(
+    exhaustive_connected, monkeypatch
+):
+    # A reduced component filters the group it already has; any other
+    # enumerates its reduction.  Both must give the oracle's members.  The
+    # exhaustive family's components are its connected atlases, one per
+    # isomorphism class.
+    corpus = list(exhaustive_connected)
+    for seed in range(200):
+        corpus += component_atlases(random_atlas(1 + seed % 5, 2, 80_000 + seed, 0.9))
+    unreduced = 0
+    for sub in corpus:
+        outcome = reduce_component(sub)
+        members = selfcheck_kernel_members(sub, monkeypatch)
+        if outcome.kind is not SurfaceKind.PROPER:
+            assert members == []
+            continue
+        assert members == [list(bruteforce.kernel_members(outcome.atlas))]
+        unreduced += outcome.atlas != sub
+    assert unreduced >= 50
+
+
+def count_calls(monkeypatch, function) -> list:
+    """Count the calls of a package function, under every name it is bound to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "stripes" or name.startswith("stripes."):
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_selfcheck_enumerates_once_and_builds_few_models(monkeypatch):
+    # necklace(6) is reduced with 24 automorphisms: one enumeration serves
+    # the group laws, the leaf maps and the kernel, and one model all maps.
+    enumerations = count_calls(monkeypatch, enumerate_automorphisms)
+    builds = count_calls(monkeypatch, build_leaf_space)
+    assert selfcheck(necklace(6), k=2).ok
+    assert len(enumerations) == 1
+    assert len(builds) <= 4
 
 
 def test_thirty_strip_necklace_selfcheck_is_fast():

@@ -5,25 +5,18 @@ import itertools
 import pytest
 
 import bruteforce
-from stripes.atlas import parse_atlas
-from stripes.corpus import random_connected_atlas
+from stripes.atlas import component_atlases, is_valid_witness, parse_atlas
+from stripes.corpus import necklace, random_atlas, random_connected_atlas
 from stripes.leafspace import LeafPoint, build_leaf_space
 from stripes.reduction import SurfaceKind, reduce_component
 from stripes.symmetry import (
     AtlasAutomorphism,
     DisconnectedAtlasError,
-    NotReducedError,
     all_leaf_reversal,
-    component_kernels,
-    composition_table,
     enumerate_automorphisms,
     homeotopy_report,
     identity_automorphism,
     induced_leaf_map,
-    is_isotopically_trivial_on_leaf_space,
-    is_isotopically_trivial_on_surface,
-    is_valid_automorphism,
-    kernel_members,
     leaf_action_kernel,
     leaf_model_automorphism_count,
     reversal_witness,
@@ -38,30 +31,38 @@ def triple(a: AtlasAutomorphism):
     return a.strip_map, a.side_flip, a.reversal
 
 
+def psi(atlas, candidate):
+    return induced_leaf_map(build_leaf_space(atlas), candidate)
+
+
 # -- validity ----------------------------------------------------------------
 
 
 def test_punctured_double_reversal_is_valid(fixtures):
+    atlas = fixtures["PUNCTURED"]
     candidate = aut({"S": "S", "T": "T"}, {"S": 0, "T": 0}, {"S": 1, "T": 1})
-    assert is_valid_automorphism(fixtures["PUNCTURED"], *triple(candidate))
+    assert is_valid_witness(atlas, atlas, *triple(candidate))
 
 
 def test_punctured_half_flip_side_count_mismatch(fixtures):
+    atlas = fixtures["PUNCTURED"]
     for r_s, r_t in itertools.product((0, 1), repeat=2):
         candidate = aut(
             {"S": "T", "T": "S"}, {"S": 1, "T": 0}, {"S": r_s, "T": r_t}
         )
-        assert not is_valid_automorphism(fixtures["PUNCTURED"], *triple(candidate))
+        assert not is_valid_witness(atlas, atlas, *triple(candidate))
 
 
 def test_cyl_side_swap_is_valid(fixtures):
+    atlas = fixtures["CYL"]
     candidate = aut({"S": "S"}, {"S": 1}, {"S": 0})
-    assert is_valid_automorphism(fixtures["CYL"], *triple(candidate))
+    assert is_valid_witness(atlas, atlas, *triple(candidate))
 
 
 def test_punctured_single_reversal_is_invalid(fixtures):
+    atlas = fixtures["PUNCTURED"]
     candidate = aut({"S": "S", "T": "T"}, {"S": 0, "T": 0}, {"S": 1, "T": 0})
-    assert not is_valid_automorphism(fixtures["PUNCTURED"], *triple(candidate))
+    assert not is_valid_witness(atlas, atlas, *triple(candidate))
 
 
 # -- enumeration -------------------------------------------------------------
@@ -122,19 +123,6 @@ def test_group_laws(fixtures):
                 assert a.compose(b) in members
 
 
-def test_composition_table(fixtures):
-    group = enumerate_automorphisms(fixtures["PUNCTURED"])
-    table = composition_table(group)
-    assert set(table) == {(i, j) for i in range(4) for j in range(4)}
-    identity = next(i for i, a in enumerate(group) if a.is_identity)
-    assert all(table[(identity, j)] == j for j in range(4))
-    assert all(table[(i, identity)] == i for i in range(4))
-    # exponent two: every diagonal entry is the identity
-    assert all(table[(i, i)] == identity for i in range(4))
-    with pytest.raises(ValueError):
-        composition_table(group[1:])
-
-
 def test_composition_rule():
     a = aut({"S": "T", "T": "S"}, {"S": 1, "T": 0}, {"S": 0, "T": 1})
     b = aut({"S": "S", "T": "T"}, {"S": 1, "T": 1}, {"S": 1, "T": 0})
@@ -150,7 +138,7 @@ def test_composition_rule():
 def test_induced_map_punctured_reversal_swaps_points(fixtures):
     atlas = fixtures["PUNCTURED"]
     candidate = aut({"S": "S", "T": "T"}, {"S": 0, "T": 0}, {"S": 1, "T": 1})
-    leaf_map = induced_leaf_map(atlas, candidate)
+    leaf_map = psi(atlas, candidate)
     p1 = LeafPoint(("s1", "t1"))
     p2 = LeafPoint(("s2", "t2"))
     assert leaf_map.point_map == {p1: p2, p2: p1}
@@ -160,13 +148,13 @@ def test_induced_map_punctured_reversal_swaps_points(fixtures):
 
 def test_induced_map_identity_is_identity(fixtures):
     for atlas in fixtures.values():
-        leaf_map = induced_leaf_map(atlas, identity_automorphism(atlas))
+        leaf_map = psi(atlas, identity_automorphism(atlas))
         assert leaf_map.is_identity
 
 
 def test_induced_map_cyl_side_swap_reverses_arc(fixtures):
     atlas = fixtures["CYL"]
-    leaf_map = induced_leaf_map(atlas, aut({"S": "S"}, {"S": 1}, {"S": 0}))
+    leaf_map = psi(atlas, aut({"S": "S"}, {"S": 1}, {"S": 0}))
     (p,) = build_leaf_space(atlas).points
     assert leaf_map.point_map == {p: p}
     assert leaf_map.arc_reversed == {"S": 1}
@@ -176,9 +164,9 @@ def test_induced_map_commutes_with_attachments(fixtures):
     for atlas in fixtures.values():
         model = build_leaf_space(atlas)
         for candidate in enumerate_automorphisms(atlas):
-            leaf_map = induced_leaf_map(atlas, candidate)
+            point_map = induced_leaf_map(model, candidate).point_map
             for point in model.points:
-                image = leaf_map.point_map[point]
+                image = point_map[point]
                 expected = sorted(
                     (
                         candidate.strip_map[a.end.strip],
@@ -202,10 +190,45 @@ def test_induced_map_commutes_with_attachments(fixtures):
                 assert actual == expected
 
 
+def test_induced_map_rejects_a_misfit(fixtures):
+    model = build_leaf_space(fixtures["PUNCTURED"])
+    swap = {"S": "T", "T": "S"}
+    misfits = {
+        # T's side 0 holds two intervals and would land on S's empty side 0.
+        "side sizes differ": aut(swap, {"S": 1, "T": 0}, {"S": 0, "T": 0}),
+        # Reversing S alone sends {s1,t1} to s2 and t1, two different points.
+        "onto a leaf point": aut({"S": "S", "T": "T"}, {"S": 0, "T": 0}, {"S": 1, "T": 0}),
+    }
+    for detail, candidate in misfits.items():
+        with pytest.raises(ValueError, match=detail):
+            induced_leaf_map(model, candidate)
+    # A free point may not land on a seam: {f} and {g} would both go to {a,b}.
+    free_to_seam = parse_atlas("strip S\nside0 a b\nside1 f g\nglue a b +\n")
+    flip = aut({"S": "S"}, {"S": 1}, {"S": 0})
+    with pytest.raises(ValueError, match="onto a leaf point"):
+        induced_leaf_map(build_leaf_space(free_to_seam), flip)
+
+
+def test_induced_map_equals_interval_route(fixtures, exhaustive_connected):
+    # psi read off the model's arc ends equals psi read through the
+    # positional interval bijection, for every automorphism.
+    corpus = [*fixtures.values(), *exhaustive_connected]
+    corpus += [necklace(len(p), p) for p in ("+", "+-", "+++", "++-+")]
+    for seed in range(200):
+        corpus += component_atlases(random_atlas(1 + seed % 5, 2, 3000 + seed, 0.9))
+    checked = 0
+    for atlas in corpus:
+        model = build_leaf_space(atlas)
+        for candidate in enumerate_automorphisms(atlas):
+            assert induced_leaf_map(model, candidate) == bruteforce.leaf_map(atlas, candidate)
+            checked += 1
+    assert checked > 1500
+
+
 def test_functoriality_on_fixtures(fixtures):
     for atlas in fixtures.values():
         group = enumerate_automorphisms(atlas)
-        maps = {a: induced_leaf_map(atlas, a) for a in group}
+        maps = {a: psi(atlas, a) for a in group}
         for a in group:
             for b in group:
                 assert maps[a.compose(b)] == maps[a].compose(maps[b])
@@ -215,47 +238,44 @@ def test_functoriality_on_fixtures(fixtures):
 
 
 def test_trivial_on_surface_only_for_identity(fixtures):
+    # On a reduced atlas only the identity triple is isotopic to the
+    # identity on the surface; the group holds it exactly once.
     atlas = fixtures["PUNCTURED"]
-    assert is_isotopically_trivial_on_surface(atlas, identity_automorphism(atlas))
-    for candidate in enumerate_automorphisms(atlas):
-        expected = candidate.is_identity
-        assert is_isotopically_trivial_on_surface(atlas, candidate) is expected
+    identities = [a for a in enumerate_automorphisms(atlas) if a.is_identity]
+    assert identities == [identity_automorphism(atlas)]
 
 
 def test_trivial_on_surface_rejects_leaf_reversal(fixtures):
     atlas = fixtures["PLANE"]
-    assert not is_isotopically_trivial_on_surface(atlas, all_leaf_reversal(atlas))
-
-
-def test_triviality_requires_reduced(fixtures):
-    atlas = fixtures["CYL"]
-    with pytest.raises(NotReducedError):
-        is_isotopically_trivial_on_surface(atlas, identity_automorphism(atlas))
-    with pytest.raises(NotReducedError):
-        is_isotopically_trivial_on_leaf_space(atlas, identity_automorphism(atlas))
+    reversal = all_leaf_reversal(atlas)
+    assert not reversal.is_identity
+    assert psi(atlas, reversal).is_identity
 
 
 def test_trivial_on_leaf_space_examples(fixtures):
+    trivial = bruteforce.is_isotopically_trivial_on_leaf_space
     plane = fixtures["PLANE"]
-    assert is_isotopically_trivial_on_leaf_space(plane, all_leaf_reversal(plane))
+    assert trivial(plane, all_leaf_reversal(plane))
 
     sameside = fixtures["SAMESIDE"]
-    assert is_isotopically_trivial_on_leaf_space(sameside, all_leaf_reversal(sameside))
+    assert trivial(sameside, all_leaf_reversal(sameside))
 
     punctured = fixtures["PUNCTURED"]
-    assert not is_isotopically_trivial_on_leaf_space(
-        punctured, all_leaf_reversal(punctured)
-    )
+    assert not trivial(punctured, all_leaf_reversal(punctured))
     swap = aut({"S": "T", "T": "S"}, {"S": 1, "T": 1}, {"S": 0, "T": 0})
-    assert not is_isotopically_trivial_on_leaf_space(punctured, swap)
+    assert not trivial(punctured, swap)
+    for atlas in (plane, sameside, punctured):
+        for candidate in enumerate_automorphisms(atlas):
+            assert psi(atlas, candidate).is_identity == trivial(atlas, candidate)
 
 
 def test_surface_triviality_implies_leaf_space_triviality(fixtures):
     for name in ("PLANE", "HALFPLANE", "SAMESIDE", "PUNCTURED"):
         atlas = fixtures[name]
         for candidate in enumerate_automorphisms(atlas):
-            if is_isotopically_trivial_on_surface(atlas, candidate):
-                assert is_isotopically_trivial_on_leaf_space(atlas, candidate)
+            if candidate.is_identity:
+                assert bruteforce.is_isotopically_trivial_on_leaf_space(atlas, candidate)
+                assert psi(atlas, candidate).is_identity
 
 
 @pytest.mark.parametrize(
@@ -283,13 +303,13 @@ def test_kernel_fixtures(fixtures, name, trivial):
 
 def test_kernel_witness_fixes_every_point(fixtures):
     result = leaf_action_kernel(fixtures["PLANE"])
-    leaf_map = induced_leaf_map(fixtures["PLANE"], result.witness)
-    assert all(p == q for p, q in leaf_map.point_map.items())
+    witness_map = psi(fixtures["PLANE"], result.witness)
+    assert all(p == q for p, q in witness_map.point_map.items())
 
 
 def test_kernel_members_constant_reversal(fixtures):
     for name in ("PLANE", "HALFPLANE", "SAMESIDE", "PUNCTURED"):
-        for member in kernel_members(fixtures[name]):
+        for member in bruteforce.kernel_members(fixtures[name]):
             assert len(set(member.reversal.values())) == 1
 
 
@@ -303,7 +323,9 @@ def test_kernel_rejects_disconnected():
 
 def test_component_kernels_on_disconnected():
     atlas = parse_atlas("strip S\nside0 a b\nglue a b +\nstrip T\n")
-    results = dict(component_kernels(atlas))
+    results = {
+        frozenset(sub.strip_ids): leaf_action_kernel(sub) for sub in component_atlases(atlas)
+    }
     assert results[frozenset({"S"})].order == 2
     assert results[frozenset({"T"})].order == 2
 
@@ -364,7 +386,7 @@ def test_dichotomy_on_random_connected(seed):
     result = leaf_action_kernel(atlas)
     outcome = reduce_component(atlas)
     if outcome.kind is SurfaceKind.PROPER:
-        members = kernel_members(outcome.atlas)
+        members = bruteforce.kernel_members(outcome.atlas)
         assert len(members) in (1, 2)
         assert (len(members) == 2) == (reversal_witness(outcome.atlas) is not None)
         assert result.order == len(members)
