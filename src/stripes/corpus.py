@@ -4,9 +4,9 @@ The random generator is deterministic in its arguments.  Distribution,
 for ``random_atlas(strips, max_intervals_per_side, seed, glue_probability)``:
 strips are named S1..Sn; each side independently receives a uniform
 0..max count of intervals; each interval independently enters the gluing
-pool with probability ``glue_probability``; the pool is shuffled and
-consumed in consecutive pairs (an odd leftover stays free) with a fair
-parity coin per pair.  Results are always valid atlases.
+pool with probability ``glue_probability`` (in [0, 1]); the pool is
+shuffled and consumed in consecutive pairs (an odd leftover stays free)
+with a fair parity coin per pair.  Results are always valid atlases.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ def random_atlas(
         raise ValueError("need at least one strip")
     if max_intervals_per_side < 0:
         raise ValueError("interval bound must be >= 0")
+    if not 0 <= glue_probability <= 1:
+        raise ValueError("glue probability must lie in [0, 1]")
     rng = Random(seed)
 
     built = []

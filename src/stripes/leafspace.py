@@ -19,7 +19,7 @@ validated rather than trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from .atlas import StripedAtlas
 
@@ -95,7 +95,6 @@ class LeafSpaceModel:
     points: tuple[LeafPoint, ...]
     attachments: dict[LeafPoint, tuple[Attachment, ...]]
     end_points: dict[ArcEnd, tuple[LeafPoint, ...]]
-    point_of: dict[str, LeafPoint] = field(repr=False)
 
     def ends_of(self, point: LeafPoint) -> tuple[ArcEnd, ...]:
         """Distinct arc ends a point attaches to, in attachment order."""
@@ -141,7 +140,6 @@ def build_leaf_space(atlas: StripedAtlas) -> LeafSpaceModel:
         points=points,
         attachments=attachments,
         end_points=end_points,
-        point_of=point_of,
     )
 
 

@@ -16,6 +16,7 @@ from .dualgraph import build_dual_graph, euler_invariant
 from .leafspace import (
     LeafClass,
     LeafPoint,
+    LeafSpaceModel,
     boundary_points,
     build_leaf_space,
     classify_leaf,
@@ -26,10 +27,10 @@ from .leafspace import (
 )
 from .reduction import SurfaceKind, is_reduced, reduce_component
 from .symmetry import (
+    _kernel,
     enumerate_automorphisms,
     identity_automorphism,
     induced_leaf_map,
-    leaf_action_kernel,
     reversal_witness,
 )
 
@@ -78,7 +79,7 @@ def _check_component(
     report: SelfCheckReport, atlas: StripedAtlas, label: str, k: int
 ) -> None:
     model = build_leaf_space(atlas)
-    closures = {p: hcl_point(model, p) for p in model.points}
+    closures, special, boundary = facts = _point_facts(model)
     add = lambda name, ok, detail="": report.results.append(
         CheckResult(label, name, ok, detail)
     )
@@ -110,19 +111,13 @@ def _check_component(
             break
     add("hcl-oracle-agreement", ok, detail)
 
-    # Closure symmetry.
+    # Closure symmetry: q in hcl(p) implies p in hcl(q).
     add(
         "hcl-symmetry",
-        all(
-            (q in closures[p]) == (p in closures[q])
-            for p in model.points
-            for q in model.points
-        ),
+        all(p in closures[q] for p in model.points for q in closures[p]),
     )
 
     # Classification against the closure-derived point sets.
-    special = special_points(model)
-    boundary = boundary_points(model)
     ok = True
     for point in model.points:
         leaf_class = classify_leaf(atlas, point)
@@ -134,28 +129,29 @@ def _check_component(
             ok = False
     add("classification-consistency", ok)
 
-    # Group laws of the enumerated automorphisms.
+    # Group laws of the enumerated automorphisms and functoriality of the
+    # induced leaf-space action, both checked on one generating set.
     group = enumerate_automorphisms(atlas)
     identity = identity_automorphism(atlas)
-    add("group-laws", _group_laws(identity, group))
-
-    # Functoriality of the induced leaf-space action.
+    generators = _generators(identity, group)
+    add("group-laws", _group_laws(identity, group, generators))
     leaf_maps = {aut: induced_leaf_map(model, aut) for aut in group}
-    add("psi-functoriality", _functorial(identity, group, leaf_maps))
+    add("psi-functoriality", _functorial(identity, group, leaf_maps, generators))
 
     # Kernel dichotomy on the enumerated group of the reduced atlas, and the
     # production route (the single all-leaf reversal candidate) against it.
-    # A reduced component is its own reduction: its group and maps serve.
+    # A reduced component is its own reduction: its group, maps and point
+    # facts serve.
     outcome = reduce_component(atlas)
-    kernel = leaf_action_kernel(atlas)
+    kernel = _kernel(atlas, outcome)
     if outcome.kind is SurfaceKind.PROPER:
         reduced = outcome.atlas
         if reduced == atlas:
-            reduced_model, reduced_closures = model, closures
+            reduced_model, reduced_facts = model, facts
             members = [aut for aut in group if leaf_maps[aut].is_identity]
         else:
             reduced_model = build_leaf_space(reduced)
-            reduced_closures = {p: hcl_point(reduced_model, p) for p in reduced_model.points}
+            reduced_facts = _point_facts(reduced_model)
             members = [
                 aut
                 for aut in enumerate_automorphisms(reduced)
@@ -181,18 +177,15 @@ def _check_component(
             ok, detail = False, "result not reduced"
         if euler_invariant(build_dual_graph(reduced)) != euler_before:
             ok, detail = False, "euler drift"
-        before, after = model, reduced_model
-        if len(special_points(before)) != len(special_points(after)) or len(
-            boundary_points(before)
-        ) != len(boundary_points(after)):
+        reduced_closures, reduced_special, reduced_boundary = reduced_facts
+        if len(special) != len(reduced_special) or len(boundary) != len(reduced_boundary):
             ok, detail = False, "point count drift"
-        surviving = set(after.points)
-        if not surviving <= set(before.points):
+        surviving = set(reduced_model.points)
+        if not surviving <= set(model.points):
             ok, detail = False, "points renamed"
         else:
             for p in surviving:
-                kept = closures[p] & surviving
-                if kept != reduced_closures[p]:
+                if closures[p] & surviving != reduced_closures[p]:
                     ok, detail = False, "hcl drift"
         again = reduce_component(reduced)
         if again.kind is not SurfaceKind.PROPER or again.atlas != reduced:
@@ -206,6 +199,13 @@ def _check_component(
     ):
         ok, detail = False, "merge order changed the class"
     add("reduction-invariants", ok, detail)
+
+
+def _point_facts(model: LeafSpaceModel):
+    """The Hausdorff closure of each point of ``model``, its special points
+    and its boundary points."""
+    closures = {p: hcl_point(model, p) for p in model.points}
+    return closures, special_points(model), boundary_points(model)
 
 
 def _kernel_dichotomy(members) -> tuple[bool, str]:
@@ -242,27 +242,27 @@ def _generators(identity, group) -> list:
     return generators
 
 
-def _group_laws(identity, group) -> bool:
+def _group_laws(identity, group, generators) -> bool:
     """Whether ``group`` holds the identity and every inverse and is closed.
-    Closure is checked as s*b in group for each generator s and each b:
-    every element is then a product of generators, so a*b is in group for
-    every pair by induction on the length of a."""
+    Closure is checked as s*b in group for each s of ``generators`` and each
+    b: every element is then a product of generators, so a*b is in group
+    for every pair by induction on the length of a."""
     members = set(group)
     return (
         identity in members
         and all(aut.inverse() in members for aut in group)
-        and all(s.compose(b) in members for s in _generators(identity, group) for b in group)
+        and all(s.compose(b) in members for s in generators for b in group)
     )
 
 
-def _functorial(identity, group, leaf_maps) -> bool:
+def _functorial(identity, group, leaf_maps, generators) -> bool:
     """Whether ``leaf_maps`` respects composition on a closed ``group``:
-    psi(e) = id and psi(s*b) = psi(s)*psi(b) for each b and each s of a
-    greedy generating set, which covers every pair (a*b) by induction."""
+    psi(e) = id and psi(s*b) = psi(s)*psi(b) for each b and each s of
+    ``generators``, which covers every pair (a*b) by induction."""
     if identity not in leaf_maps or not leaf_maps[identity].is_identity:
         return False
     return all(
         leaf_maps.get(s.compose(b)) == leaf_maps[s].compose(leaf_maps[b])
-        for s in _generators(identity, group)
+        for s in generators
         for b in group
     )

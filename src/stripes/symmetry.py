@@ -48,7 +48,7 @@ class DisconnectedAtlasError(ValueError):
     """Raised by operations that are only defined on connected atlases."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AtlasAutomorphism:
     """A strip permutation with a side flip bit and a reversal bit per strip."""
 
@@ -57,19 +57,15 @@ class AtlasAutomorphism:
     reversal: dict[str, int]
 
     def key(self):
+        """Sort key: the three dicts as tuples in strip order."""
         return (
             tuple(sorted(self.strip_map.items())),
             tuple(sorted(self.side_flip.items())),
             tuple(sorted(self.reversal.items())),
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, AtlasAutomorphism):
-            return NotImplemented
-        return self.key() == other.key()
-
     def __hash__(self):
-        return hash(self.key())
+        return hash(frozenset(self.strip_map.items()))
 
     def __repr__(self):
         return f"AtlasAutomorphism({self.format()})"
@@ -151,7 +147,7 @@ def enumerate_automorphisms(atlas: StripedAtlas) -> tuple[AtlasAutomorphism, ...
 # Induced action on the leaf space
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LeafMap:
     """Action of an automorphism on the leaf-space model.
 
@@ -163,20 +159,8 @@ class LeafMap:
     arc_map: dict[str, str]
     arc_reversed: dict[str, int]
 
-    def key(self):
-        return (
-            tuple(sorted(self.point_map.items())),
-            tuple(sorted(self.arc_map.items())),
-            tuple(sorted(self.arc_reversed.items())),
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, LeafMap):
-            return NotImplemented
-        return self.key() == other.key()
-
     def __hash__(self):
-        return hash(self.key())
+        return hash(frozenset(self.arc_map.items()))
 
     @property
     def is_identity(self) -> bool:

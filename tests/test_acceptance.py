@@ -72,7 +72,7 @@ def test_criterion_1_kernel_dichotomy():
     small = [a for a in exhaustive_family(2, 2) if is_connected(a)]
     corpus = dedup_by_isomorphism(small)
     corpus += [
-        random_connected_atlas(1 + seed % 4, 3, 51_000 + seed) for seed in range(500)
+        random_connected_atlas(1 + seed % 12, 3, 51_000 + seed) for seed in range(500)
     ]
 
     for atlas in corpus:

@@ -223,6 +223,9 @@ def test_help_exits_zero(capsys):
     [
         ["random", "--strips", "0", "--max-ints", "1", "--seed", "1"],
         ["random", "--strips", "2", "--max-ints", "-1", "--seed", "1"],
+        ["random", "--strips", "2", "--max-ints", "1", "--seed", "1", "--glue-prob", "1.5"],
+        ["random", "--strips", "2", "--max-ints", "1", "--seed", "1", "--glue-prob", "-0.1"],
+        ["random", "--strips", "2", "--max-ints", "1", "--seed", "1", "--glue-prob", "nan"],
         ["validate", "{binary}"],
         ["iso", "{binary}", "{binary}"],
         ["selfcheck", "{punctured}", "--samples", "0"],

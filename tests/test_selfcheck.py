@@ -15,15 +15,31 @@ from stripes.atlas import (
     parse_atlas,
 )
 from stripes.corpus import necklace, random_atlas, random_connected_atlas
-from stripes.leafspace import build_leaf_space
-from stripes.reduction import SurfaceKind, reduce_component
-from stripes.selfcheck import _functorial, _group_laws, _kernel_dichotomy, selfcheck
+from stripes.leafspace import (
+    LeafClass,
+    boundary_points,
+    build_leaf_space,
+    classify_leaf,
+    hcl_bruteforce,
+    hcl_point,
+    special_points,
+)
+from stripes.reduction import SurfaceClass, SurfaceKind, reduce_component
+from stripes.selfcheck import (
+    _functorial,
+    _generators,
+    _group_laws,
+    _kernel_dichotomy,
+    selfcheck,
+)
 from stripes.symmetry import (
     AtlasAutomorphism,
+    LeafMap,
     all_leaf_reversal,
     enumerate_automorphisms,
     identity_automorphism,
     induced_leaf_map,
+    reversal_witness,
 )
 
 CHECK_NAMES = {
@@ -92,6 +108,7 @@ def test_generator_functoriality_agrees_with_all_pairs(fixtures):
             identity = identity_automorphism(sub)
             model = build_leaf_space(sub)
             maps = {aut: induced_leaf_map(model, aut) for aut in group}
+            generators = _generators(identity, group)
             # Swapping the images of two elements usually breaks the
             # homomorphism; both checks must say so together.
             variants = [maps] + [
@@ -100,11 +117,16 @@ def test_generator_functoriality_agrees_with_all_pairs(fixtures):
                 if maps[a] != maps[b]
             ]
             for variant in variants:
-                fast = _functorial(identity, group, variant)
+                fast = _functorial(identity, group, variant, generators)
                 assert fast == bruteforce.functorial_all_pairs(identity, group, variant)
                 failing += not fast
-            assert _functorial(identity, group, maps)
+            assert _functorial(identity, group, maps, generators)
     assert failing > 0
+
+
+def group_laws(identity, elements) -> bool:
+    """``_group_laws`` on the greedy generating set of the list ``elements``."""
+    return _group_laws(identity, elements, _generators(identity, elements))
 
 
 def test_generator_group_laws_agree_with_all_pairs(fixtures):
@@ -116,14 +138,14 @@ def test_generator_group_laws_agree_with_all_pairs(fixtures):
         for sub in component_atlases(atlas):
             group = enumerate_automorphisms(sub)
             identity = identity_automorphism(sub)
-            assert _group_laws(identity, group)
+            assert group_laws(identity, group)
             assert bruteforce.group_laws_all_pairs(identity, group)
             # Without one element the list is no group: it lacks the
             # identity, or it is a proper subset of more than half the group.
             for missing in group:
                 if len(group) > 2 or missing == identity:
                     rest = tuple(aut for aut in group if aut != missing)
-                    assert not _group_laws(identity, rest)
+                    assert not group_laws(identity, rest)
                     assert not bruteforce.group_laws_all_pairs(identity, rest)
                     removals += 1
             # Every sub-list of a small group, some of them closed under
@@ -131,7 +153,7 @@ def test_generator_group_laws_agree_with_all_pairs(fixtures):
             if len(group) <= 8:
                 for mask in range(2 ** len(group)):
                     part = tuple(aut for i, aut in enumerate(group) if mask >> i & 1)
-                    assert _group_laws(identity, part) == bruteforce.group_laws_all_pairs(
+                    assert group_laws(identity, part) == bruteforce.group_laws_all_pairs(
                         identity, part
                     )
                     subsets += 1
@@ -202,6 +224,15 @@ def test_kernel_members_match_the_oracle_on_reduced_and_unreduced(
     assert unreduced >= 50
 
 
+def patch_everywhere(monkeypatch, function, replacement) -> None:
+    """Replace a package function under every name it is bound to."""
+    for name, module in list(sys.modules.items()):
+        if name == "stripes" or name.startswith("stripes."):
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def count_calls(monkeypatch, function) -> list:
     """Count the calls of a package function, under every name it is bound to."""
     calls = []
@@ -210,12 +241,64 @@ def count_calls(monkeypatch, function) -> list:
         calls.append(args)
         return function(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "stripes" or name.startswith("stripes."):
-            for attr, value in list(vars(module).items()):
-                if value is function:
-                    monkeypatch.setattr(module, attr, counted)
+    patch_everywhere(monkeypatch, function, counted)
     return calls
+
+
+def asymmetric_hcl(model, point):
+    # The least point forgets the rest of its closure; the others keep it.
+    if point == min(model.points):
+        return frozenset((point,))
+    return hcl_point(model, point)
+
+
+def swapped_images(model, aut):
+    # A non-identity automorphism sends each of the first two points where
+    # the other one goes.
+    leaf_map = induced_leaf_map(model, aut)
+    if aut.is_identity or len(model.points) < 2:
+        return leaf_map
+    first, second = model.points[:2]
+    images = leaf_map.point_map
+    point_map = {**images, first: images[second], second: images[first]}
+    return LeafMap(point_map, leaf_map.arc_map, leaf_map.arc_reversed)
+
+
+# check -> (fixture, rule, broken rule); each fixture is one component
+# labelled S on which the broken rule must show.
+BROKEN_RULES = {
+    "hcl-oracle-agreement": ("PUNCTURED", hcl_bruteforce, lambda space, x: frozenset()),
+    "hcl-symmetry": ("PUNCTURED", hcl_point, asymmetric_hcl),
+    "classification-consistency": (
+        "HALFPLANE",
+        classify_leaf,
+        lambda atlas, point: LeafClass.SPECIAL,
+    ),
+    "group-laws": (
+        "CYL",
+        enumerate_automorphisms,
+        lambda atlas: enumerate_automorphisms(atlas)[:-1],
+    ),
+    "psi-functoriality": ("PUNCTURED", induced_leaf_map, swapped_images),
+    "witness-crosscheck": ("HALFPLANE", reversal_witness, lambda atlas: None),
+    "reduction-invariants": (
+        "LADDER",
+        reduce_component,
+        lambda atlas: SurfaceClass(SurfaceKind.PROPER, atlas),
+    ),
+}
+
+
+def test_each_check_can_fail(fixtures):
+    # kernel-dichotomy's guards have their own test; interval-partition reads
+    # the model and the atlas, which every other check needs intact.
+    assert set(BROKEN_RULES) | {"interval-partition", "kernel-dichotomy"} == CHECK_NAMES
+    for check, (name, rule, broken) in BROKEN_RULES.items():
+        assert selfcheck(fixtures[name], k=1).ok
+        with pytest.MonkeyPatch.context() as patch:
+            patch_everywhere(patch, rule, broken)
+            lines = selfcheck(fixtures[name], k=1).lines()
+        assert any(line.startswith(f"FAIL S:{check}") for line in lines), (check, lines)
 
 
 def test_selfcheck_enumerates_once_and_builds_few_models(monkeypatch):
@@ -226,6 +309,22 @@ def test_selfcheck_enumerates_once_and_builds_few_models(monkeypatch):
     assert selfcheck(necklace(6), k=2).ok
     assert len(enumerations) == 1
     assert len(builds) <= 4
+
+
+def test_selfcheck_computes_each_fact_once(fixtures):
+    # necklace(6) is reduced and builds one model; LADDER is not, and builds
+    # a second one for its reduction.  The reductions: the component, its
+    # reverse listing and, when PROPER, the result again.
+    for atlas, models in ((necklace(6), 1), (fixtures["LADDER"], 2)):
+        with pytest.MonkeyPatch.context() as patch:
+            reductions = count_calls(patch, reduce_component)
+            generators = count_calls(patch, _generators)
+            special = count_calls(patch, special_points)
+            boundary = count_calls(patch, boundary_points)
+            assert selfcheck(atlas, k=2).ok
+        assert len(reductions) <= 3
+        assert len(generators) == 1
+        assert len(special) == len(boundary) == models
 
 
 def test_thirty_strip_necklace_selfcheck_is_fast():
