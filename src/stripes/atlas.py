@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class AtlasError(ValueError):
@@ -59,14 +59,20 @@ class Parity(Enum):
 
     @staticmethod
     def from_symbol(token: str) -> "Parity":
-        for parity in Parity:
-            if parity.value == token:
-                return parity
-        raise ValueError(f"parity must be '+' or '-', got {token!r}")
+        parity = _PARITY_OF_SYMBOL.get(token)
+        if parity is None:
+            raise ValueError(f"parity must be '+' or '-', got {token!r}")
+        return parity
 
 
-@dataclass(frozen=True)
-class Strip:
+_PARITY_OF_SYMBOL = {parity.value: parity for parity in Parity}
+
+
+# Value types are named tuples, built, hashed and sorted in C by the
+# thousand; equality and order are those of their field tuples.
+
+
+class Strip(NamedTuple):
     """One strip: an id and two ordered interval lists.
 
     ``side0``/``side1`` list interval names in increasing coordinate order
@@ -89,23 +95,23 @@ class Strip:
         return self.side0 + self.side1
 
 
-@dataclass(frozen=True)
-class Gluing:
+class _GluingFields(NamedTuple):
+    a: str
+    b: str
+    parity: Parity
+
+
+class Gluing(_GluingFields):
     """Identification of two distinct intervals, as an unordered pair.
 
     The pair is normalised so that ``a <= b``; equality and hashing then
     agree with the unordered-pair semantics.
     """
 
-    a: str
-    b: str
-    parity: Parity
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.b < self.a:
-            a, b = self.b, self.a
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
+    def __new__(cls, a: str, b: str, parity: Parity):
+        return tuple.__new__(cls, (a, b, parity) if a <= b else (b, a, parity))
 
     @property
     def pair(self) -> frozenset[str]:

@@ -2,10 +2,12 @@
 
 One subcommand per invocation; output is line oriented, one fact per
 line, and byte-stable for fixed inputs and seeds.  Exit codes: 0 success,
-1 validation failure, 2 usage error, 3 precondition error (for example a
-disconnected atlas passed to ``kernel``), 4 internal error (a guard on a
-fact the package proves, such as an exceptional component without a leaf
-reversal, did not hold; one ``stripes: internal error: ...`` line).
+1 invalid atlas (one ``stripes: line N: ...`` line from the parser, which
+rejects every violation ``atlas.validate`` reports) or failed selfcheck, 2
+usage error, 3 precondition error (for example a disconnected atlas passed
+to ``kernel``), 4 internal error (a guard on a fact the package proves,
+such as an exceptional component without a leaf reversal, did not hold;
+one ``stripes: internal error: ...`` line).
 
 ``aut``, ``iso`` and ``report`` find witnesses by rooted traversal: one
 root strip's image, side flip and reversal bit force the rest, so a
@@ -23,14 +25,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .atlas import (
-    AtlasError,
-    StripedAtlas,
-    isomorphic,
-    parse_atlas,
-    serialize_atlas,
-    validate,
-)
+from .atlas import AtlasError, StripedAtlas, isomorphic, parse_atlas, serialize_atlas
 from .corpus import random_atlas
 from .dualgraph import build_dual_graph, euler_invariant, export_dot
 from .leafspace import build_leaf_space, classify_leaf, hcl_point
@@ -59,15 +54,7 @@ def _load(path: str) -> StripedAtlas:
         raise SystemExit2(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise SystemExit2(f"cannot read {path}: not UTF-8 text") from exc
-    atlas = parse_atlas(text)
-    problems = validate(atlas)
-    if problems:
-        raise SystemExit1("\n".join(problems))
-    return atlas
-
-
-class SystemExit1(Exception):
-    """Validation failure carrying its message."""
+    return parse_atlas(text)
 
 
 class SystemExit2(Exception):
@@ -133,11 +120,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _run(args: argparse.Namespace) -> int:
     if args.command == "validate":
-        try:
-            _load(args.file)
-        except SystemExit1 as exc:
-            print(exc)
-            return EXIT_INVALID
+        _load(args.file)
         print("OK")
         return EXIT_OK
 
@@ -257,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit2 as exc:
         print(f"stripes: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (AtlasError, SystemExit1) as exc:
+    except AtlasError as exc:
         print(f"stripes: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except DisconnectedAtlasError as exc:

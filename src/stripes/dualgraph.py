@@ -9,13 +9,13 @@ positions).  Loops and parallel edges are allowed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .atlas import Gluing, Parity, Strip, StripedAtlas
 from .render import dot_quote
 
 
-@dataclass(frozen=True, order=True)
-class EdgeEnd:
+class EdgeEnd(NamedTuple):
     strip: str
     side: int
     index: int
@@ -24,15 +24,18 @@ class EdgeEnd:
         return f"{self.strip}.{self.side}[{self.index}]"
 
 
-@dataclass(frozen=True, order=True)
-class DualEdge:
-    """One seam; ends sorted so the edge is an unordered pair."""
-
+class _DualEdgeFields(NamedTuple):
     ends: tuple[EdgeEnd, EdgeEnd]
     parity: Parity
 
-    def __post_init__(self):
-        object.__setattr__(self, "ends", tuple(sorted(self.ends)))
+
+class DualEdge(_DualEdgeFields):
+    """One seam; ends sorted so the edge is an unordered pair."""
+
+    __slots__ = ()
+
+    def __new__(cls, ends: tuple[EdgeEnd, EdgeEnd], parity: Parity):
+        return tuple.__new__(cls, (tuple(sorted(ends)), parity))
 
     def label(self) -> str:
         return f"{self.ends[0].label()}--{self.ends[1].label()} {self.parity.symbol}"

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
+
 from .atlas import StripedAtlas
 
 
-@dataclass(frozen=True, order=True)
-class ArcEnd:
+class ArcEnd(NamedTuple):
     """One end of an arc: ``side`` 0 or 1 of the strip the arc came from."""
 
     strip: str
@@ -35,8 +36,7 @@ class ArcEnd:
         return f"{self.strip}.{self.side}"
 
 
-@dataclass(frozen=True, order=True)
-class Attachment:
+class Attachment(NamedTuple):
     """A slot where a leaf point meets an arc end, at a position in the side."""
 
     end: ArcEnd
@@ -46,14 +46,17 @@ class Attachment:
         return f"{self.end.label()}[{self.index}]"
 
 
-@dataclass(frozen=True, order=True)
-class LeafPoint:
-    """A boundary leaf: a seam (two intervals) or a free interval (one)."""
-
+class _LeafPointFields(NamedTuple):
     intervals: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "intervals", tuple(sorted(self.intervals)))
+
+class LeafPoint(_LeafPointFields):
+    """A boundary leaf: a seam (two intervals) or a free interval (one)."""
+
+    __slots__ = ()
+
+    def __new__(cls, intervals: tuple[str, ...]):
+        return tuple.__new__(cls, (tuple(sorted(intervals)),))
 
     @property
     def is_seam(self) -> bool:
@@ -98,11 +101,7 @@ class LeafSpaceModel:
 
     def ends_of(self, point: LeafPoint) -> tuple[ArcEnd, ...]:
         """Distinct arc ends a point attaches to, in attachment order."""
-        seen: list[ArcEnd] = []
-        for attachment in self.attachments[point]:
-            if attachment.end not in seen:
-                seen.append(attachment.end)
-        return tuple(seen)
+        return tuple(dict.fromkeys(a.end for a in self.attachments[point]))
 
 
 def build_leaf_space(atlas: StripedAtlas) -> LeafSpaceModel:
@@ -226,17 +225,23 @@ class FiniteBasisSpace:
             for x in basic:
                 neighbourhoods[x].append(basic)
         self._neighbourhoods = {x: tuple(vs) for x, vs in neighbourhoods.items()}
+        self._unbased = frozenset(x for x, vs in neighbourhoods.items() if not vs)
 
     def neighbourhoods(self, x) -> tuple[frozenset, ...]:
         """All basic open sets containing ``x``."""
         return self._neighbourhoods[x]
 
     def closure(self, subset: frozenset) -> frozenset:
-        """Points every basic neighbourhood of which meets ``subset``."""
-        return frozenset(
+        """Points every basic neighbourhood of which meets ``subset``: members
+        of the basics that meet it, and vacuously the points with no basic."""
+        meeting = set()
+        for y in subset:
+            meeting.update(self._neighbourhoods.get(y, ()))
+        candidates = set().union(*meeting)
+        return self._unbased | frozenset(
             x
-            for x in self.ground
-            if all(not basic.isdisjoint(subset) for basic in self._neighbourhoods[x])
+            for x in candidates
+            if all(basic in meeting for basic in self._neighbourhoods[x])
         )
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .atlas import Gluing, Parity, Strip, StripedAtlas, component_atlases
-from .leafspace import LeafClass, LeafPoint, classify_leaf
 
 
 class SurfaceKind(Enum):
@@ -52,11 +51,13 @@ def canonical_exceptional_atlas(kind: SurfaceKind) -> StripedAtlas:
 
 
 def regular_seams(atlas: StripedAtlas) -> tuple[Gluing, ...]:
-    return tuple(
-        g
-        for g in atlas.gluings
-        if classify_leaf(atlas, LeafPoint((g.a, g.b))) is LeafClass.REGULAR
-    )
+    """Seams both of whose intervals fill their sides (REGULAR), in order."""
+
+    def fills(name: str) -> bool:
+        strip_id, side, _ = atlas.location(name)
+        return len(atlas.strip(strip_id).side(side)) == 1
+
+    return tuple(g for g in atlas.gluings if fills(g.a) and fills(g.b))
 
 
 def is_reduced(atlas: StripedAtlas) -> bool:

@@ -140,8 +140,8 @@ def _check_component(
 
     # Kernel dichotomy on the enumerated group of the reduced atlas, and the
     # production route (the single all-leaf reversal candidate) against it.
-    # A reduced component is its own reduction: its group, maps and point
-    # facts serve.
+    # A reduced component is its own reduction: its group, maps, point facts
+    # and the kernel's witness serve.  Another is checked against its own.
     outcome = reduce_component(atlas)
     kernel = _kernel(atlas, outcome)
     if outcome.kind is SurfaceKind.PROPER:
@@ -149,6 +149,7 @@ def _check_component(
         if reduced == atlas:
             reduced_model, reduced_facts = model, facts
             members = [aut for aut in group if leaf_maps[aut].is_identity]
+            witness = kernel.witness
         else:
             reduced_model = build_leaf_space(reduced)
             reduced_facts = _point_facts(reduced_model)
@@ -157,12 +158,13 @@ def _check_component(
                 for aut in enumerate_automorphisms(reduced)
                 if induced_leaf_map(reduced_model, aut).is_identity
             ]
+            witness = reversal_witness(atlas)
         add("kernel-dichotomy", *_kernel_dichotomy(members))
         nontrivial = [aut for aut in members if not aut.is_identity]
         add(
             "witness-crosscheck",
             nontrivial == ([] if kernel.is_trivial else [kernel.witness])
-            and (reversal_witness(atlas) is not None) == (not kernel.is_trivial),
+            and (witness is not None) == (not kernel.is_trivial),
         )
     else:
         add("kernel-dichotomy", kernel.order == 2)

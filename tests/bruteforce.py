@@ -8,7 +8,8 @@ every merge, in any order; the package's one-pass chain walk is checked
 against it.  ``leaf_map`` pushes an automorphism to the leaf space through
 the positional interval bijection instead of the model's arc ends, and
 ``kernel_members`` keeps the enumerated automorphisms that act trivially
-through it: the enumeration route of the kernel.
+through it: the enumeration route of the kernel.  ``closure_scan`` tests
+every ground element of a finite space against all its basic sets.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from stripes.atlas import (
     serialize_atlas,
     witness_interval_map,
 )
-from stripes.leafspace import LeafPoint, LeafSpaceModel, build_leaf_space
+from stripes.leafspace import FiniteBasisSpace, LeafPoint, LeafSpaceModel, build_leaf_space
 from stripes.reduction import SurfaceClass, SurfaceKind, is_reduced, regular_seams
 from stripes.symmetry import AtlasAutomorphism, LeafMap, enumerate_automorphisms
 
@@ -301,4 +302,14 @@ def kernel_members(atlas: StripedAtlas) -> tuple[AtlasAutomorphism, ...]:
         aut
         for aut in enumerate_automorphisms(atlas)
         if is_isotopically_trivial_on_leaf_space(atlas, aut)
+    )
+
+
+def closure_scan(space: FiniteBasisSpace, subset: frozenset) -> frozenset:
+    """Closure from the definition, over the whole ground set: the points
+    every basic neighbourhood of which meets ``subset``."""
+    return frozenset(
+        x
+        for x in space.ground
+        if all(not basic.isdisjoint(subset) for basic in space.neighbourhoods(x))
     )

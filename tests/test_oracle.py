@@ -4,12 +4,16 @@ with the shared-end rule on every leaf point."""
 
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stripes.corpus import random_atlas
+import bruteforce
+from stripes.corpus import necklace, random_atlas
 from stripes.leafspace import (
+    FiniteBasisSpace,
     LeafPoint,
     Sample,
     build_leaf_space,
@@ -124,3 +128,36 @@ def test_oracle_agreement_on_random_atlases(seed, strips, k):
 def test_sampled_space_rejects_bad_depth(fixtures):
     with pytest.raises(ValueError):
         sampled_space(build_leaf_space(fixtures["PLANE"]), 0)
+
+
+def assert_closures_match_the_scan(space: FiniteBasisSpace, rng) -> None:
+    ground = sorted(space.ground, key=repr)
+    subsets = [*space.basis, frozenset(), space.ground]
+    subsets += [frozenset(rng.sample(ground, rng.randint(1, len(ground)))) for _ in range(10)]
+    for subset in subsets:
+        assert space.closure(subset) == bruteforce.closure_scan(space, subset)
+
+
+def test_indexed_closure_matches_the_scan(fixtures):
+    # The closure reads only the basic sets that meet the subset; the scan
+    # tests every ground element.  Both are the definition.
+    rng = Random(17)
+    atlases = [*fixtures.values(), necklace(3), necklace(8)]
+    atlases += [random_atlas(1 + seed % 5, 3, 31_000 + seed, 0.7) for seed in range(40)]
+    for atlas in atlases:
+        model = build_leaf_space(atlas)
+        for k in (1, 2, 3):
+            assert_closures_match_the_scan(sampled_space(model, k), rng)
+
+
+def test_indexed_closure_keeps_points_without_a_basic():
+    # "u" lies in no basic set, so it is in every closure, vacuously; "x"
+    # is reached from "v" through its one basic set, "w" is not.
+    space = FiniteBasisSpace(
+        frozenset("uvwx"),
+        (frozenset("vx"), frozenset("w"), frozenset("vw")),
+    )
+    assert space.closure(frozenset("x")) == frozenset("ux")
+    assert space.closure(frozenset("v")) == frozenset("uvx")
+    assert space.closure(frozenset()) == frozenset("u")
+    assert_closures_match_the_scan(space, Random(3))

@@ -327,6 +327,23 @@ def test_selfcheck_computes_each_fact_once(fixtures):
         assert len(special) == len(boundary) == models
 
 
+def test_selfcheck_reuses_the_kernel_witness(fixtures):
+    # necklace(6) is reduced: the kernel's reversal witness serves the
+    # witness cross-check, and the kernel's model is the only other one.
+    # LADDER is not: its own witness is checked against its reduction's.
+    with pytest.MonkeyPatch.context() as patch:
+        witnesses = count_calls(patch, reversal_witness)
+        builds = count_calls(patch, build_leaf_space)
+        assert selfcheck(necklace(6), k=2).ok
+    assert len(witnesses) == 1
+    assert len(builds) <= 2
+    ladder = fixtures["LADDER"]
+    with pytest.MonkeyPatch.context() as patch:
+        witnesses = count_calls(patch, reversal_witness)
+        assert selfcheck(ladder, k=2).ok
+    assert [args[0] for args in witnesses] == [reduce_component(ladder).atlas, ladder]
+
+
 def test_thirty_strip_necklace_selfcheck_is_fast():
     start = time.perf_counter()
     report = selfcheck(necklace(30), k=2)
