@@ -494,15 +494,37 @@ def _root_frames(atlas: StripedAtlas) -> Iterator[tuple[str, int, int]]:
                 yield sid, flip, rev
 
 
+def _root_signature(
+    atlas: StripedAtlas, root: str, flip: int, rev: int
+) -> tuple[tuple[bool, ...], ...]:
+    # Glued/free flags of the root strip's sides as the frame reads them.
+    # A witness keeps side sizes and keeps glued intervals glued, so frames
+    # that a witness matches have equal signatures.  Parities are left out:
+    # a gluing to another strip reads through that strip's reversal bit.
+    glued, strip = atlas.gluing_of, atlas.strip(root)
+    sides = []
+    for which in (0, 1):
+        side = strip.side(which ^ flip)
+        sides.append(tuple(name in glued for name in (side[::-1] if rev else side)))
+    return tuple(sides)
+
+
 def _connected_witnesses(
     src: StripedAtlas, dst: StripedAtlas
 ) -> Iterator[tuple[dict[str, str], dict[str, int], dict[str, int]]]:
     # Both atlases read the same from matching root frames exactly when a
     # witness sends one root frame to the other; composing the two frames
-    # strip by strip gives that witness.
-    text, order, frames = _traverse(src, src.strip_ids[0], 0, 0)
+    # strip by strip gives that witness.  A frame whose root strip reads
+    # differently cannot match, so it is skipped untraversed.
+    reference = (src.strip_ids[0], 0, 0)
+    traversal = _traverse(src, *reference)
+    text, order, frames = traversal
+    signature = _root_signature(src, *reference)
     for root in _root_frames(dst):
-        other_text, other_order, other_frames = _traverse(dst, *root)
+        if _root_signature(dst, *root) != signature:
+            continue
+        other = traversal if dst is src and root == reference else _traverse(dst, *root)
+        other_text, other_order, other_frames = other
         if other_text != text:
             continue
         strip_map = dict(zip(order, other_order))
@@ -518,20 +540,24 @@ def iter_witnesses(
 ) -> Iterator[tuple[dict[str, str], dict[str, int], dict[str, int]]]:
     """Yield every valid witness from ``src`` to ``dst``.
 
-    On connected atlases one root frame of ``src`` is matched against the
-    4n root frames of ``dst``, each an O(size) traversal.  Components are
-    paired with components of equal canonical form, in every way.
+    On connected atlases one root frame of ``src`` is matched against
+    those of the 4n root frames of ``dst`` whose root strip reads the same
+    (its sides' glued/free flags in frame order), each an O(size)
+    traversal; the rest cannot match and are skipped.  When ``dst is src``
+    the reference frame's own traversal is reused.  Components are paired
+    with components of equal canonical form, in every way.
     """
     if len(src.strips) != len(dst.strips) or len(src.gluings) != len(dst.gluings):
         return
-    src_parts, dst_parts = component_atlases(src), component_atlases(dst)
+    src_parts = component_atlases(src)
+    dst_parts = src_parts if dst is src else component_atlases(dst)
     if len(src_parts) != len(dst_parts):
         return
     if len(src_parts) == 1:
         yield from _connected_witnesses(src, dst)
         return
     src_forms = [canonical_form(part) for part in src_parts]
-    dst_forms = [canonical_form(part) for part in dst_parts]
+    dst_forms = src_forms if dst is src else [canonical_form(p) for p in dst_parts]
     if sorted(src_forms) != sorted(dst_forms):
         return
 
@@ -561,9 +587,10 @@ def canonical_form(atlas: StripedAtlas) -> str:
     """Canonical text form: equal exactly for isomorphic valid atlases.
 
     A connected atlas takes the least of its 4n rooted traversal texts;
-    a witness carries each root frame to one that reads the same.  The
-    forms of several components are sorted and joined by blank lines,
-    which no single form contains.
+    a witness carries each root frame to one that reads the same.  All 4n
+    frames are traversed: unlike witness matching, the least text has no
+    reference frame to prune against.  The forms of several components
+    are sorted and joined by blank lines, which no single form contains.
     """
     parts = component_atlases(atlas)
     if len(parts) == 1:

@@ -10,9 +10,12 @@ such as an exceptional component without a leaf reversal, did not hold;
 one ``stripes: internal error: ...`` line).
 
 ``aut``, ``iso`` and ``report`` find witnesses by rooted traversal: one
-root strip's image, side flip and reversal bit force the rest, so a
-connected atlas of n strips needs 4n traversals, each O(size).  ``kernel``
-checks the single all-leaf reversal of the reduced atlas, O(size).
+root strip's image, side flip and reversal bit force the rest.  Of the 4n
+root frames of a connected atlas of n strips, only those whose root strip
+reads like the reference root (its sides' glued/free flags in frame
+order) are traversed, each O(size); ``canonical_form`` still traverses
+all 4n.  ``kernel`` checks the single all-leaf reversal of the reduced
+atlas, O(size).
 
 The argument parser is built once per process, so repeated in-process
 ``main`` calls (tests, library users) do not rebuild it.

@@ -89,10 +89,13 @@ def reduce_component(atlas: StripedAtlas) -> SurfaceClass:
     seams from the least-id one multiply to decreasing, and side 0 is the
     outer side on the least-id strip's side of the path's last seam.
     """
-    seam_rank = {g: i for i, g in enumerate(regular_seams(atlas))}
+    # Seams are keyed by their end ``a``, which names one gluing in a valid
+    # atlas and hashes as a plain string.
+    seams = regular_seams(atlas)
+    seam_rank = {g.a: i for i, g in enumerate(seams)}
     strip_of = lambda name: atlas.location(name)[0]
     links: dict[str, list[tuple[Gluing, str]]] = {}
-    for g in seam_rank:
+    for g in seams:
         a, b = strip_of(g.a), strip_of(g.b)
         links.setdefault(a, []).append((g, b))
         links.setdefault(b, []).append((g, a))
@@ -113,7 +116,7 @@ def reduce_component(atlas: StripedAtlas) -> SurfaceClass:
             seam_side = atlas.location(g.a if strip_of(g.a) == sid else g.b)[1]
             side = atlas.strip(sid).side(1 - seam_side)
             outer.append(side[::-1] if mirror[sid] else side)
-        if root > max(range(len(walked)), key=lambda i: seam_rank[walked[i]]):
+        if root > max(range(len(walked)), key=lambda i: seam_rank[walked[i].a]):
             outer.reverse()
         replaced.update(dict.fromkeys(path))
         replaced[path[root]] = Strip(path[root], *outer)
@@ -129,7 +132,7 @@ def reduce_component(atlas: StripedAtlas) -> SurfaceClass:
     gluings = tuple(
         Gluing(g.a, g.b, g.parity.xor(flip(g.a) ^ flip(g.b)))
         for g in atlas.gluings
-        if g not in seam_rank
+        if g.a not in seam_rank
     )
     return SurfaceClass(SurfaceKind.PROPER, StripedAtlas(strips, gluings))
 

@@ -219,7 +219,10 @@ def induced_leaf_map(model: LeafSpaceModel, aut: AtlasAutomorphism) -> LeafMap:
 
 
 def _require_connected(atlas: StripedAtlas) -> None:
-    if len(connected_components(atlas)) != 1:
+    count = len(connected_components(atlas))
+    if count == 0:
+        raise DisconnectedAtlasError("atlas has no strips")
+    if count != 1:
         raise DisconnectedAtlasError("atlas disconnected - apply per component")
 
 

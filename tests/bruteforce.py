@@ -10,6 +10,9 @@ the positional interval bijection instead of the model's arc ends, and
 ``kernel_members`` keeps the enumerated automorphisms that act trivially
 through it: the enumeration route of the kernel.  ``closure_scan`` tests
 every ground element of a finite space against all its basic sets.
+``connected_witnesses`` traverses all 4n root frames of ``dst``, with no
+root-signature pruning and no reuse of the reference traversal; the
+package's matcher must yield the same witnesses in the same order.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from stripes.atlas import (
     Parity,
     Strip,
     StripedAtlas,
+    _root_frames,
+    _traverse,
     is_connected,
     is_valid_witness,
     serialize_atlas,
@@ -83,6 +88,22 @@ def _relabelled(atlas: StripedAtlas, strip_map, side_flip, reversal) -> StripedA
         key=lambda g: (g.a, g.b),
     )
     return StripedAtlas(tuple(strips), tuple(gluings))
+
+
+def connected_witnesses(src: StripedAtlas, dst: StripedAtlas):
+    """Witnesses between connected atlases from every root frame of ``dst``
+    whose traversal reads like ``src``'s reference frame, in frame order."""
+    text, order, frames = _traverse(src, src.strip_ids[0], 0, 0)
+    for root in _root_frames(dst):
+        other_text, other_order, other_frames = _traverse(dst, *root)
+        if other_text != text:
+            continue
+        strip_map = dict(zip(order, other_order))
+        yield (
+            strip_map,
+            {s: frames[s][0] ^ other_frames[t][0] for s, t in strip_map.items()},
+            {s: frames[s][1] ^ other_frames[t][1] for s, t in strip_map.items()},
+        )
 
 
 def canonical_form(atlas: StripedAtlas) -> str:

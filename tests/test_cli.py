@@ -51,6 +51,12 @@ def test_kernel_disconnected_exits_3(atlas_file, capsys):
     assert "disconnected" in err
 
 
+@pytest.mark.parametrize("command", ["kernel", "report"])
+def test_no_strips_exits_3(atlas_file, capsys, command):
+    code, out, err = run(capsys, command, atlas_file("# only a comment\n"))
+    assert (code, out, err) == (3, "", "stripes: atlas has no strips\n")
+
+
 def test_reduce_moeb(atlas_file, capsys):
     code, out, _ = run(capsys, "reduce", atlas_file("MOEB"))
     assert (code, out) == (0, "MOEBIUS\n")

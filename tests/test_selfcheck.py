@@ -1,11 +1,11 @@
 from __future__ import annotations
 
-import sys
 import time
 
 import pytest
 
 import bruteforce
+from conftest import count_calls, patch_everywhere
 from stripes.atlas import (
     Gluing,
     Parity,
@@ -222,27 +222,6 @@ def test_kernel_members_match_the_oracle_on_reduced_and_unreduced(
         assert members == [list(bruteforce.kernel_members(outcome.atlas))]
         unreduced += outcome.atlas != sub
     assert unreduced >= 50
-
-
-def patch_everywhere(monkeypatch, function, replacement) -> None:
-    """Replace a package function under every name it is bound to."""
-    for name, module in list(sys.modules.items()):
-        if name == "stripes" or name.startswith("stripes."):
-            for attr, value in list(vars(module).items()):
-                if value is function:
-                    monkeypatch.setattr(module, attr, replacement)
-
-
-def count_calls(monkeypatch, function) -> list:
-    """Count the calls of a package function, under every name it is bound to."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return function(*args, **kwargs)
-
-    patch_everywhere(monkeypatch, function, counted)
-    return calls
 
 
 def asymmetric_hcl(model, point):

@@ -3,7 +3,9 @@
 ``iter_witnesses`` must yield exactly the brute-force witness set, and
 ``canonical_form`` must agree exactly when a brute-force witness exists,
 on every small connected class and on a seeded random corpus that
-includes disconnected atlases.
+includes disconnected atlases.  The pruned matcher must also yield its
+witnesses in the order of the unpruned 4n-frame matcher, so that
+``isomorphic`` returns the same witness, and traverse few frames.
 """
 
 from __future__ import annotations
@@ -14,16 +16,21 @@ from random import Random
 import pytest
 
 import bruteforce
+from conftest import count_calls, patch_everywhere
 from stripes.atlas import (
     Gluing,
     Parity,
     Strip,
     StripedAtlas,
+    _connected_witnesses,
+    _traverse,
     canonical_form,
+    component_atlases,
     is_connected,
+    isomorphic,
     iter_witnesses,
 )
-from stripes.corpus import random_atlas
+from stripes.corpus import necklace, random_atlas
 from stripes.symmetry import enumerate_automorphisms
 
 RANDOM_SEEDS = range(100)
@@ -31,6 +38,19 @@ RANDOM_SEEDS = range(100)
 
 def witnesses(src, dst):
     return sorted(bruteforce.witness_key(w) for w in iter_witnesses(src, dst))
+
+
+def oracle_order(src: StripedAtlas, dst: StripedAtlas) -> list:
+    """``iter_witnesses`` with the unpruned 4n-frame matcher in its place."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch_everywhere(patch, _connected_witnesses, bruteforce.connected_witnesses)
+        return list(iter_witnesses(src, dst))
+
+
+def assert_same_order(src: StripedAtlas, dst: StripedAtlas) -> None:
+    expected = oracle_order(src, dst)
+    assert list(iter_witnesses(src, dst)) == expected
+    assert isomorphic(src, dst) == (expected[0] if expected else None)
 
 
 def moved_copy(atlas: StripedAtlas, rng: Random) -> StripedAtlas:
@@ -74,6 +94,8 @@ def test_witnesses_match_oracle_on_exhaustive_connected(exhaustive_connected):
         copy = moved_copy(atlas, rng)
         assert witnesses(atlas, atlas) == bruteforce.witnesses(atlas, atlas)
         assert witnesses(atlas, copy) == bruteforce.witnesses(atlas, copy)
+        assert_same_order(atlas, atlas)
+        assert_same_order(atlas, copy)
 
 
 def test_random_corpus_has_disconnected_atlases():
@@ -88,6 +110,8 @@ def test_random_atlas_matches_oracle(seed):
     assert witnesses(atlas, atlas) == bruteforce.witnesses(atlas, atlas)
     expected = bruteforce.witnesses(atlas, copy)
     assert expected and witnesses(atlas, copy) == expected
+    assert_same_order(atlas, atlas)
+    assert_same_order(atlas, copy)
     assert canonical_form(atlas) == canonical_form(copy)
 
     others = [random_atlas(1 + seed % 4, 2, 6000 + seed)]
@@ -126,3 +150,32 @@ def test_necklace_of_sixty_beyond_oracle_reach():
     assert len(enumerate_automorphisms(atlas)) == 240
     assert canonical_form(atlas) == canonical_form(copy)
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_witness_order_matches_oracle_on_necklaces(n):
+    # All increasing, one decreasing, alternating.
+    for parities in ("+" * n, "-" + "+" * (n - 1), ("+-" * n)[:n]):
+        atlas = necklace(n, parities)
+        assert_same_order(atlas, atlas)
+        assert_same_order(atlas, moved_copy(atlas, Random(n)))
+
+
+def test_automorphisms_traverse_only_candidate_roots(monkeypatch):
+    # All 24 frames of necklace(6) match, and the reference frame's own
+    # traversal serves the identity; the unpruned matcher makes 25.
+    traversals = count_calls(monkeypatch, _traverse)
+    assert len(enumerate_automorphisms(necklace(6))) == 24
+    assert len(traversals) == 24
+
+
+def test_trivial_group_skips_most_roots(monkeypatch):
+    # The largest component of this atlas has 183 strips and one
+    # automorphism; the unpruned matcher makes 733 traversals.
+    atlas = max(
+        component_atlases(random_atlas(200, 3, 1, 0.95)), key=lambda a: len(a.strips)
+    )
+    assert len(atlas.strips) == 183
+    traversals = count_calls(monkeypatch, _traverse)
+    assert len(enumerate_automorphisms(atlas)) == 1
+    assert len(traversals) <= 40
