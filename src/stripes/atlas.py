@@ -165,24 +165,22 @@ class StripedAtlas:
         return self._strips_by_id[strip_id]
 
     @cached_property
-    def _locations(self) -> dict[str, tuple[str, int, int]]:
-        # Interval name -> (strip id, side, index in side); first occurrence
-        # wins, which only matters for invalid (duplicate-name) atlases.
+    def locations(self) -> dict[str, tuple[str, int, int]]:
+        """Read-only index: interval -> ``(strip id, side, index in side)``.
+        The first occurrence wins, which matters only on invalid atlases."""
         out: dict[str, tuple[str, int, int]] = {}
         for s in self.strips:
-            for which in (0, 1):
-                for index, name in enumerate(s.side(which)):
+            for which, side in ((0, s.side0), (1, s.side1)):
+                for index, name in enumerate(side):
                     out.setdefault(name, (s.id, which, index))
         return out
 
     def location(self, interval: str) -> tuple[str, int, int]:
         """Return ``(strip id, side, index in side)`` of an interval."""
-        return self._locations[interval]
+        return self.locations[interval]
 
     def intervals(self) -> tuple[str, ...]:
-        return tuple(
-            name for s in self.strips for which in (0, 1) for name in s.side(which)
-        )
+        return tuple([name for s in self.strips for name in s.side0 + s.side1])
 
     @cached_property
     def gluing_of(self) -> dict[str, Gluing]:
@@ -195,7 +193,7 @@ class StripedAtlas:
     @cached_property
     def free_intervals(self) -> tuple[str, ...]:
         glued = self.gluing_of
-        return tuple(name for name in self.intervals() if name not in glued)
+        return tuple([name for name in self.intervals() if name not in glued])
 
 
 def validate(atlas: StripedAtlas) -> list[str]:
@@ -204,7 +202,8 @@ def validate(atlas: StripedAtlas) -> list[str]:
     Never raises: the point is to report on hand-built or adversarial
     values.  Checked invariants: unique strip ids, globally unique interval
     names, gluing endpoints exist, no interval glued to itself, no interval
-    in more than one gluing.
+    in more than one gluing, every identifier one token of the text format
+    (non-empty, no whitespace, no ``#``), as ``serialize_atlas`` needs.
     """
     problems: list[str] = []
 
@@ -234,6 +233,9 @@ def validate(atlas: StripedAtlas) -> list[str]:
         if count > 1:
             problems.append(f"interval {name!r} multiply glued")
 
+    for name in [n for s in atlas.strips for n in (s.id, *s.side0, *s.side1)]:
+        if not isinstance(name, str) or "#" in name or name.split() != [name]:
+            problems.append(f"identifier {name!r} is not one token of the text format")
     return problems
 
 
@@ -248,9 +250,9 @@ def connected_components(atlas: StripedAtlas) -> tuple[frozenset[str], ...]:
     components are returned in order of first appearance in the atlas.
     """
     neighbours: dict[str, set[str]] = {s.id: set() for s in atlas.strips}
+    locations = atlas.locations
     for g in atlas.gluings:
-        sa = atlas.location(g.a)[0]
-        sb = atlas.location(g.b)[0]
+        sa, sb = locations[g.a][0], locations[g.b][0]
         neighbours[sa].add(sb)
         neighbours[sb].add(sa)
 
@@ -277,13 +279,15 @@ def is_connected(atlas: StripedAtlas) -> bool:
 
 
 def component_atlases(atlas: StripedAtlas) -> tuple[StripedAtlas, ...]:
-    """Split an atlas into the sub-atlases of its connected components."""
+    """Split an atlas into the sub-atlases of its connected components; a
+    connected atlas is its own, returned with the indexes it has built."""
+    components = connected_components(atlas)
+    if len(components) == 1:
+        return (atlas,)
     out = []
-    for component in connected_components(atlas):
+    for component in components:
         strips = tuple(s for s in atlas.strips if s.id in component)
-        gluings = tuple(
-            g for g in atlas.gluings if atlas.location(g.a)[0] in component
-        )
+        gluings = tuple(g for g in atlas.gluings if atlas.locations[g.a][0] in component)
         out.append(StripedAtlas(strips, gluings))
     return tuple(out)
 
@@ -296,71 +300,76 @@ def parse_atlas(text: str) -> StripedAtlas:
     """Parse atlas text; raise :class:`AtlasError` with a line number on bad input.
 
     Identifiers are preserved verbatim.  Gluings may reference intervals
-    declared on any line, earlier or later.
+    declared on any line, earlier or later.  The first fault by line is
+    reported; an unknown glued interval only when there is no other.
     """
-    strips: list[tuple[str, list[tuple[str, ...] | None]]] = []
+    strips: list[list] = []  # [name, side0, side1] per strip line
+    current, given = None, 0  # the last strip; bit 1 or 2 once its side0 or side1 is seen
     strip_names: set[str] = set()
-    interval_lines: dict[str, int] = {}
-    glue_requests: list[tuple[int, str, str, Parity]] = []
+    declared: set[str] = set()
     glued: set[str] = set()
+    gluings: list[Gluing] = []
+    parity_of, new = _PARITY_OF_SYMBOL.get, tuple.__new__
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    for lineno, tokens in enumerate(map(str.split, lines), 1):
         if not tokens:
             continue
-        keyword, args = tokens[0], tokens[1:]
+        keyword = tokens[0]
 
-        if keyword == "strip":
-            if len(args) != 1:
-                raise AtlasError("expected: strip <name>", lineno)
-            if args[0] in strip_names:
-                raise AtlasError(f"duplicate strip id {args[0]!r}", lineno)
-            strip_names.add(args[0])
-            strips.append((args[0], [None, None]))
-
-        elif keyword in ("side0", "side1"):
-            if not strips:
+        if keyword == "side0" or keyword == "side1":
+            if current is None:
                 raise AtlasError(f"{keyword} before any strip", lineno)
-            which = 0 if keyword == "side0" else 1
-            name, sides = strips[-1]
-            if sides[which] is not None:
-                raise AtlasError(f"{keyword} given twice for strip {name!r}", lineno)
-            for interval in args:
-                if interval in interval_lines:
-                    raise AtlasError(f"duplicate interval id {interval!r}", lineno)
-                interval_lines[interval] = lineno
-            sides[which] = tuple(args)
+            which = 1 if keyword == "side0" else 2
+            if given & which:
+                raise AtlasError(f"{keyword} given twice for strip {current[0]!r}", lineno)
+            given |= which
+            del tokens[0]
+            if not declared.isdisjoint(tokens) or (
+                len(tokens) > 1 and len(set(tokens)) != len(tokens)
+            ):
+                name = next(n for i, n in enumerate(tokens) if n in declared or n in tokens[:i])
+                raise AtlasError(f"duplicate interval id {name!r}", lineno)
+            declared.update(tokens)
+            current[which] = tuple(tokens)
 
         elif keyword == "glue":
-            if len(args) != 3:
+            if len(tokens) != 4:
                 raise AtlasError("expected: glue <interval> <interval> +|-", lineno)
-            a, b, parity_token = args
-            try:
-                parity = Parity.from_symbol(parity_token)
-            except ValueError as exc:
-                raise AtlasError(str(exc), lineno) from None
+            _, a, b, symbol = tokens
+            parity = parity_of(symbol)
+            if parity is None:
+                raise AtlasError(f"parity must be '+' or '-', got {symbol!r}", lineno)
             if a == b:
                 raise AtlasError(f"interval {a!r} glued to itself", lineno)
-            for name in (a, b):
-                if name in glued:
-                    raise AtlasError(f"interval {name!r} glued twice", lineno)
-                glued.add(name)
-            glue_requests.append((lineno, a, b, parity))
+            if a in glued or b in glued:
+                raise AtlasError(f"interval {a if a in glued else b!r} glued twice", lineno)
+            glued.add(a)
+            glued.add(b)
+            gluings.append(new(Gluing, (a, b, parity) if a <= b else (b, a, parity)))
+
+        elif keyword == "strip":
+            if len(tokens) != 2:
+                raise AtlasError("expected: strip <name>", lineno)
+            name = tokens[1]
+            if name in strip_names:
+                raise AtlasError(f"duplicate strip id {name!r}", lineno)
+            strip_names.add(name)
+            current, given = [name, (), ()], 0
+            strips.append(current)
 
         else:
             raise AtlasError(f"unknown directive {keyword!r}", lineno)
 
-    for lineno, a, b, _ in glue_requests:
-        for name in (a, b):
-            if name not in interval_lines:
-                raise AtlasError(f"glue references unknown interval {name!r}", lineno)
+    if not glued <= declared:
+        for lineno, tokens in enumerate(map(str.split, lines), 1):
+            for name in tokens[1:3] if tokens[:1] == ["glue"] else ():
+                if name not in declared:
+                    raise AtlasError(f"glue references unknown interval {name!r}", lineno)
 
-    return StripedAtlas(
-        strips=tuple(
-            Strip(name, sides[0] or (), sides[1] or ()) for name, sides in strips
-        ),
-        gluings=tuple(Gluing(a, b, parity) for _, a, b, parity in glue_requests),
-    )
+    return StripedAtlas(tuple([new(Strip, entry) for entry in strips]), tuple(gluings))
 
 
 def serialize_atlas(atlas: StripedAtlas) -> str:

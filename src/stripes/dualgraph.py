@@ -53,10 +53,10 @@ def build_dual_graph(atlas: StripedAtlas) -> DualGraph:
     vertices = tuple(
         sorted((s.id, len(s.side0), len(s.side1)) for s in atlas.strips)
     )
-    edges = []
+    new, locations, edges = tuple.__new__, atlas.locations, []
     for g in atlas.gluings:
-        ends = tuple(EdgeEnd(*atlas.location(name)) for name in (g.a, g.b))
-        edges.append(DualEdge(ends, g.parity))
+        a, b = new(EdgeEnd, locations[g.a]), new(EdgeEnd, locations[g.b])
+        edges.append(new(DualEdge, ((a, b) if a <= b else (b, a), g.parity)))
     return DualGraph(vertices, tuple(sorted(edges)))
 
 

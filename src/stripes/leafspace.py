@@ -105,39 +105,32 @@ class LeafSpaceModel:
 
 
 def build_leaf_space(atlas: StripedAtlas) -> LeafSpaceModel:
-    """Quotient model of a valid atlas.
+    """Quotient model of an atlas, which must be valid (see ``validate``).
 
     Arcs biject with strips; points biject with gluings plus free
     intervals; attachment order is inherited from side order.
     """
+    # One pass over the strips; gluings are normalised, so seam pairs are sorted.
+    new = tuple.__new__
     point_of: dict[str, LeafPoint] = {}
     for g in atlas.gluings:
-        point = LeafPoint((g.a, g.b))
-        point_of[g.a] = point
-        point_of[g.b] = point
-    for name in atlas.free_intervals:
-        point_of[name] = LeafPoint((name,))
-
-    points = tuple(sorted(set(point_of.values())))
-
-    attachments: dict[LeafPoint, tuple[Attachment, ...]] = {}
-    for point in points:
-        slots = []
-        for name in point.intervals:
-            strip_id, side, index = atlas.location(name)
-            slots.append(Attachment(ArcEnd(strip_id, side), index))
-        attachments[point] = tuple(slots)
-
+        point_of[g.a] = point_of[g.b] = new(LeafPoint, ((g.a, g.b),))
+    attachment_of: dict[str, Attachment] = {}
     end_points: dict[ArcEnd, tuple[LeafPoint, ...]] = {}
     for s in atlas.strips:
-        for side in (0, 1):
-            end = ArcEnd(s.id, side)
-            end_points[end] = tuple(point_of[name] for name in s.side(side))
+        for side, names in ((0, s.side0), (1, s.side1)):
+            end = new(ArcEnd, (s.id, side))
+            for index, name in enumerate(names):
+                attachment_of[name] = new(Attachment, (end, index))
+                if name not in point_of:
+                    point_of[name] = new(LeafPoint, ((name,),))
+            end_points[end] = tuple([point_of[name] for name in names])
 
+    points = tuple(sorted(set(point_of.values())))
     return LeafSpaceModel(
-        arcs=tuple(s.id for s in atlas.strips),
+        arcs=tuple([s.id for s in atlas.strips]),
         points=points,
-        attachments=attachments,
+        attachments={p: tuple([attachment_of[n] for n in p.intervals]) for p in points},
         end_points=end_points,
     )
 
@@ -149,8 +142,8 @@ def hcl_point(model: LeafSpaceModel, point: LeafPoint) -> frozenset[LeafPoint]:
     contains the point itself.
     """
     out: set[LeafPoint] = {point}
-    for end in model.ends_of(point):
-        out.update(model.end_points[end])
+    for attachment in model.attachments[point]:
+        out.update(model.end_points[attachment.end])
     return frozenset(out)
 
 
@@ -176,22 +169,20 @@ def classify_leaf(atlas: StripedAtlas, point: LeafPoint) -> LeafClass:
     side, and SPECIAL otherwise.  A free interval is REGULAR when it fills
     its side and SPECIAL otherwise; it is never SINGULAR_NON_SPECIAL.
     """
+    locations, strip = atlas.locations, atlas.strip
     if point.is_seam:
         a, b = point.intervals
-        strip_a, side_a, _ = atlas.location(a)
-        strip_b, side_b, _ = atlas.location(b)
-        full_a = atlas.strip(strip_a).side(side_a) == (a,)
-        full_b = atlas.strip(strip_b).side(side_b) == (b,)
-        if full_a and full_b:
+        strip_a, side_a, _ = locations[a]
+        strip_b, side_b, _ = locations[b]
+        names_a = strip(strip_a).side(side_a)
+        if len(names_a) == 1 and len(strip(strip_b).side(side_b)) == 1:
             return LeafClass.REGULAR
-        if strip_a == strip_b and side_a == side_b:
-            if set(atlas.strip(strip_a).side(side_a)) == {a, b}:
-                return LeafClass.SINGULAR_NON_SPECIAL
+        if strip_a == strip_b and side_a == side_b and len(names_a) == 2:
+            return LeafClass.SINGULAR_NON_SPECIAL
         return LeafClass.SPECIAL
 
-    (name,) = point.intervals
-    strip_id, side, _ = atlas.location(name)
-    if atlas.strip(strip_id).side(side) == (name,):
+    strip_id, side, _ = locations[point.intervals[0]]
+    if len(strip(strip_id).side(side)) == 1:
         return LeafClass.REGULAR
     return LeafClass.SPECIAL
 

@@ -51,13 +51,10 @@ def canonical_exceptional_atlas(kind: SurfaceKind) -> StripedAtlas:
 
 
 def regular_seams(atlas: StripedAtlas) -> tuple[Gluing, ...]:
-    """Seams both of whose intervals fill their sides (REGULAR), in order."""
-
-    def fills(name: str) -> bool:
-        strip_id, side, _ = atlas.location(name)
-        return len(atlas.strip(strip_id).side(side)) == 1
-
-    return tuple(g for g in atlas.gluings if fills(g.a) and fills(g.b))
+    """Seams both of whose intervals fill their sides (REGULAR), in order;
+    the atlas must be valid, so that an interval alone on a side fills it."""
+    alone = {side[0] for s in atlas.strips for side in (s.side0, s.side1) if len(side) == 1}
+    return tuple([g for g in atlas.gluings if g.a in alone and g.b in alone])
 
 
 def is_reduced(atlas: StripedAtlas) -> bool:
@@ -93,7 +90,8 @@ def reduce_component(atlas: StripedAtlas) -> SurfaceClass:
     # atlas and hashes as a plain string.
     seams = regular_seams(atlas)
     seam_rank = {g.a: i for i, g in enumerate(seams)}
-    strip_of = lambda name: atlas.location(name)[0]
+    locations = atlas.locations
+    strip_of = lambda name: locations[name][0]
     links: dict[str, list[tuple[Gluing, str]]] = {}
     for g in seams:
         a, b = strip_of(g.a), strip_of(g.b)
@@ -113,7 +111,7 @@ def reduce_component(atlas: StripedAtlas) -> SurfaceClass:
         mirror.update((sid, bit ^ bits[root]) for sid, bit in zip(path, bits))
         outer = []
         for sid, g in ((path[0], walked[0]), (path[-1], walked[-1])):
-            seam_side = atlas.location(g.a if strip_of(g.a) == sid else g.b)[1]
+            seam_side = locations[g.a if strip_of(g.a) == sid else g.b][1]
             side = atlas.strip(sid).side(1 - seam_side)
             outer.append(side[::-1] if mirror[sid] else side)
         if root > max(range(len(walked)), key=lambda i: seam_rank[walked[i].a]):
@@ -127,10 +125,11 @@ def reduce_component(atlas: StripedAtlas) -> SurfaceClass:
         kind = SurfaceKind.OPEN_MOEBIUS_BAND if twist % 2 else SurfaceKind.OPEN_CYLINDER
         return SurfaceClass(kind)
 
+    # A kept gluing, normalised already, flips once per mirrored end strip.
     flip = lambda name: mirror.get(strip_of(name), 0)
     strips = tuple(t for t in (replaced.get(s.id, s) for s in atlas.strips) if t)
     gluings = tuple(
-        Gluing(g.a, g.b, g.parity.xor(flip(g.a) ^ flip(g.b)))
+        tuple.__new__(Gluing, (g.a, g.b, g.parity.flipped())) if flip(g.a) ^ flip(g.b) else g
         for g in atlas.gluings
         if g.a not in seam_rank
     )

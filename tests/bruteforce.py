@@ -13,6 +13,12 @@ every ground element of a finite space against all its basic sets.
 ``connected_witnesses`` traverses all 4n root frames of ``dst``, with no
 root-signature pruning and no reuse of the reference traversal; the
 package's matcher must yield the same witnesses in the same order.
+``parse_atlas_stepwise`` parses line by line with one check per interval
+and per request; the package's parser must return the same tuples or raise
+the same error.  ``build_leaf_space_located``, ``classify_leaf_located``
+and ``regular_seams_located`` read every interval through
+``atlas.location`` and compare side tuples, where the package's layers
+read the index once and compare side lengths.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from math import factorial
 from random import Random
 
 from stripes.atlas import (
+    AtlasError,
     Gluing,
     Parity,
     Strip,
@@ -33,8 +40,16 @@ from stripes.atlas import (
     serialize_atlas,
     witness_interval_map,
 )
-from stripes.leafspace import FiniteBasisSpace, LeafPoint, LeafSpaceModel, build_leaf_space
-from stripes.reduction import SurfaceClass, SurfaceKind, is_reduced, regular_seams
+from stripes.leafspace import (
+    ArcEnd,
+    Attachment,
+    FiniteBasisSpace,
+    LeafClass,
+    LeafPoint,
+    LeafSpaceModel,
+    build_leaf_space,
+)
+from stripes.reduction import SurfaceClass, SurfaceKind, is_reduced
 from stripes.symmetry import AtlasAutomorphism, LeafMap, enumerate_automorphisms
 
 
@@ -197,7 +212,7 @@ def reduce_stepwise(atlas: StripedAtlas, rng: Random | None = None) -> SurfaceCl
     """
     current = atlas
     while True:
-        seams = regular_seams(current)
+        seams = regular_seams_located(current)
         if not seams:
             return SurfaceClass(SurfaceKind.PROPER, current)
         seam = seams[0] if rng is None else seams[rng.randrange(len(seams))]
@@ -334,3 +349,141 @@ def closure_scan(space: FiniteBasisSpace, subset: frozenset) -> frozenset:
         for x in space.ground
         if all(not basic.isdisjoint(subset) for basic in space.neighbourhoods(x))
     )
+
+
+def parse_atlas_stepwise(text: str) -> StripedAtlas:
+    """Line-by-line parser: one comment split, token split and parity
+    lookup per line, one membership test per interval, and the unknown
+    glued intervals checked for every request after the last line."""
+    strips: list[tuple[str, list[tuple[str, ...] | None]]] = []
+    strip_names: set[str] = set()
+    interval_lines: dict[str, int] = {}
+    glue_requests: list[tuple[int, str, str, Parity]] = []
+    glued: set[str] = set()
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        keyword, args = tokens[0], tokens[1:]
+
+        if keyword == "strip":
+            if len(args) != 1:
+                raise AtlasError("expected: strip <name>", lineno)
+            if args[0] in strip_names:
+                raise AtlasError(f"duplicate strip id {args[0]!r}", lineno)
+            strip_names.add(args[0])
+            strips.append((args[0], [None, None]))
+
+        elif keyword in ("side0", "side1"):
+            if not strips:
+                raise AtlasError(f"{keyword} before any strip", lineno)
+            which = 0 if keyword == "side0" else 1
+            name, sides = strips[-1]
+            if sides[which] is not None:
+                raise AtlasError(f"{keyword} given twice for strip {name!r}", lineno)
+            for interval in args:
+                if interval in interval_lines:
+                    raise AtlasError(f"duplicate interval id {interval!r}", lineno)
+                interval_lines[interval] = lineno
+            sides[which] = tuple(args)
+
+        elif keyword == "glue":
+            if len(args) != 3:
+                raise AtlasError("expected: glue <interval> <interval> +|-", lineno)
+            a, b, parity_token = args
+            try:
+                parity = Parity.from_symbol(parity_token)
+            except ValueError as exc:
+                raise AtlasError(str(exc), lineno) from None
+            if a == b:
+                raise AtlasError(f"interval {a!r} glued to itself", lineno)
+            for name in (a, b):
+                if name in glued:
+                    raise AtlasError(f"interval {name!r} glued twice", lineno)
+                glued.add(name)
+            glue_requests.append((lineno, a, b, parity))
+
+        else:
+            raise AtlasError(f"unknown directive {keyword!r}", lineno)
+
+    for lineno, a, b, _ in glue_requests:
+        for name in (a, b):
+            if name not in interval_lines:
+                raise AtlasError(f"glue references unknown interval {name!r}", lineno)
+
+    return StripedAtlas(
+        strips=tuple(
+            Strip(name, sides[0] or (), sides[1] or ()) for name, sides in strips
+        ),
+        gluings=tuple(Gluing(a, b, parity) for _, a, b, parity in glue_requests),
+    )
+
+
+def build_leaf_space_located(atlas: StripedAtlas) -> LeafSpaceModel:
+    """Leaf-space model with every attachment read through
+    ``atlas.location`` and every point built through ``LeafPoint``."""
+    point_of: dict[str, LeafPoint] = {}
+    for g in atlas.gluings:
+        point = LeafPoint((g.a, g.b))
+        point_of[g.a] = point
+        point_of[g.b] = point
+    for name in atlas.free_intervals:
+        point_of[name] = LeafPoint((name,))
+
+    points = tuple(sorted(set(point_of.values())))
+
+    attachments: dict[LeafPoint, tuple[Attachment, ...]] = {}
+    for point in points:
+        slots = []
+        for name in point.intervals:
+            strip_id, side, index = atlas.location(name)
+            slots.append(Attachment(ArcEnd(strip_id, side), index))
+        attachments[point] = tuple(slots)
+
+    end_points: dict[ArcEnd, tuple[LeafPoint, ...]] = {}
+    for s in atlas.strips:
+        for side in (0, 1):
+            end = ArcEnd(s.id, side)
+            end_points[end] = tuple(point_of[name] for name in s.side(side))
+
+    return LeafSpaceModel(
+        arcs=tuple(s.id for s in atlas.strips),
+        points=points,
+        attachments=attachments,
+        end_points=end_points,
+    )
+
+
+def classify_leaf_located(atlas: StripedAtlas, point: LeafPoint) -> LeafClass:
+    """Leaf class from the side tuples themselves: a side filled by an
+    interval equals ``(name,)``, and a same-side seam's side is the set of
+    its two intervals."""
+    if point.is_seam:
+        a, b = point.intervals
+        strip_a, side_a, _ = atlas.location(a)
+        strip_b, side_b, _ = atlas.location(b)
+        full_a = atlas.strip(strip_a).side(side_a) == (a,)
+        full_b = atlas.strip(strip_b).side(side_b) == (b,)
+        if full_a and full_b:
+            return LeafClass.REGULAR
+        if strip_a == strip_b and side_a == side_b:
+            if set(atlas.strip(strip_a).side(side_a)) == {a, b}:
+                return LeafClass.SINGULAR_NON_SPECIAL
+        return LeafClass.SPECIAL
+
+    (name,) = point.intervals
+    strip_id, side, _ = atlas.location(name)
+    if atlas.strip(strip_id).side(side) == (name,):
+        return LeafClass.REGULAR
+    return LeafClass.SPECIAL
+
+
+def regular_seams_located(atlas: StripedAtlas) -> tuple[Gluing, ...]:
+    """Regular seams found through ``atlas.location``, in gluing order."""
+
+    def fills(name: str) -> bool:
+        strip_id, side, _ = atlas.location(name)
+        return len(atlas.strip(strip_id).side(side)) == 1
+
+    return tuple(g for g in atlas.gluings if fills(g.a) and fills(g.b))

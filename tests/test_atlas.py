@@ -20,7 +20,7 @@ from stripes.atlas import (
     serialize_atlas,
     validate,
 )
-from stripes.corpus import random_atlas
+from stripes.corpus import necklace, random_atlas, random_connected_atlas
 
 
 def test_parse_cyl(fixtures):
@@ -64,6 +64,10 @@ def test_parse_comments_and_blank_lines():
         ("strip S\nside0 a b c\nglue a b +\nglue b c +", "glued twice", 4),
         ("strip S\nside0 a\nglue a zz +", "unknown interval", 3),
         ("strip S\nglue a +", "expected: glue", 2),
+        ("strip S\nside0 a a", "duplicate interval", 2),
+        ("strip S\nside0 a\nside0 b\nstrip S", "given twice", 3),
+        ("strip S\nside0 a b\nglue a b *\nside1 a", "parity", 3),
+        ("strip S\nglue a zz +\nfrobnicate", "unknown directive", 3),
     ],
 )
 def test_parse_errors(text, fragment, line):
@@ -112,6 +116,52 @@ def test_validate_reports_duplicate_interval():
     assert any("more than once" in p for p in validate(atlas))
 
 
+@pytest.mark.parametrize(
+    "atlas, fragment",
+    [
+        (StripedAtlas((Strip("a#b"),), ()), "identifier 'a#b'"),
+        (StripedAtlas((Strip("S", ("x y",)),), ()), "identifier 'x y'"),
+        (StripedAtlas((Strip(""),), ()), "identifier ''"),
+        (StripedAtlas((Strip("S", ("a", "\tb")),), ()), "identifier '\\tb'"),
+    ],
+)
+def test_validate_reports_identifiers_the_text_format_cannot_carry(atlas, fragment):
+    problems = validate(atlas)
+    assert [p for p in problems if fragment in p and "one token" in p], problems
+
+
+# Plain names, so that many atlases validate, and names the text format
+# cannot carry: empty, with "#", or with whitespace.
+IDENTIFIERS = st.one_of(
+    st.text(alphabet="abc", min_size=1, max_size=2),
+    st.text(alphabet="ab#\t \x0b\xa0\u2028", max_size=3),
+)
+
+
+@st.composite
+def hand_built_atlases(draw) -> StripedAtlas:
+    names = draw(st.lists(IDENTIFIERS, max_size=6, unique=True))
+    cut = sorted(draw(st.lists(st.integers(0, len(names)), min_size=3, max_size=3)))
+    ids = draw(st.lists(IDENTIFIERS, min_size=1, max_size=2, unique=True))
+    strips = (Strip(ids[0], tuple(names[: cut[0]]), tuple(names[cut[0] : cut[1]])),)
+    if len(ids) > 1:
+        strips += (Strip(ids[1], tuple(names[cut[1] : cut[2]]), tuple(names[cut[2] :])),)
+    pairs = []
+    if names:
+        pairs = draw(st.lists(st.tuples(*[st.sampled_from(names)] * 2), max_size=2))
+    gluings = tuple(Gluing(a, b, draw(st.sampled_from(list(Parity)))) for a, b in pairs)
+    return StripedAtlas(strips, gluings)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hand_built_atlases())
+def test_valid_atlases_survive_the_text_format(atlas):
+    if validate(atlas):
+        return
+    again = parse_atlas(serialize_atlas(atlas))
+    assert (again.strips, again.gluings) == (atlas.strips, atlas.gluings)
+
+
 def test_validate_never_raises_on_nonsense():
     atlas = StripedAtlas(
         (Strip("S"), Strip("S")),
@@ -132,6 +182,31 @@ def test_two_planes_are_disconnected():
     assert connected_components(atlas) == (frozenset({"S"}), frozenset({"T"}))
     subs = component_atlases(atlas)
     assert [a.strip_ids for a in subs] == [("S",), ("T",)]
+
+
+def test_component_atlases_returns_a_connected_atlas_itself(fixtures):
+    for atlas in [*fixtures.values(), necklace(5), random_connected_atlas(6, 2, 3)]:
+        assert component_atlases(atlas) == (atlas,)
+        assert component_atlases(atlas)[0] is atlas
+
+
+def _split_by_components(atlas: StripedAtlas) -> list[tuple]:
+    # Each component's strips and gluings in atlas order.
+    return [
+        (
+            tuple(s for s in atlas.strips if s.id in component),
+            tuple(g for g in atlas.gluings if atlas.location(g.a)[0] in component),
+        )
+        for component in connected_components(atlas)
+    ]
+
+
+def test_component_atlases_of_disconnected_inputs():
+    for seed in range(100):
+        atlas = random_atlas(2 + seed % 9, 2, 40_000 + seed, 0.6)
+        parts = component_atlases(atlas)
+        assert [(p.strips, p.gluings) for p in parts] == _split_by_components(atlas)
+        assert len(parts) == 1 or all(p is not atlas for p in parts)
 
 
 def test_free_intervals(fixtures):
