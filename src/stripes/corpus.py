@@ -24,6 +24,8 @@ from .atlas import (
     is_connected,
 )
 
+MAX_ATTEMPTS = 1000  # sub-seeds random_connected_atlas tries before it gives up
+
 
 def random_atlas(
     strips: int,
@@ -70,17 +72,16 @@ def random_connected_atlas(
     max_intervals_per_side: int,
     seed: int,
     glue_probability: float = 0.75,
-    max_attempts: int = 1000,
 ) -> StripedAtlas:
     """First connected atlas along a deterministic sequence of sub-seeds."""
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         candidate = random_atlas(
             strips, max_intervals_per_side, seed + 7919 * attempt, glue_probability
         )
         if is_connected(candidate):
             return candidate
     raise RuntimeError(
-        f"no connected atlas found in {max_attempts} attempts for seed {seed}"
+        f"no connected atlas found in {MAX_ATTEMPTS} attempts for seed {seed}"
     )
 
 
@@ -89,8 +90,11 @@ def necklace(n: int, parities: str | None = None) -> StripedAtlas:
     to side 0 of the next, cyclically, by two gluings of parity
     ``parities[i]`` (``+`` everywhere by default).  Every strip sits
     between two branch points, so the atlas is reduced, and the all-``+``
-    necklace has 4n automorphisms: the worst case of the witness search."""
-    parities = parities or "+" * n
+    necklace has 4n automorphisms: the worst case of the witness search.
+    Raises ``ValueError`` unless n >= 1 and there are n parities."""
+    parities = "+" * n if parities is None else parities
+    if n < 1 or len(parities) != n:
+        raise ValueError(f"a necklace needs n >= 1 strips and n parities, got {n}")
     strips = [Strip(f"N{i}", (f"c{i}", f"d{i}"), (f"a{i}", f"b{i}")) for i in range(n)]
     gluings = []
     for i, symbol in enumerate(parities):

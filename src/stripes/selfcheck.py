@@ -168,7 +168,7 @@ def _check_component(
         )
     else:
         add("kernel-dichotomy", kernel.order == 2)
-        add("witness-crosscheck", reversal_witness(atlas) is not None)
+        add("witness-crosscheck", kernel.witness is not None)
 
     # Reduction invariants.
     ok = True

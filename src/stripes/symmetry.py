@@ -17,15 +17,14 @@ carry isotopy meaning therefore work on the reduced atlas.
 
 The leaf-space action psi is :func:`induced_leaf_map`, read off a prebuilt
 leaf-space model.  The kernel computation rests on two facts: an
-automorphism acting trivially on the leaf space must keep every strip and
-side in place with all leaf points fixed, and its reversal bits must then
-agree across every gluing, hence be constant on a connected atlas.  So
-besides the identity at most one such automorphism exists, the all-ones
-reversal, and the kernel is trivial or of order two.
-:func:`leaf_action_kernel` therefore checks that single candidate,
-O(size); ``selfcheck`` checks both facts instance by instance on the
-enumerated group of the reduced atlas, keeping the members whose leaf map
-is the identity.
+automorphism acting trivially on the leaf space keeps every strip and side
+in place with all leaf points fixed, and its reversal bits then agree
+across every gluing, hence are constant on a connected atlas.  So the
+kernel is trivial or holds one more element, the all-ones reversal, which
+fixes every leaf point exactly when every arc end lists its points the
+same forwards and backwards: :func:`leaf_action_kernel` reads that off the
+model in O(size), with no psi.  ``selfcheck`` checks both facts instance
+by instance on the enumerated group of the reduced atlas.
 """
 
 from __future__ import annotations
@@ -249,8 +248,8 @@ def reversal_witness(atlas: StripedAtlas) -> AtlasAutomorphism | None:
 
     Checks the single candidate with identity strip map, no side flips and
     all reversal bits set.  Gluing parities never obstruct it (each parity
-    is conjugated by two reversals); the only obstruction is a leaf point
-    moved by reversing side orders.
+    is conjugated by two reversals); the only obstruction is an arc end of
+    the leaf-space model whose points read differently backwards.
     """
     _require_connected(atlas)
     candidate = all_leaf_reversal(atlas)
@@ -258,8 +257,8 @@ def reversal_witness(atlas: StripedAtlas) -> AtlasAutomorphism | None:
         atlas, atlas, candidate.strip_map, candidate.side_flip, candidate.reversal
     ):
         return None
-    leaf_map = induced_leaf_map(build_leaf_space(atlas), candidate)
-    return candidate if leaf_map.is_identity else None
+    ends = build_leaf_space(atlas).end_points.values()
+    return candidate if all(points == points[::-1] for points in ends) else None
 
 
 def leaf_action_kernel(atlas: StripedAtlas) -> KernelResult:
@@ -306,6 +305,7 @@ def homeotopy_report(atlas: StripedAtlas) -> HomeotopyReport:
 
     Works on the reduced atlas; an exceptional component is replaced by
     its canonical one-strip atlas, to which it is foliated homeomorphic.
+    The group acts freely on root frames, so |Aut| counts witnesses.
     """
     _require_connected(atlas)
     outcome = reduce_component(atlas)
@@ -314,13 +314,12 @@ def homeotopy_report(atlas: StripedAtlas) -> HomeotopyReport:
         working = outcome.atlas
     else:
         working = canonical_exceptional_atlas(outcome.kind)
-    group = enumerate_automorphisms(working)
-    model = build_leaf_space(working)
+    aut_order = sum(1 for _ in iter_witnesses(working, working))
     return HomeotopyReport(
-        aut_order=len(group),
+        aut_order=aut_order,
         kernel=kernel,
-        image_order=len(group) // kernel.order,
-        leaf_model_aut_order=leaf_model_automorphism_count(model),
+        image_order=aut_order // kernel.order,
+        leaf_model_aut_order=leaf_model_automorphism_count(build_leaf_space(working)),
     )
 
 
@@ -335,13 +334,13 @@ def leaf_model_automorphism_count(model: LeafSpaceModel) -> int:
     incidences form a group, counted exactly along a stabiliser chain: its
     order is the product, over the arcs in breadth-first order, of the
     number of images an arc can take while the arcs before it stay fixed.
-    Each image is confirmed by a backtracking search for one symmetry that
-    starts so, pruned three ways: a non-root arc's image must share a point
-    with its parent's image, both ends' attachment signatures must match,
-    and a point whose arcs are all placed must land on an incidence still
-    free in the target multiset.  Points of equal incidence are
-    interchangeable, which contributes the product of their counts'
-    factorials.
+    The arc itself, unreversed, extends by the identity; each other image
+    is confirmed by a backtracking search from that arc on, pruned three
+    ways: a non-root arc's image must share a point with its parent's
+    image, both ends' attachment signatures must match, and a point whose
+    arcs are all placed must land on an incidence still free in the target
+    multiset.  Points of equal incidence are interchangeable, which
+    contributes the product of their counts' factorials.
     """
     incidence = {
         point: tuple(sorted((a.end.strip, a.end.side) for a in model.attachments[point]))
@@ -389,17 +388,17 @@ def leaf_model_automorphism_count(model: LeafSpaceModel) -> int:
             and signature[(arc, 1)] == signature[(other, 1 - bit)]
         ]
 
-    def extends(prefix: list[tuple[str, int]]) -> bool:
-        # Depth-first without recursion: the choices left at each depth,
-        # and the point images each placed choice added, to undo it.
-        image: dict[str, tuple[str, int]] = {}
-        used: set[str] = set()
-        placed: Counter = Counter()
-        choices, trail = [prefix[:1]], []
+    def extends(start: int, choice: tuple[str, int]) -> bool:
+        # Depth-first without recursion from ``start``, the arcs before it
+        # fixed: choices left per depth, and each choice's point images, to undo it.
+        image = {arc: (arc, 0) for arc in order[:start]}
+        used = set(image)
+        placed = Counter(key for keys in completed[:start] for key in keys)
+        choices, trail = [[choice]], []
         while choices:
-            depth = len(choices) - 1
+            depth = start + len(choices) - 1
             arc = order[depth]
-            if len(trail) > depth:
+            if start + len(trail) > depth:
                 placed.subtract(trail.pop())
                 used.discard(image.pop(arc)[0])
             if not choices[-1]:
@@ -417,18 +416,14 @@ def leaf_model_automorphism_count(model: LeafSpaceModel) -> int:
                 continue
             if depth + 1 == len(order):
                 return True
-            choices.append(
-                prefix[depth + 1 : depth + 2] if depth + 1 < len(prefix)
-                else options(order[depth + 1], image, used)
-            )
+            choices.append(options(order[depth + 1], image, used))
         return False
 
     count = 1
     for depth, arc in enumerate(order):
         fixed = {a: (a, 0) for a in order[:depth]}
-        count *= sum(
-            extends([*fixed.values(), choice]) for choice in options(arc, fixed, set(fixed))
-        )
+        others = [c for c in options(arc, fixed, set(fixed)) if c != (arc, 0)]
+        count *= 1 + sum(extends(depth, choice) for choice in others)
     for size in target.values():
         count *= factorial(size)
     return count

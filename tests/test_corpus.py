@@ -8,6 +8,7 @@ from stripes.atlas import canonical_form, is_connected, isomorphic, validate
 from stripes.corpus import (
     dedup_by_isomorphism,
     exhaustive_family,
+    necklace,
     random_atlas,
     random_connected_atlas,
 )
@@ -96,3 +97,15 @@ def test_exhaustive_dedup_sizes(exhaustive_all, exhaustive_connected):
     assert all(is_connected(a) for a in exhaustive_connected)
     keys = {canonical_form(a) for a in exhaustive_all}
     assert len(keys) == len(exhaustive_all)
+
+
+@pytest.mark.parametrize(
+    "n, parities",
+    [(3, "++++"), (3, "++"), (0, None), (0, ""), (-1, None)],
+)
+def test_necklace_rejects_a_wrong_size(n, parities):
+    # Too many parities glued unknown intervals, too few left the necklace
+    # open as a chain, and n = 0 gave the empty atlas.
+    with pytest.raises(ValueError):
+        necklace(n, parities)
+

@@ -18,12 +18,15 @@ from math import factorial
 import pytest
 
 import bruteforce
+from conftest import count_calls
 from stripes.atlas import component_atlases, parse_atlas, serialize_atlas
 from stripes.corpus import exhaustive_family, necklace, random_atlas
 from stripes.leafspace import build_leaf_space
 from stripes.reduction import SurfaceKind, reduce_component
 from stripes.symmetry import (
+    enumerate_automorphisms,
     homeotopy_report,
+    induced_leaf_map,
     leaf_action_kernel,
     leaf_model_automorphism_count,
 )
@@ -123,3 +126,28 @@ def test_fifty_strip_necklace_report_is_fast():
     # parallel seams between neighbours independently: 100 arc maps * 2^50.
     assert (report.aut_order, report.image_order) == (200, 200)
     assert report.leaf_model_aut_order == 100 * 2**50
+
+
+def test_report_and_kernel_read_their_numbers_off_the_structure(monkeypatch, fixtures):
+    # |Aut| counts witnesses and the kernel reads the model's arc ends, so
+    # neither the sorted group nor a leaf map is built.
+    enumerations = count_calls(monkeypatch, enumerate_automorphisms)
+    leaf_maps = count_calls(monkeypatch, induced_leaf_map)
+    assert homeotopy_report(necklace(6)).aut_order == 24
+    assert homeotopy_report(fixtures["LADDER"]).aut_order > 0
+    for atlas in (necklace(6), fixtures["LADDER"], fixtures["PLANE"], fixtures["CYL"]):
+        leaf_action_kernel(atlas)
+    assert enumerations == []
+    assert leaf_maps == []
+
+
+def test_seven_hundred_strip_model_count_is_fast():
+    # The identity option at each level is counted without a search; the
+    # reduced 709-strip component has 2048 model symmetries.
+    parts = component_atlases(random_atlas(800, 3, 1, 0.95))
+    largest = max(parts, key=lambda part: len(part.strips))
+    model = build_leaf_space(reduce_component(largest).atlas)
+    assert len(model.arcs) == 709
+    start = time.perf_counter()
+    assert leaf_model_automorphism_count(model) == 2048
+    assert time.perf_counter() - start < 1

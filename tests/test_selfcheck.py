@@ -323,6 +323,15 @@ def test_selfcheck_reuses_the_kernel_witness(fixtures):
     assert [args[0] for args in witnesses] == [reduce_component(ladder).atlas, ladder]
 
 
+def test_exceptional_selfcheck_checks_its_reversal_once(fixtures):
+    # An exceptional component's cross-check reads the kernel's witness.
+    for name in ("CYL", "MOEB"):
+        with pytest.MonkeyPatch.context() as patch:
+            witnesses = count_calls(patch, reversal_witness)
+            assert selfcheck(fixtures[name], k=2).ok
+        assert [args[0] for args in witnesses] == [fixtures[name]]
+
+
 def test_thirty_strip_necklace_selfcheck_is_fast():
     start = time.perf_counter()
     report = selfcheck(necklace(30), k=2)
