@@ -183,6 +183,12 @@ class StripedAtlas:
         return tuple([name for s in self.strips for name in s.side0 + s.side1])
 
     @cached_property
+    def components(self) -> tuple[frozenset[str], ...]:
+        """Read-only index: :func:`connected_components`, found once for
+        the checks of operations that need a connected atlas."""
+        return connected_components(self)
+
+    @cached_property
     def gluing_of(self) -> dict[str, Gluing]:
         out: dict[str, Gluing] = {}
         for g in self.gluings:
@@ -503,19 +509,24 @@ def _root_frames(atlas: StripedAtlas) -> Iterator[tuple[str, int, int]]:
                 yield sid, flip, rev
 
 
-def _root_signature(
-    atlas: StripedAtlas, root: str, flip: int, rev: int
-) -> tuple[tuple[bool, ...], ...]:
-    # Glued/free flags of the root strip's sides as the frame reads them.
-    # A witness keeps side sizes and keeps glued intervals glued, so frames
-    # that a witness matches have equal signatures.  Parities are left out:
-    # a gluing to another strip reads through that strip's reversal bit.
-    glued, strip = atlas.gluing_of, atlas.strip(root)
-    sides = []
-    for which in (0, 1):
-        side = strip.side(which ^ flip)
-        sides.append(tuple(name in glued for name in (side[::-1] if rev else side)))
-    return tuple(sides)
+def _frame_signatures(
+    atlas: StripedAtlas,
+) -> Iterator[tuple[tuple[str, int, int], tuple[tuple[bool, ...], ...]]]:
+    # Every root frame, in ``_root_frames`` order, with the glued/free flags
+    # of its root strip's sides as the frame reads them: side ``flip`` then
+    # the other, both reversed when ``rev``.  Each strip's flags are read
+    # once.  A witness keeps side sizes and keeps glued intervals glued, so
+    # frames that a witness matches have equal signatures.  Parities are
+    # left out: a gluing to another strip reads through that strip's
+    # reversal bit.
+    glued = atlas.gluing_of.__contains__
+    for s in atlas.strips:
+        side0, side1 = tuple(map(glued, s.side0)), tuple(map(glued, s.side1))
+        back0, back1 = side0[::-1], side1[::-1]
+        yield (s.id, 0, 0), (side0, side1)
+        yield (s.id, 0, 1), (back0, back1)
+        yield (s.id, 1, 0), (side1, side0)
+        yield (s.id, 1, 1), (back1, back0)
 
 
 def _connected_witnesses(
@@ -525,12 +536,11 @@ def _connected_witnesses(
     # witness sends one root frame to the other; composing the two frames
     # strip by strip gives that witness.  A frame whose root strip reads
     # differently cannot match, so it is skipped untraversed.
-    reference = (src.strip_ids[0], 0, 0)
+    reference, signature = next(_frame_signatures(src))
     traversal = _traverse(src, *reference)
     text, order, frames = traversal
-    signature = _root_signature(src, *reference)
-    for root in _root_frames(dst):
-        if _root_signature(dst, *root) != signature:
+    for root, root_signature in _frame_signatures(dst):
+        if root_signature != signature:
             continue
         other = traversal if dst is src and root == reference else _traverse(dst, *root)
         other_text, other_order, other_frames = other

@@ -14,13 +14,16 @@ to a common arc end: any saturated neighbourhood of one sweeps interior
 leaves whose closure meets every interval on that end.  That rule is what
 :func:`hcl_point` implements; :func:`hcl_bruteforce` recomputes Hausdorff
 closures from first principles on a finite discretisation so the rule is
-validated rather than trusted.
+validated rather than trusted: :func:`sampled_space` builds the finite
+space, and the closure of a point is the meet of the closures of its basic
+neighbourhoods in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 from .atlas import StripedAtlas
@@ -102,6 +105,18 @@ class LeafSpaceModel:
     def ends_of(self, point: LeafPoint) -> tuple[ArcEnd, ...]:
         """Distinct arc ends a point attaches to, in attachment order."""
         return tuple(dict.fromkeys(a.end for a in self.attachments[point]))
+
+    @cached_property
+    def end_table(self) -> tuple[dict[str, tuple[tuple[int, ...], ...]], tuple[int, ...]]:
+        """Read-only index by position in ``points``: arc -> the positions of
+        the points at its end 0 and at its end 1; and every point's number
+        of attachments."""
+        position = {p: i for i, p in enumerate(self.points)}.__getitem__
+        ends = {
+            arc: tuple(tuple(map(position, self.end_points[(arc, side)])) for side in (0, 1))
+            for arc in self.arcs
+        }
+        return ends, tuple([len(self.attachments[p]) for p in self.points])
 
 
 def build_leaf_space(atlas: StripedAtlas) -> LeafSpaceModel:
@@ -191,8 +206,7 @@ def classify_leaf(atlas: StripedAtlas, point: LeafPoint) -> LeafClass:
 # Finite discretisation and the first-principles Hausdorff-closure oracle
 
 
-@dataclass(frozen=True, order=True)
-class Sample:
+class Sample(NamedTuple):
     """An interior sample near an arc end; depth k is closest to the end."""
 
     strip: str
@@ -205,34 +219,38 @@ class Sample:
 
 @dataclass
 class FiniteBasisSpace:
-    """A finite topological space presented by a basis of open sets."""
+    """A finite topological space presented by a basis of open sets.
+
+    Basic sets are indexed by their position in ``basis``; every ground
+    point keeps the indices of the basics that contain it.
+    """
 
     ground: frozenset
     basis: tuple[frozenset, ...]
 
     def __post_init__(self):
-        neighbourhoods: dict = {x: [] for x in self.ground}
-        for basic in self.basis:
+        indices: dict = {x: [] for x in self.ground}
+        for i, basic in enumerate(self.basis):
             for x in basic:
-                neighbourhoods[x].append(basic)
-        self._neighbourhoods = {x: tuple(vs) for x, vs in neighbourhoods.items()}
-        self._unbased = frozenset(x for x, vs in neighbourhoods.items() if not vs)
+                indices[x].append(i)
+        self._indices = indices
+        self._unbased = frozenset(x for x, found in indices.items() if not found)
 
     def neighbourhoods(self, x) -> tuple[frozenset, ...]:
         """All basic open sets containing ``x``."""
-        return self._neighbourhoods[x]
+        return tuple(map(self.basis.__getitem__, self._indices[x]))
 
     def closure(self, subset: frozenset) -> frozenset:
-        """Points every basic neighbourhood of which meets ``subset``: members
-        of the basics that meet it, and vacuously the points with no basic."""
-        meeting = set()
+        """Points every basic neighbourhood of which meets ``subset``: those
+        whose basic indices all lie among the indices of the basics meeting
+        it, and vacuously the points with no basic."""
+        indices = self._indices
+        meeting: set[int] = set()
         for y in subset:
-            meeting.update(self._neighbourhoods.get(y, ()))
-        candidates = set().union(*meeting)
+            meeting.update(indices.get(y, ()))
+        candidates = set().union(*map(self.basis.__getitem__, meeting))
         return self._unbased | frozenset(
-            x
-            for x in candidates
-            if all(basic in meeting for basic in self._neighbourhoods[x])
+            x for x in candidates if meeting.issuperset(indices[x])
         )
 
 
@@ -249,10 +267,9 @@ def sampled_space(model: LeafSpaceModel, k: int) -> FiniteBasisSpace:
     if k < 1:
         raise ValueError("sample count k must be >= 1")
 
+    new, depths = tuple.__new__, range(1, k + 1)
     samples = {
-        (end.strip, end.side): tuple(
-            Sample(end.strip, end.side, depth) for depth in range(1, k + 1)
-        )
+        end: tuple([new(Sample, (end[0], end[1], depth)) for depth in depths])
         for end in model.end_points
     }
 
@@ -260,14 +277,14 @@ def sampled_space(model: LeafSpaceModel, k: int) -> FiniteBasisSpace:
     basis: list[frozenset] = []
     for per_end in samples.values():
         ground.update(per_end)
-        basis.extend(frozenset((sample,)) for sample in per_end)
+        basis += [frozenset((sample,)) for sample in per_end]
 
     for point in model.points:
-        ends = model.ends_of(point)
-        for j in range(1, k + 1):
+        ends = [samples[a.end] for a in model.attachments[point]]
+        for j in range(k):
             tail: set = {point}
-            for end in ends:
-                tail.update(samples[(end.strip, end.side)][j - 1 :])
+            for per_end in ends:
+                tail.update(per_end[j:])
             basis.append(frozenset(tail))
 
     return FiniteBasisSpace(frozenset(ground), tuple(basis))
@@ -275,7 +292,8 @@ def sampled_space(model: LeafSpaceModel, k: int) -> FiniteBasisSpace:
 
 def hcl_bruteforce(space: FiniteBasisSpace, x) -> frozenset:
     """Hausdorff closure from the definition: meet of closures of all
-    basic neighbourhoods of ``x``."""
+    basic neighbourhoods of ``x``, samples included.  Each closure reads
+    only the basics meeting the neighbourhood (see ``closure``)."""
     neighbourhoods = space.neighbourhoods(x)
     if not neighbourhoods:
         raise ValueError(f"{x!r} has no basic neighbourhood")

@@ -1,21 +1,30 @@
 """Cross-validation of the library's invariants on a single atlas.
 
 Runs, per connected component, every dual-route check the package offers:
-the closure rule against the brute-force oracle, closure symmetry,
-classification consistency, group laws of the automorphism group,
-functoriality of the induced leaf-space action, the kernel dichotomy with
-its witness cross-check, and the reduction invariants.
+the closure rule against the first-principles oracle on sampled finite
+spaces, closure symmetry, classification consistency, group laws of the
+automorphism group, functoriality of the induced leaf-space action, the
+kernel dichotomy with its witness cross-check, and the reduction
+invariants.
+
+The group laws and functoriality are checked on one generating set.  Each
+enumerated automorphism, and its leaf map from :func:`induced_leaf_map`,
+is encoded once as a tuple of positions, so that a product is one pick of
+entries out of a table.  The witness cross-check compares the kernel's
+reversal with the members of an enumerated group that act trivially on the
+leaf space: the reduced atlas's group on a proper component, the group of
+the canonical one-strip atlas on an exceptional one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .atlas import StripedAtlas, component_atlases, isomorphic, validate
 from .dualgraph import build_dual_graph, euler_invariant
 from .leafspace import (
     LeafClass,
-    LeafPoint,
     LeafSpaceModel,
     boundary_points,
     build_leaf_space,
@@ -25,8 +34,14 @@ from .leafspace import (
     sampled_space,
     special_points,
 )
-from .reduction import SurfaceKind, is_reduced, reduce_component
+from .reduction import (
+    SurfaceKind,
+    canonical_exceptional_atlas,
+    is_reduced,
+    reduce_component,
+)
 from .symmetry import (
+    AtlasAutomorphism,
     _kernel,
     enumerate_automorphisms,
     identity_automorphism,
@@ -97,13 +112,11 @@ def _check_component(
     # Closure rule against the brute-force oracle, for depths 1..k.
     ok = True
     detail = ""
+    points = frozenset(model.points)
     for depth in range(1, k + 1):
         space = sampled_space(model, depth)
         for point in model.points:
-            brute = frozenset(
-                q for q in hcl_bruteforce(space, point) if isinstance(q, LeafPoint)
-            )
-            if brute != closures[point]:
+            if hcl_bruteforce(space, point) & points != closures[point]:
                 ok = False
                 detail = f"depth {depth}, point {point.label()}"
                 break
@@ -130,13 +143,16 @@ def _check_component(
     add("classification-consistency", ok)
 
     # Group laws of the enumerated automorphisms and functoriality of the
-    # induced leaf-space action, both checked on one generating set.
+    # induced leaf-space action, both checked on one generating set, with
+    # every element and its leaf map encoded once as position tuples.
     group = enumerate_automorphisms(atlas)
-    identity = identity_automorphism(atlas)
-    generators = _generators(identity, group)
-    add("group-laws", _group_laws(identity, group, generators))
-    leaf_maps = {aut: induced_leaf_map(model, aut) for aut in group}
-    add("psi-functoriality", _functorial(identity, group, leaf_maps, generators))
+    leaf_maps = [induced_leaf_map(model, aut) for aut in group]
+    codes = _automorphism_codes(atlas, group)
+    (identity,) = _automorphism_codes(atlas, [identity_automorphism(atlas)])
+    generators = _generators(identity, codes)
+    add("group-laws", _group_laws(identity, codes, generators))
+    psi = dict(zip(codes, _leaf_map_codes(model, leaf_maps)))
+    add("psi-functoriality", _functorial(identity, codes, psi, generators))
 
     # Kernel dichotomy on the enumerated group of the reduced atlas, and the
     # production route (the single all-leaf reversal candidate) against it.
@@ -148,7 +164,7 @@ def _check_component(
         reduced = outcome.atlas
         if reduced == atlas:
             reduced_model, reduced_facts = model, facts
-            members = [aut for aut in group if leaf_maps[aut].is_identity]
+            members = [aut for aut, m in zip(group, leaf_maps) if m.is_identity]
             witness = kernel.witness
         else:
             reduced_model = build_leaf_space(reduced)
@@ -167,8 +183,22 @@ def _check_component(
             and (witness is not None) == (not kernel.is_trivial),
         )
     else:
+        # The component is foliated homeomorphic to the canonical one-strip
+        # atlas of its kind, whose enumerated group and leaf maps give the
+        # kernel independently: the kernel's witness must be its one
+        # non-identity member, carried to every strip.
         add("kernel-dichotomy", kernel.order == 2)
-        add("witness-crosscheck", kernel.witness is not None)
+        canonical = canonical_exceptional_atlas(outcome.kind)
+        canonical_model = build_leaf_space(canonical)
+        nontrivial = [
+            aut
+            for aut in enumerate_automorphisms(canonical)
+            if induced_leaf_map(canonical_model, aut).is_identity and not aut.is_identity
+        ]
+        add(
+            "witness-crosscheck",
+            [kernel.witness] == [_on_every_strip(aut, atlas) for aut in nontrivial],
+        )
 
     # Reduction invariants.
     ok = True
@@ -210,6 +240,16 @@ def _point_facts(model: LeafSpaceModel):
     return closures, special_points(model), boundary_points(model)
 
 
+def _on_every_strip(aut: AtlasAutomorphism, atlas: StripedAtlas) -> AtlasAutomorphism:
+    """A one-strip automorphism fixing its strip, with its side flip and
+    reversal bits on every strip of ``atlas``."""
+    ids = atlas.strip_ids
+    (flip,), (reversal,) = aut.side_flip.values(), aut.reversal.values()
+    return AtlasAutomorphism(
+        dict(zip(ids, ids)), dict.fromkeys(ids, flip), dict.fromkeys(ids, reversal)
+    )
+
+
 def _kernel_dichotomy(members) -> tuple[bool, str]:
     """Whether ``members``, the automorphisms of a reduced component that act
     trivially on the leaf space, are the identity and at most one more
@@ -223,21 +263,77 @@ def _kernel_dichotomy(members) -> tuple[bool, str]:
     return not detail and len(members) == len(nontrivial) + 1, detail
 
 
+# Position codes.  An automorphism is the tuple of 4 * j + 2 * f + r over
+# the strip positions i, where strip i goes to strip j with side flip f and
+# reversal r.  A leaf map is the same over the points followed by the arcs,
+# in model order: a point's bits are 0 and an arc's are its reversal.  The
+# table of a code lists, at 4 * j + b, its entry j with bits xored by b; so
+# the code of "a after c" picks the entries of c out of a's table.
+
+
+def _automorphism_codes(atlas: StripedAtlas, automorphisms) -> list[tuple[int, ...]]:
+    """The position code of each automorphism of ``atlas``."""
+    ids = atlas.strip_ids
+    position = {s: 4 * i for i, s in enumerate(ids)}
+    return [
+        tuple(
+            [
+                position[aut.strip_map[s]] + 2 * aut.side_flip[s] + aut.reversal[s]
+                for s in ids
+            ]
+        )
+        for aut in automorphisms
+    ]
+
+
+def _leaf_map_codes(model: LeafSpaceModel, leaf_maps) -> list[tuple[int, ...]]:
+    """The position code of each leaf map of ``model``."""
+    points, arcs = model.points, model.arcs
+    position = {x: 4 * i for i, x in enumerate((*points, *arcs))}.__getitem__
+    return [
+        (
+            *map(position, map(m.point_map.__getitem__, points)),
+            *[position(m.arc_map[a]) + m.arc_reversed[a] for a in arcs],
+        )
+        for m in leaf_maps
+    ]
+
+
+def _table(code: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([entry ^ bits for entry in code for bits in (0, 1, 2, 3)])
+
+
+def _compose(table: tuple[int, ...], code: tuple[int, ...]) -> tuple[int, ...]:
+    """The code of a after ``code``, given the table of a."""
+    product = itemgetter(*code)(table)
+    return product if len(code) > 1 else (product,)
+
+
+def _inverse(code: tuple[int, ...]) -> tuple[int, ...]:
+    back = sorted(range(len(code)), key=code.__getitem__)
+    return tuple([4 * i + (code[i] & 3) for i in back])
+
+
+def _is_identity(code: tuple[int, ...]) -> bool:
+    return code == tuple(range(0, 4 * len(code), 4))
+
+
 def _generators(identity, group) -> list:
-    """A greedy generating set of the element list ``group``: each element
-    not yet reached from ``identity`` by left products of the earlier
+    """A greedy generating set of the code list ``group``: each element not
+    yet reached from ``identity`` by left products of the earlier
     generators that stay inside ``group`` becomes a generator."""
     members = set(group)
-    generators, reached = [], {identity}
-    for aut in group:
-        if aut in reached:
+    generators, tables, reached = [], [], {identity}
+    for code in group:
+        if code in reached:
             continue
-        generators.append(aut)
+        generators.append(code)
+        tables.append(_table(code))
         frontier = list(reached)
         while frontier:
             element = frontier.pop()
-            for s in generators:
-                product = s.compose(element)
+            for table in tables:
+                product = _compose(table, element)
                 if product in members and product not in reached:
                     reached.add(product)
                     frontier.append(product)
@@ -245,26 +341,34 @@ def _generators(identity, group) -> list:
 
 
 def _group_laws(identity, group, generators) -> bool:
-    """Whether ``group`` holds the identity and every inverse and is closed.
-    Closure is checked as s*b in group for each s of ``generators`` and each
-    b: every element is then a product of generators, so a*b is in group
-    for every pair by induction on the length of a."""
+    """Whether the code list ``group`` holds the identity and every inverse
+    and is closed.  Closure is checked as s*b in group for each s of
+    ``generators`` and each b: every element is then a product of
+    generators, so a*b is in group for every pair by induction on the
+    length of a."""
     members = set(group)
     return (
         identity in members
-        and all(aut.inverse() in members for aut in group)
-        and all(s.compose(b) in members for s in generators for b in group)
+        and all(_inverse(code) in members for code in group)
+        and all(
+            _compose(table, b) in members
+            for table in map(_table, generators)
+            for b in group
+        )
     )
 
 
 def _functorial(identity, group, leaf_maps, generators) -> bool:
-    """Whether ``leaf_maps`` respects composition on a closed ``group``:
-    psi(e) = id and psi(s*b) = psi(s)*psi(b) for each b and each s of
-    ``generators``, which covers every pair (a*b) by induction."""
-    if identity not in leaf_maps or not leaf_maps[identity].is_identity:
+    """Whether ``leaf_maps`` (code -> leaf-map code) respects composition on
+    a closed code list ``group``: psi(e) = id and psi(s*b) = psi(s)*psi(b)
+    for each b and each s of ``generators``, which covers every pair (a*b)
+    by induction."""
+    if identity not in leaf_maps or not _is_identity(leaf_maps[identity]):
         return False
     return all(
-        leaf_maps.get(s.compose(b)) == leaf_maps[s].compose(leaf_maps[b])
-        for s in generators
+        leaf_maps.get(_compose(table, b)) == _compose(psi_table, leaf_maps[b])
+        for table, psi_table in (
+            (_table(s), _table(leaf_maps[s])) for s in generators
+        )
         for b in group
     )

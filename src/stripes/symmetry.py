@@ -33,8 +33,8 @@ from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
-from .atlas import StripedAtlas, connected_components, is_valid_witness, iter_witnesses
-from .leafspace import ArcEnd, LeafPoint, LeafSpaceModel, build_leaf_space
+from .atlas import StripedAtlas, is_valid_witness, iter_witnesses
+from .leafspace import LeafPoint, LeafSpaceModel, build_leaf_space
 from .reduction import (
     SurfaceClass,
     SurfaceKind,
@@ -190,26 +190,37 @@ def induced_leaf_map(model: LeafSpaceModel, aut: AtlasAutomorphism) -> LeafMap:
     triple does not fit the model: an end of another size, or a point whose
     attachments land on different points or on a point of another kind.
     """
-    point_map: dict[LeafPoint, LeafPoint] = {}
-    for point in model.points:
-        images = set()
-        for attachment in model.attachments[point]:
-            strip, index = attachment.end.strip, attachment.index
-            source = model.end_points[attachment.end]
-            target = model.end_points[
-                ArcEnd(aut.strip_map[strip], attachment.end.side ^ aut.side_flip[strip])
-            ]
-            if len(target) != len(source):
-                raise ValueError("automorphism does not fit the model: side sizes differ")
-            images.add(target[len(target) - 1 - index if aut.reversal[strip] else index])
-        image, *others = images
-        if others or len(model.attachments[image]) != len(model.attachments[point]):
-            raise ValueError(f"automorphism does not map {point.label()} onto a leaf point")
-        point_map[point] = image
+    # Every end's point positions, and where the triple sends them, in arc order.
+    strip_map, side_flip, reversal = aut.strip_map, aut.side_flip, aut.reversal
+    ends, sizes = model.end_table
+    sources: list[int] = []
+    images: list[int] = []
+    for arc, (end0, end1) in ends.items():
+        target, flip = ends[strip_map[arc]], side_flip[arc]
+        image0, image1 = target[flip], target[1 - flip]
+        if len(image0) != len(end0) or len(image1) != len(end1):
+            raise ValueError("automorphism does not fit the model: side sizes differ")
+        if reversal[arc]:
+            image0, image1 = image0[::-1], image1[::-1]
+        sources += end0
+        sources += end1
+        images += image0
+        images += image1
+    landed = dict(zip(sources, images))
+    points = model.points
+    if list(map(landed.__getitem__, sources)) != images or [
+        sizes[q] for q in images
+    ] != [sizes[p] for p in sources]:
+        bad = {
+            p for p, q in zip(sources, images) if landed[p] != q or sizes[p] != sizes[q]
+        }
+        raise ValueError(
+            f"automorphism does not map {points[min(bad)].label()} onto a leaf point"
+        )
     return LeafMap(
-        point_map=point_map,
-        arc_map=dict(aut.strip_map),
-        arc_reversed=dict(aut.side_flip),
+        point_map=dict(zip(points, [points[landed[i]] for i in range(len(points))])),
+        arc_map=dict(strip_map),
+        arc_reversed=dict(side_flip),
     )
 
 
@@ -218,7 +229,7 @@ def induced_leaf_map(model: LeafSpaceModel, aut: AtlasAutomorphism) -> LeafMap:
 
 
 def _require_connected(atlas: StripedAtlas) -> None:
-    count = len(connected_components(atlas))
+    count = len(atlas.components)
     if count == 0:
         raise DisconnectedAtlasError("atlas has no strips")
     if count != 1:
@@ -252,12 +263,22 @@ def reversal_witness(atlas: StripedAtlas) -> AtlasAutomorphism | None:
     the leaf-space model whose points read differently backwards.
     """
     _require_connected(atlas)
+    return _reversal(atlas, None)
+
+
+def _reversal(
+    atlas: StripedAtlas, model: LeafSpaceModel | None
+) -> AtlasAutomorphism | None:
+    # ``reversal_witness`` on a connected ``atlas`` whose leaf-space model
+    # is ``model``, or is built here when needed.
     candidate = all_leaf_reversal(atlas)
     if not is_valid_witness(
         atlas, atlas, candidate.strip_map, candidate.side_flip, candidate.reversal
     ):
         return None
-    ends = build_leaf_space(atlas).end_points.values()
+    if model is None:
+        model = build_leaf_space(atlas)
+    ends = model.end_points.values()
     return candidate if all(points == points[::-1] for points in ends) else None
 
 
@@ -309,17 +330,20 @@ def homeotopy_report(atlas: StripedAtlas) -> HomeotopyReport:
     """
     _require_connected(atlas)
     outcome = reduce_component(atlas)
-    kernel = _kernel(atlas, outcome)
     if outcome.kind is SurfaceKind.PROPER:
         working = outcome.atlas
+        model = build_leaf_space(working)
+        kernel = KernelResult(_reversal(working, model))
     else:
         working = canonical_exceptional_atlas(outcome.kind)
+        model = build_leaf_space(working)
+        kernel = _kernel(atlas, outcome)
     aut_order = sum(1 for _ in iter_witnesses(working, working))
     return HomeotopyReport(
         aut_order=aut_order,
         kernel=kernel,
         image_order=aut_order // kernel.order,
-        leaf_model_aut_order=leaf_model_automorphism_count(build_leaf_space(working)),
+        leaf_model_aut_order=leaf_model_automorphism_count(model),
     )
 
 

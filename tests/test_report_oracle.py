@@ -19,8 +19,15 @@ import pytest
 
 import bruteforce
 from conftest import count_calls
-from stripes.atlas import component_atlases, parse_atlas, serialize_atlas
+from stripes.atlas import (
+    component_atlases,
+    connected_components,
+    is_valid_witness,
+    parse_atlas,
+    serialize_atlas,
+)
 from stripes.corpus import exhaustive_family, necklace, random_atlas
+from stripes.fixtures import fixture_atlas
 from stripes.leafspace import build_leaf_space
 from stripes.reduction import SurfaceKind, reduce_component
 from stripes.symmetry import (
@@ -139,6 +146,29 @@ def test_report_and_kernel_read_their_numbers_off_the_structure(monkeypatch, fix
         leaf_action_kernel(atlas)
     assert enumerations == []
     assert leaf_maps == []
+
+
+@pytest.mark.parametrize("name", ["NECKLACE", "LADDER", "PUNCTURED", "CYL"])
+def test_report_and_kernel_find_components_once_and_build_one_model(name):
+    # Each atlas object finds its components once: the input, and the
+    # reduced (or canonical one-strip) atlas whose group is counted.  report
+    # builds one model, shared by the kernel and the leaf-model count, and
+    # kernel builds one; both still check the reversal candidate once.  On
+    # CYL the kernel reads the input and report counts the canonical atlas,
+    # so report builds one model of each.
+    for command in (homeotopy_report, leaf_action_kernel):
+        models = 2 if name == "CYL" and command is homeotopy_report else 1
+        atlas = necklace(6) if name == "NECKLACE" else fixture_atlas(name)
+        with pytest.MonkeyPatch.context() as patch:
+            components = count_calls(patch, connected_components)
+            builds = count_calls(patch, build_leaf_space)
+            candidates = count_calls(patch, is_valid_witness)
+            command(atlas)
+        found = [args[0] for args in components]
+        assert found[0] is atlas
+        assert len(found) == len({id(a) for a in found}) <= 2
+        assert len({id(args[0]) for args in builds}) == len(builds) == models
+        assert len(candidates) == 1
 
 
 def test_seven_hundred_strip_model_count_is_fast():

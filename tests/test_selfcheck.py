@@ -26,10 +26,12 @@ from stripes.leafspace import (
 )
 from stripes.reduction import SurfaceClass, SurfaceKind, reduce_component
 from stripes.selfcheck import (
+    _automorphism_codes,
     _functorial,
     _generators,
     _group_laws,
     _kernel_dichotomy,
+    _leaf_map_codes,
     selfcheck,
 )
 from stripes.symmetry import (
@@ -108,7 +110,18 @@ def test_generator_functoriality_agrees_with_all_pairs(fixtures):
             identity = identity_automorphism(sub)
             model = build_leaf_space(sub)
             maps = {aut: induced_leaf_map(model, aut) for aut in group}
-            generators = _generators(identity, group)
+            # The fast check composes position codes; the oracle composes
+            # the automorphisms and leaf maps themselves.
+            codes = _automorphism_codes(sub, group)
+            code_of = dict(zip(group, codes))
+            (identity_code,) = _automorphism_codes(sub, [identity])
+            generators = _generators(identity_code, codes)
+
+            def encoded(leaf_maps):
+                return dict(
+                    zip(map(code_of.get, leaf_maps), _leaf_map_codes(model, leaf_maps.values()))
+                )
+
             # Swapping the images of two elements usually breaks the
             # homomorphism; both checks must say so together.
             variants = [maps] + [
@@ -117,16 +130,18 @@ def test_generator_functoriality_agrees_with_all_pairs(fixtures):
                 if maps[a] != maps[b]
             ]
             for variant in variants:
-                fast = _functorial(identity, group, variant, generators)
+                fast = _functorial(identity_code, codes, encoded(variant), generators)
                 assert fast == bruteforce.functorial_all_pairs(identity, group, variant)
                 failing += not fast
-            assert _functorial(identity, group, maps, generators)
+            assert _functorial(identity_code, codes, encoded(maps), generators)
     assert failing > 0
 
 
-def group_laws(identity, elements) -> bool:
-    """``_group_laws`` on the greedy generating set of the list ``elements``."""
-    return _group_laws(identity, elements, _generators(identity, elements))
+def group_laws(identity, elements, atlas) -> bool:
+    """``_group_laws`` on the greedy generating set of the list ``elements``
+    of automorphisms of ``atlas``, all encoded as position codes."""
+    identity, *codes = _automorphism_codes(atlas, (identity, *elements))
+    return _group_laws(identity, codes, _generators(identity, codes))
 
 
 def test_generator_group_laws_agree_with_all_pairs(fixtures):
@@ -138,14 +153,14 @@ def test_generator_group_laws_agree_with_all_pairs(fixtures):
         for sub in component_atlases(atlas):
             group = enumerate_automorphisms(sub)
             identity = identity_automorphism(sub)
-            assert group_laws(identity, group)
+            assert group_laws(identity, group, sub)
             assert bruteforce.group_laws_all_pairs(identity, group)
             # Without one element the list is no group: it lacks the
             # identity, or it is a proper subset of more than half the group.
             for missing in group:
                 if len(group) > 2 or missing == identity:
                     rest = tuple(aut for aut in group if aut != missing)
-                    assert not group_laws(identity, rest)
+                    assert not group_laws(identity, rest, sub)
                     assert not bruteforce.group_laws_all_pairs(identity, rest)
                     removals += 1
             # Every sub-list of a small group, some of them closed under
@@ -153,7 +168,7 @@ def test_generator_group_laws_agree_with_all_pairs(fixtures):
             if len(group) <= 8:
                 for mask in range(2 ** len(group)):
                     part = tuple(aut for i, aut in enumerate(group) if mask >> i & 1)
-                    assert group_laws(identity, part) == bruteforce.group_laws_all_pairs(
+                    assert group_laws(identity, part, sub) == bruteforce.group_laws_all_pairs(
                         identity, part
                     )
                     subsets += 1
@@ -278,6 +293,29 @@ def test_each_check_can_fail(fixtures):
             patch_everywhere(patch, rule, broken)
             lines = selfcheck(fixtures[name], k=1).lines()
         assert any(line.startswith(f"FAIL S:{check}") for line in lines), (check, lines)
+
+
+def leaf_maps_without_orientation(model, aut):
+    # Every arc keeps its orientation, as if no strip's sides were flipped.
+    leaf_map = induced_leaf_map(model, aut)
+    return LeafMap(leaf_map.point_map, leaf_map.arc_map, dict.fromkeys(leaf_map.arc_map, 0))
+
+
+@pytest.mark.parametrize("name", ["CYL", "MOEB"])
+def test_exceptional_witness_crosscheck_can_fail(fixtures, name):
+    # The kernel's witness is checked against the enumerated group of the
+    # canonical one-strip atlas and its leaf maps: a wrong witness fails,
+    # and so does a leaf map that lets the side flips into the kernel.
+    defects = [
+        (reversal_witness, identity_automorphism),
+        (induced_leaf_map, leaf_maps_without_orientation),
+    ]
+    for rule, broken in defects:
+        with pytest.MonkeyPatch.context() as patch:
+            patch_everywhere(patch, rule, broken)
+            lines = selfcheck(fixtures[name], k=1).lines()
+        assert "FAIL S:witness-crosscheck" in lines, (rule, lines)
+        assert "PASS S:kernel-dichotomy" in lines
 
 
 def test_selfcheck_enumerates_once_and_builds_few_models(monkeypatch):
