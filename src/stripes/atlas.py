@@ -575,24 +575,46 @@ def iter_witnesses(
     if len(src_parts) == 1:
         yield from _connected_witnesses(src, dst)
         return
+    if not src_parts:  # the empty atlas has the empty witness
+        yield {}, {}, {}
+        return
     src_forms = [canonical_form(part) for part in src_parts]
     dst_forms = src_forms if dst is src else [canonical_form(p) for p in dst_parts]
     if sorted(src_forms) != sorted(dst_forms):
         return
 
-    def pairings(i: int, unused: tuple[int, ...]):
-        if i == len(src_parts):
-            yield {}, {}, {}
-            return
+    def choices(i: int, unused: tuple[int, ...]):
+        # Witnesses of source component i onto each unused target of its form.
         for j in unused:
-            if dst_forms[j] != src_forms[i]:
-                continue
-            rest = tuple(k for k in unused if k != j)
-            for head in _connected_witnesses(src_parts[i], dst_parts[j]):
-                for tail in pairings(i + 1, rest):
-                    yield tuple({**h, **t} for h, t in zip(head, tail))
+            if dst_forms[j] == src_forms[i]:
+                rest = tuple([k for k in unused if k != j])
+                for head in _connected_witnesses(src_parts[i], dst_parts[j]):
+                    yield head, rest
 
-    yield from pairings(0, tuple(range(len(dst_parts))))
+    # Depth first over components with an explicit stack, so the depth is
+    # not bounded by Python's recursion limit; ``heads[i]`` is component
+    # i's current witness.  Witnesses come in lexicographic order of
+    # (target and witness of component 0, of component 1, ...).
+    last = len(src_parts) - 1
+    stack = [choices(0, tuple(range(len(dst_parts))))]
+    heads: list[tuple[dict, dict, dict]] = []
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            continue
+        head, rest = step
+        level = len(stack) - 1
+        del heads[level:]
+        heads.append(head)
+        if level < last:
+            stack.append(choices(level + 1, rest))
+            continue
+        witness: tuple[dict, dict, dict] = ({}, {}, {})
+        for part in heads:
+            for merged, own in zip(witness, part):
+                merged.update(own)
+        yield witness
 
 
 def isomorphic(

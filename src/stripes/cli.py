@@ -14,8 +14,16 @@ root strip's image, side flip and reversal bit force the rest.  Of the 4n
 root frames of a connected atlas of n strips, only those whose root strip
 reads like the reference root (its sides' glued/free flags in frame
 order) are traversed, each O(size); ``canonical_form`` still traverses
-all 4n.  ``kernel`` checks the single all-leaf reversal of the reduced
-atlas, O(size).
+all 4n.  Disconnected atlases pair their components with an explicit
+stack, so any number of components fits.  ``kernel`` checks the single
+all-leaf reversal of the reduced atlas, O(size).
+
+The structural commands build only what they print.  ``classify`` reads
+the leaf points off the atlas (``leaf_points``) and builds no leaf-space
+model.  Plain ``dual`` prints its counts from the atlas: the dual graph
+has one vertex per strip and one edge per gluing, so only ``dual --dot``
+builds it.  Plain ``leafspace`` renders each point's label once and
+writes its output in one piece.
 
 The argument parser is built once per process, so repeated in-process
 ``main`` calls (tests, library users) do not rebuild it.
@@ -30,8 +38,8 @@ from pathlib import Path
 
 from .atlas import AtlasError, StripedAtlas, isomorphic, parse_atlas, serialize_atlas
 from .corpus import random_atlas
-from .dualgraph import build_dual_graph, euler_invariant, export_dot
-from .leafspace import build_leaf_space, classify_leaf, hcl_point
+from .dualgraph import build_dual_graph, export_dot
+from .leafspace import build_leaf_space, classify_leaf, hcl_point, leaf_points
 from .reduction import SurfaceKind, reduce_atlas
 from .render import leafspace_dot, leafspace_svg
 from .selfcheck import selfcheck
@@ -52,7 +60,8 @@ EXIT_INTERNAL = 4
 
 def _load(path: str) -> StripedAtlas:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise SystemExit2(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -149,10 +158,11 @@ def _run(args: argparse.Namespace) -> int:
     atlas = _load(args.file)
 
     if args.command == "classify":
-        model = build_leaf_space(atlas)
-        for point in model.points:
-            name = classify_leaf(atlas, point).value
-            print(f"{point.kind} {' '.join(point.intervals)} {name}")
+        lines = [
+            f"{point.kind} {' '.join(point.intervals)} {classify_leaf(atlas, point).value}\n"
+            for point in leaf_points(atlas)
+        ]
+        sys.stdout.write("".join(lines))
         return EXIT_OK
 
     if args.command == "leafspace":
@@ -162,15 +172,17 @@ def _run(args: argparse.Namespace) -> int:
         if args.dot:
             sys.stdout.write(leafspace_dot(model))
             return EXIT_OK
-        for arc in model.arcs:
-            strip = atlas.strip(arc)
-            print(f"arc {arc} side0={len(strip.side0)} side1={len(strip.side1)}")
+        # Arcs are the strips in atlas order; every label is rendered once.
+        lines = [f"arc {s.id} side0={len(s.side0)} side1={len(s.side1)}\n" for s in atlas.strips]
+        label = {point: point.label() for point in model.points}
         for point in model.points:
-            slots = ",".join(a.label() for a in model.attachments[point])
-            print(f"point {point.label()} kind={point.kind} attach={slots}")
+            slots = model.attachments[point]
+            attach = ",".join([f"{strip}.{side}[{index}]" for (strip, side), index in slots])
+            lines.append(f"point {label[point]} kind={point.kind} attach={attach}\n")
         for point in model.points:
-            closure = ",".join(q.label() for q in sorted(hcl_point(model, point)))
-            print(f"hcl {point.label()} = {closure}")
+            closure = ",".join([label[q] for q in sorted(hcl_point(model, point))])
+            lines.append(f"hcl {label[point]} = {closure}\n")
+        sys.stdout.write("".join(lines))
         return EXIT_OK
 
     if args.command == "reduce":
@@ -191,13 +203,12 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "dual":
-        graph = build_dual_graph(atlas)
         if args.dot:
-            sys.stdout.write(export_dot(graph))
-        else:
-            print(f"vertices {len(graph.vertices)}")
-            print(f"edges {len(graph.edges)}")
-            print(f"euler {euler_invariant(graph)}")
+            sys.stdout.write(export_dot(build_dual_graph(atlas)))
+            return EXIT_OK
+        # One vertex per strip and one edge per gluing, by construction.
+        vertices, edges = len(atlas.strips), len(atlas.gluings)
+        sys.stdout.write(f"vertices {vertices}\nedges {edges}\neuler {vertices - edges}\n")
         return EXIT_OK
 
     if args.command == "aut":

@@ -119,17 +119,33 @@ class LeafSpaceModel:
         return ends, tuple([len(self.attachments[p]) for p in self.points])
 
 
+def leaf_points(atlas: StripedAtlas) -> tuple[LeafPoint, ...]:
+    """The points of ``build_leaf_space(atlas).points``, read straight off
+    a valid atlas: one seam per gluing and one free point per interval no
+    gluing names, sorted.  No arcs, attachments or end lists are built, so
+    a caller that needs only the points, such as ``stripes classify``, pays
+    one pass over the intervals and a sort of plain tuples."""
+    keys = [g[:2] for g in atlas.gluings]  # normalised, so already sorted pairs
+    glued = set()
+    for a, b in keys:
+        glued.add(a)
+        glued.add(b)
+    keys += [(name,) for s in atlas.strips for name in s.side0 + s.side1 if name not in glued]
+    keys.sort()
+    new = tuple.__new__
+    return tuple([new(LeafPoint, (key,)) for key in keys])
+
+
 def build_leaf_space(atlas: StripedAtlas) -> LeafSpaceModel:
     """Quotient model of an atlas, which must be valid (see ``validate``).
 
     Arcs biject with strips; points biject with gluings plus free
     intervals; attachment order is inherited from side order.
     """
-    # One pass over the strips; gluings are normalised, so seam pairs are sorted.
+    # The points come from leaf_points, so the point set has one definition.
     new = tuple.__new__
-    point_of: dict[str, LeafPoint] = {}
-    for g in atlas.gluings:
-        point_of[g.a] = point_of[g.b] = new(LeafPoint, ((g.a, g.b),))
+    points = leaf_points(atlas)
+    point_of = {name: point for point in points for name in point[0]}
     attachment_of: dict[str, Attachment] = {}
     end_points: dict[ArcEnd, tuple[LeafPoint, ...]] = {}
     for s in atlas.strips:
@@ -137,11 +153,7 @@ def build_leaf_space(atlas: StripedAtlas) -> LeafSpaceModel:
             end = new(ArcEnd, (s.id, side))
             for index, name in enumerate(names):
                 attachment_of[name] = new(Attachment, (end, index))
-                if name not in point_of:
-                    point_of[name] = new(LeafPoint, ((name,),))
             end_points[end] = tuple([point_of[name] for name in names])
-
-    points = tuple(sorted(set(point_of.values())))
     return LeafSpaceModel(
         arcs=tuple([s.id for s in atlas.strips]),
         points=points,

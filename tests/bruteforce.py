@@ -13,12 +13,19 @@ every ground element of a finite space against all its basic sets.
 ``connected_witnesses`` traverses all 4n root frames of ``dst``, with no
 root-signature pruning and no reuse of the reference traversal; the
 package's matcher must yield the same witnesses in the same order.
-``parse_atlas_stepwise`` parses line by line with one check per interval
-and per request; the package's parser must return the same tuples or raise
-the same error.  ``build_leaf_space_located``, ``classify_leaf_located``
-and ``regular_seams_located`` read every interval through
-``atlas.location`` and compare side tuples, where the package's layers
-read the index once and compare side lengths.
+``iter_witnesses_recursive`` pairs the components of disconnected atlases
+by recursion, one generator frame per component, so it stops at the
+recursion limit; the package's explicit stack must yield the same
+witnesses in the same order.  ``parse_atlas_stepwise`` parses line by
+line with one check per interval and per request; the package's parser
+must return the same tuples or raise the same error.
+``build_leaf_space_located``, ``classify_leaf_located`` and
+``regular_seams_located`` read every interval through ``atlas.location``
+and compare side tuples, where the package's layers read the index once
+and compare side lengths.  ``classify_text`` and ``leafspace_text`` build
+the plain ``classify`` and ``leafspace`` output from the located model,
+one point at a time; the CLI reads its points off the atlas and renders
+each label once.
 """
 
 from __future__ import annotations
@@ -33,8 +40,11 @@ from stripes.atlas import (
     Parity,
     Strip,
     StripedAtlas,
+    _connected_witnesses,
     _root_frames,
     _traverse,
+    canonical_form as traversal_canonical_form,
+    component_atlases,
     is_connected,
     is_valid_witness,
     serialize_atlas,
@@ -48,6 +58,8 @@ from stripes.leafspace import (
     LeafPoint,
     LeafSpaceModel,
     build_leaf_space,
+    classify_leaf,
+    hcl_point,
 )
 from stripes.reduction import SurfaceClass, SurfaceKind, is_reduced
 from stripes.symmetry import AtlasAutomorphism, LeafMap, enumerate_automorphisms
@@ -119,6 +131,38 @@ def connected_witnesses(src: StripedAtlas, dst: StripedAtlas):
             {s: frames[s][0] ^ other_frames[t][0] for s, t in strip_map.items()},
             {s: frames[s][1] ^ other_frames[t][1] for s, t in strip_map.items()},
         )
+
+
+def iter_witnesses_recursive(src: StripedAtlas, dst: StripedAtlas):
+    """``iter_witnesses`` with components paired by a recursive generator:
+    for each target of component i's form, each witness onto it, then
+    every pairing of the components after i."""
+    if len(src.strips) != len(dst.strips) or len(src.gluings) != len(dst.gluings):
+        return
+    src_parts, dst_parts = component_atlases(src), component_atlases(dst)
+    if len(src_parts) != len(dst_parts):
+        return
+    if len(src_parts) == 1:
+        yield from _connected_witnesses(src, dst)
+        return
+    src_forms = [traversal_canonical_form(part) for part in src_parts]
+    dst_forms = [traversal_canonical_form(part) for part in dst_parts]
+    if sorted(src_forms) != sorted(dst_forms):
+        return
+
+    def pairings(i: int, unused: tuple[int, ...]):
+        if i == len(src_parts):
+            yield {}, {}, {}
+            return
+        for j in unused:
+            if dst_forms[j] != src_forms[i]:
+                continue
+            rest = tuple(k for k in unused if k != j)
+            for head in _connected_witnesses(src_parts[i], dst_parts[j]):
+                for tail in pairings(i + 1, rest):
+                    yield tuple({**h, **t} for h, t in zip(head, tail))
+
+    yield from pairings(0, tuple(range(len(dst_parts))))
 
 
 def canonical_form(atlas: StripedAtlas) -> str:
@@ -487,3 +531,32 @@ def regular_seams_located(atlas: StripedAtlas) -> tuple[Gluing, ...]:
         return len(atlas.strip(strip_id).side(side)) == 1
 
     return tuple(g for g in atlas.gluings if fills(g.a) and fills(g.b))
+
+
+def classify_text(atlas: StripedAtlas) -> str:
+    """``stripes classify`` output: kind, intervals and class of every point
+    of the located model, in model order."""
+    model = build_leaf_space_located(atlas)
+    lines = []
+    for point in model.points:
+        name = classify_leaf(atlas, point).value
+        lines.append(f"{point.kind} {' '.join(point.intervals)} {name}\n")
+    return "".join(lines)
+
+
+def leafspace_text(atlas: StripedAtlas) -> str:
+    """Plain ``stripes leafspace`` output from the located model: arcs with
+    their side sizes, points with their attachment slots, then every
+    point's Hausdorff closure, each label rendered where it is printed."""
+    model = build_leaf_space_located(atlas)
+    lines = []
+    for arc in model.arcs:
+        strip = atlas.strip(arc)
+        lines.append(f"arc {arc} side0={len(strip.side0)} side1={len(strip.side1)}\n")
+    for point in model.points:
+        slots = ",".join(a.label() for a in model.attachments[point])
+        lines.append(f"point {point.label()} kind={point.kind} attach={slots}\n")
+    for point in model.points:
+        closure = ",".join(q.label() for q in sorted(hcl_point(model, point)))
+        lines.append(f"hcl {point.label()} = {closure}\n")
+    return "".join(lines)

@@ -236,6 +236,7 @@ def test_help_exits_zero(capsys):
         ["iso", "{binary}", "{binary}"],
         ["selfcheck", "{punctured}", "--samples", "0"],
         ["selfcheck", "{punctured}", "--samples", "-3"],
+        ["validate", "{punctured}/"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(atlas_file, capsys, tmp_path, argv):

@@ -5,15 +5,31 @@ their location-based oracles.
 atlas index once and compare side lengths; the oracles in ``bruteforce``
 look every interval up through ``atlas.location`` and compare side tuples.
 They must agree on every small atlas, on seeded random atlases (often
-disconnected and not reduced) and on necklaces.
+disconnected and not reduced) and on necklaces.  ``leaf_points`` must
+return the model's points, and the plain ``classify``, ``leafspace`` and
+``dual`` commands, which build less than the model or the dual graph,
+must print what the oracles and the dual graph give.
 """
 
 from __future__ import annotations
 
-from bruteforce import build_leaf_space_located, classify_leaf_located, regular_seams_located
+import contextlib
+import io
+
+from bruteforce import (
+    build_leaf_space_located,
+    classify_leaf_located,
+    classify_text,
+    leafspace_text,
+    regular_seams_located,
+)
+from stripes.atlas import parse_atlas, serialize_atlas
+from stripes.cli import main
 from stripes.corpus import exhaustive_family, necklace, random_atlas
-from stripes.leafspace import build_leaf_space, classify_leaf, hcl_point
+from stripes.dualgraph import build_dual_graph, euler_invariant
+from stripes.leafspace import build_leaf_space, classify_leaf, hcl_point, leaf_points
 from stripes.reduction import regular_seams
+from test_cli import ODD_NAMES
 
 
 def corpus():
@@ -29,6 +45,8 @@ def disagreements(atlas) -> list[str]:
     found = []
     if model.arcs != oracle.arcs or model.points != oracle.points:
         found.append("points")
+    if leaf_points(atlas) != model.points:
+        found.append("leaf_points")
     if list(model.attachments.items()) != list(oracle.attachments.items()):
         found.append("attachments")
     if list(model.end_points.items()) != list(oracle.end_points.items()):
@@ -53,4 +71,33 @@ def test_layers_match_located_oracles():
         if found:
             failures[str(atlas)] = found
     assert count > 16_000
+    assert not failures, list(failures.items())[:3]
+
+
+def cli_disagreements(atlas, path) -> list[str]:
+    path.write_text(serialize_atlas(atlas), encoding="utf-8")
+    graph = build_dual_graph(atlas)
+    expected = {
+        "classify": classify_text(atlas),
+        "leafspace": leafspace_text(atlas),
+        "dual": f"vertices {len(graph.vertices)}\nedges {len(graph.edges)}\n"
+        f"euler {euler_invariant(graph)}\n",
+    }
+    found = []
+    for command, text in expected.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([command, str(path)])
+        if (code, out.getvalue()) != (0, text):
+            found.append(command)
+    return found
+
+
+def test_structural_commands_match_oracles(tmp_path):
+    path = tmp_path / "input.atlas"
+    failures = {}
+    for atlas in [*corpus(), parse_atlas(ODD_NAMES)]:
+        found = cli_disagreements(atlas, path)
+        if found:
+            failures[str(atlas)] = found
     assert not failures, list(failures.items())[:3]

@@ -10,7 +10,9 @@ witnesses in the order of the unpruned 4n-frame matcher, so that
 
 from __future__ import annotations
 
+import sys
 import time
+from math import factorial
 from random import Random
 
 import pytest
@@ -27,6 +29,7 @@ from stripes.atlas import (
     canonical_form,
     component_atlases,
     is_connected,
+    is_valid_witness,
     isomorphic,
     iter_witnesses,
 )
@@ -179,3 +182,68 @@ def test_trivial_group_skips_most_roots(monkeypatch):
     traversals = count_calls(monkeypatch, _traverse)
     assert len(enumerate_automorphisms(atlas)) == 1
     assert len(traversals) <= 40
+
+
+def disjoint_union(parts: list[StripedAtlas], rng: Random) -> StripedAtlas:
+    """The parts side by side, names prefixed by part, strips and gluings
+    shuffled."""
+    strips, gluings = [], []
+    for i, part in enumerate(parts):
+        for s in part.strips:
+            sides = [tuple(f"p{i}.{n}" for n in side) for side in (s.side0, s.side1)]
+            strips.append(Strip(f"p{i}.{s.id}", *sides))
+        gluings += [Gluing(f"p{i}.{g.a}", f"p{i}.{g.b}", g.parity) for g in part.gluings]
+    rng.shuffle(strips)
+    rng.shuffle(gluings)
+    return StripedAtlas(tuple(strips), tuple(gluings))
+
+
+@pytest.mark.parametrize("seed", range(22))
+def test_component_pairing_order_matches_recursive_oracle(seed, exhaustive_connected):
+    # 2 to 12 components drawn from up to six forms, so most forms repeat
+    # and a component has several targets; the witness count is kept
+    # small enough to list every witness.
+    rng = Random(7000 + seed)
+    size = 2 + seed % 11
+    while True:
+        forms = rng.sample(exhaustive_connected, rng.randint(1, min(size, 6)))
+        parts = forms + [rng.choice(forms) for _ in range(size - len(forms))]
+        count = 1
+        for form in forms:
+            copies = sum(part is form for part in parts)
+            count *= factorial(copies) * len(enumerate_automorphisms(form)) ** copies
+        if count <= 200:
+            break
+    atlas = disjoint_union(parts, rng)
+    copy = moved_copy(atlas, rng)
+    for dst in (atlas, copy):
+        expected = list(bruteforce.iter_witnesses_recursive(atlas, dst))
+        assert len(expected) == count
+        assert list(iter_witnesses(atlas, dst)) == expected
+        assert isomorphic(atlas, dst) == expected[0]
+
+
+def test_empty_atlas_has_the_empty_witness():
+    empty = StripedAtlas((), ())
+    expected = [({}, {}, {})]
+    assert list(bruteforce.iter_witnesses_recursive(empty, empty)) == expected
+    assert list(iter_witnesses(empty, empty)) == expected
+
+
+def test_isomorphic_pairs_many_components():
+    # 1,200 one-strip components: more than the recursion limit, which a
+    # generator frame per component (bruteforce.iter_witnesses_recursive)
+    # runs into.
+    shapes = [
+        (Strip("S", ("a",), ()), ()),
+        (Strip("S", ("a", "b"), ("c",)), (Gluing("a", "b", Parity.DECREASING),)),
+        (Strip("S", ("a",), ("b",)), (Gluing("a", "b", Parity.INCREASING),)),
+        (Strip("S", ("a", "b"), ("c", "d")), (Gluing("a", "d", Parity.INCREASING),)),
+    ]
+    parts = [StripedAtlas((strip,), gluings) for strip, gluings in shapes * 300]
+    atlas = disjoint_union(parts, Random(1))
+    copy = moved_copy(atlas, Random(2))
+    assert len(component_atlases(atlas)) == 1200 > sys.getrecursionlimit()
+    witness = isomorphic(atlas, copy)
+    assert witness is not None
+    assert is_valid_witness(atlas, copy, *witness)
