@@ -22,9 +22,11 @@ starts a comment.  Any interval not named in a ``glue`` line is free.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import tee
 from typing import Iterator, NamedTuple
 
 
@@ -66,6 +68,7 @@ class Parity(Enum):
 
 
 _PARITY_OF_SYMBOL = {parity.value: parity for parity in Parity}
+_PARITY_OF_BIT = (Parity.INCREASING, Parity.DECREASING)
 
 
 # Value types are named tuples, built, hashed and sorted in C by the
@@ -197,6 +200,26 @@ class StripedAtlas:
         return out
 
     @cached_property
+    def _partners(self) -> dict[str, tuple[tuple, tuple]]:
+        """Per strip id, one entry per interval of each side: ``None`` when
+        free, else the partner's ``(strip id, side, index, index from the
+        end, 1 if the gluing decreases else 0)``; what :func:`_rows` reads."""
+        glued, locations, strips = self.gluing_of, self.locations, self._strips_by_id
+
+        def entry(name: str):
+            g = glued.get(name)
+            if g is None:
+                return None
+            other, side, index = locations[g.b if g.a == name else g.a]
+            back = len(strips[other][1 + side]) - 1 - index
+            return other, side, index, back, int(g.parity is Parity.DECREASING)
+
+        return {
+            s.id: (tuple(map(entry, s.side0)), tuple(map(entry, s.side1)))
+            for s in self.strips
+        }
+
+    @cached_property
     def free_intervals(self) -> tuple[str, ...]:
         glued = self.gluing_of
         return tuple([name for name in self.intervals() if name not in glued])
@@ -285,17 +308,22 @@ def is_connected(atlas: StripedAtlas) -> bool:
 
 
 def component_atlases(atlas: StripedAtlas) -> tuple[StripedAtlas, ...]:
-    """Split an atlas into the sub-atlases of its connected components; a
+    """Split an atlas into the sub-atlases of its connected components, in
+    the order of :attr:`StripedAtlas.components`, each keeping the atlas's
+    order of strips and gluings.  One pass buckets both by component; a
     connected atlas is its own, returned with the indexes it has built."""
-    components = connected_components(atlas)
+    components = atlas.components
     if len(components) == 1:
         return (atlas,)
-    out = []
-    for component in components:
-        strips = tuple(s for s in atlas.strips if s.id in component)
-        gluings = tuple(g for g in atlas.gluings if atlas.locations[g.a][0] in component)
-        out.append(StripedAtlas(strips, gluings))
-    return tuple(out)
+    bucket = {sid: k for k, component in enumerate(components) for sid in component}
+    strips: list[list[Strip]] = [[] for _ in components]
+    gluings: list[list[Gluing]] = [[] for _ in components]
+    for s in atlas.strips:
+        strips[bucket[s.id]].append(s)
+    locations = atlas.locations
+    for g in atlas.gluings:
+        gluings[bucket[locations[g.a][0]]].append(g)
+    return tuple(map(StripedAtlas, strips, gluings))
 
 
 # ---------------------------------------------------------------------------
@@ -456,49 +484,88 @@ def is_valid_witness(
     return True
 
 
-def _traverse(
-    atlas: StripedAtlas, root: str, flip: int, rev: int
-) -> tuple[str, list[str], dict[str, tuple[int, int]]]:
-    """Relabel a connected atlas breadth first from one root frame.
+def _rows(
+    atlas: StripedAtlas,
+    root: str,
+    flip: int,
+    rev: int,
+    order: list[str],
+    frames: dict[str, tuple[int, int]],
+) -> Iterator[tuple]:
+    """Walk a connected atlas breadth first from one root frame, one row
+    per visited strip.
 
     The root is read with side ``flip`` as its side 0 and in reversed
     order when ``rev`` is set.  Each newly reached strip takes the side
     holding the partner interval as its side 0, and the reversal bit that
-    makes the reaching gluing read ``+``.  Strips become ``T1..`` in visit
-    order and intervals are named by position, so the text depends only
-    on the structure and the root frame.  Returns the text, the visit
-    order and every strip's frame ``(flip, rev)``.
+    makes the reaching gluing read ``+``.  A row is ``(len side0, len
+    side1, *entries)`` with one entry per position in frame order:
+    ``None`` when free, else the partner's ``(visit number, side in its
+    frame, index in its frame, parity bit as read)``.  So the rows depend
+    only on the structure and the root frame.  ``order`` and ``frames``
+    receive the visit order and every reached strip's frame ``(flip,
+    rev)`` as the walk goes; once the last row is out they are complete.
     """
-    frames = {root: (flip, rev)}
-    order = [root]
-    names: dict[str, str] = {}
-    strips = []
-    for k, sid in enumerate(order, start=1):
-        f, r = frames[sid]
-        tag = f"T{k}"
-        sides = []
-        for which in (0, 1):
-            side = atlas.strip(sid).side(which ^ f)
-            if r:
-                side = side[::-1]
-            renamed = tuple(f"{tag}.{which}.{i}" for i in range(len(side)))
-            names.update(zip(side, renamed))
-            sides.append(renamed)
-            for name in side:
-                g = atlas.gluing_of.get(name)
-                if g is None:
-                    continue
-                other, other_side, _ = atlas.location(g.other(name))
-                if other not in frames:
-                    frames[other] = (other_side, r ^ (g.parity is Parity.DECREASING))
-                    order.append(other)
-        strips.append(Strip(tag, sides[0], sides[1]))
+    partners = atlas._partners
+    seen = {root: (0, flip, rev)}
+    frames[root] = (flip, rev)
+    order.append(root)
+    for sid in order:
+        _, f, r = seen[sid]
+        side0, side1 = partners[sid]
+        if f:
+            side0, side1 = side1, side0
+        if r:
+            side0, side1 = side0[::-1], side1[::-1]
+        row: list = [len(side0), len(side1)]
+        for entry in side0 + side1:
+            if entry is None:
+                row.append(None)
+                continue
+            other, side, index, back, bit = entry
+            known = seen.get(other)
+            if known is None:
+                known = seen[other] = (len(order), side, r ^ bit)
+                frames[other] = (side, r ^ bit)
+                order.append(other)
+            visit, other_flip, other_rev = known
+            index = back if other_rev else index
+            row.append((visit, side ^ other_flip, index, bit ^ r ^ other_rev))
+        yield tuple(row)
 
-    gluings = []
-    for g in atlas.gluings:
-        change = frames[atlas.location(g.a)[0]][1] ^ frames[atlas.location(g.b)[0]][1]
-        gluings.append(Gluing(names[g.a], names[g.b], g.parity.xor(change)))
-    gluings.sort(key=lambda g: (g.a, g.b))
+
+def _traverse(
+    atlas: StripedAtlas, root: str, flip: int, rev: int
+) -> tuple[str, list[str], dict[str, tuple[int, int]]]:
+    """Relabel a connected atlas from one root frame: the text of its
+    :func:`_rows`.
+
+    Strips become ``T1..`` in visit order and intervals are named by
+    position, ``T<k>.<side>.<index>`` in the strip's frame; gluings are
+    sorted by their names.  So the text, like the rows, depends only on
+    the structure and the root frame, and two frames give equal texts
+    exactly when they give equal rows.  Returns the text, the visit order
+    and every strip's frame ``(flip, rev)``.  Only ``canonical_form``
+    needs the text; witness matching compares rows.
+    """
+    order: list[str] = []
+    frames: dict[str, tuple[int, int]] = {}
+    strips: list[Strip] = []
+    gluings: list[Gluing] = []
+    for k, row in enumerate(_rows(atlas, root, flip, rev, order, frames)):
+        tag, size0 = f"T{k + 1}", row[0]
+        names = [f"{tag}.0.{i}" for i in range(size0)]
+        names += [f"{tag}.1.{i}" for i in range(row[1])]
+        strips.append(Strip(tag, tuple(names[:size0]), tuple(names[size0:])))
+        for position, entry in enumerate(row[2:]):
+            if entry is None:
+                continue
+            visit, side, index, bit = entry
+            if visit < k or visit == k and side * size0 + index < position:
+                continue  # added from the partner's end, met first
+            partner = f"T{visit + 1}.{side}.{index}"
+            gluings.append(Gluing(names[position], partner, _PARITY_OF_BIT[bit]))
+    gluings.sort()  # by (a, b): no two gluings share an end
     return serialize_atlas(StripedAtlas(tuple(strips), tuple(gluings))), order, frames
 
 
@@ -532,20 +599,32 @@ def _frame_signatures(
 def _connected_witnesses(
     src: StripedAtlas, dst: StripedAtlas
 ) -> Iterator[tuple[dict[str, str], dict[str, int], dict[str, int]]]:
-    # Both atlases read the same from matching root frames exactly when a
-    # witness sends one root frame to the other; composing the two frames
-    # strip by strip gives that witness.  A frame whose root strip reads
-    # differently cannot match, so it is skipped untraversed.
+    """Witnesses between connected atlases, in the order of ``dst``'s root
+    frames.
+
+    Both atlases read the same from matching root frames exactly when a
+    witness sends one root frame to the other; composing the two frames
+    strip by strip gives that witness.  The rows of ``src``'s reference
+    frame are built once.  A frame of ``dst`` whose root strip reads
+    differently is skipped unwalked; any other is walked only up to its
+    first row that differs from the reference rows, so a frame that fails
+    early costs a few rows, not a traversal.  When ``dst is src`` the
+    reference frame matches itself without a walk.
+    """
     reference, signature = next(_frame_signatures(src))
-    traversal = _traverse(src, *reference)
-    text, order, frames = traversal
+    order: list[str] = []
+    frames: dict[str, tuple[int, int]] = {}
+    rows = list(_rows(src, *reference, order, frames))
     for root, root_signature in _frame_signatures(dst):
         if root_signature != signature:
             continue
-        other = traversal if dst is src and root == reference else _traverse(dst, *root)
-        other_text, other_order, other_frames = other
-        if other_text != text:
-            continue
+        if dst is src and root == reference:
+            other_order, other_frames = order, frames
+        else:
+            other_order, other_frames = [], {}
+            walk = _rows(dst, *root, other_order, other_frames)
+            if not all(map(tuple.__eq__, rows, walk)):
+                continue
         strip_map = dict(zip(order, other_order))
         yield (
             strip_map,
@@ -561,10 +640,12 @@ def iter_witnesses(
 
     On connected atlases one root frame of ``src`` is matched against
     those of the 4n root frames of ``dst`` whose root strip reads the same
-    (its sides' glued/free flags in frame order), each an O(size)
-    traversal; the rest cannot match and are skipped.  When ``dst is src``
-    the reference frame's own traversal is reused.  Components are paired
-    with components of equal canonical form, in every way.
+    (its sides' glued/free flags in frame order); the rest cannot match
+    and are skipped.  Matching compares the breadth-first rows of the two
+    frames and stops at the first row that differs, so only a matching
+    frame is walked to the end.  Components are paired with components of
+    equal canonical form, in every way; the witnesses of each pair of
+    components are found once and replayed for every pairing that uses it.
     """
     if len(src.strips) != len(dst.strips) or len(src.gluings) != len(dst.gluings):
         return
@@ -583,12 +664,18 @@ def iter_witnesses(
     if sorted(src_forms) != sorted(dst_forms):
         return
 
+    # Witnesses of component i onto target j, found lazily and kept: a
+    # ``tee`` that is never advanced replays its buffer to every copy.
+    pairs: dict[tuple[int, int], Iterator] = {}
+
     def choices(i: int, unused: tuple[int, ...]):
         # Witnesses of source component i onto each unused target of its form.
         for j in unused:
             if dst_forms[j] == src_forms[i]:
                 rest = tuple([k for k in unused if k != j])
-                for head in _connected_witnesses(src_parts[i], dst_parts[j]):
+                if (i, j) not in pairs:
+                    pairs[i, j] = tee(_connected_witnesses(src_parts[i], dst_parts[j]), 1)[0]
+                for head in copy(pairs[i, j]):
                     yield head, rest
 
     # Depth first over components with an explicit stack, so the depth is
@@ -629,9 +716,11 @@ def canonical_form(atlas: StripedAtlas) -> str:
 
     A connected atlas takes the least of its 4n rooted traversal texts;
     a witness carries each root frame to one that reads the same.  All 4n
-    frames are traversed: unlike witness matching, the least text has no
-    reference frame to prune against.  The forms of several components
-    are sorted and joined by blank lines, which no single form contains.
+    frames are walked to the end and serialised: unlike witness matching,
+    which stops at the first row that differs from its reference frame,
+    the least text has no reference to compare against.  The forms of
+    several components are sorted and joined by blank lines, which no
+    single form contains.
     """
     parts = component_atlases(atlas)
     if len(parts) == 1:

@@ -16,7 +16,10 @@ package's matcher must yield the same witnesses in the same order.
 ``iter_witnesses_recursive`` pairs the components of disconnected atlases
 by recursion, one generator frame per component, so it stops at the
 recursion limit; the package's explicit stack must yield the same
-witnesses in the same order.  ``parse_atlas_stepwise`` parses line by
+witnesses in the same order.  ``component_atlases_filtered`` scans every
+strip and gluing once per component; the package buckets both in one
+pass and must return the same sub-atlases in the same order.
+``parse_atlas_stepwise`` parses line by
 line with one check per interval and per request; the package's parser
 must return the same tuples or raise the same error.
 ``build_leaf_space_located``, ``classify_leaf_located`` and
@@ -45,6 +48,7 @@ from stripes.atlas import (
     _traverse,
     canonical_form as traversal_canonical_form,
     component_atlases,
+    connected_components,
     is_connected,
     is_valid_witness,
     serialize_atlas,
@@ -163,6 +167,20 @@ def iter_witnesses_recursive(src: StripedAtlas, dst: StripedAtlas):
                     yield tuple({**h, **t} for h, t in zip(head, tail))
 
     yield from pairings(0, tuple(range(len(dst_parts))))
+
+
+def component_atlases_filtered(atlas: StripedAtlas) -> tuple[StripedAtlas, ...]:
+    """``component_atlases`` by one scan of every strip and every gluing
+    per component, on freshly found components."""
+    components = connected_components(atlas)
+    if len(components) == 1:
+        return (atlas,)
+    out = []
+    for component in components:
+        strips = tuple(s for s in atlas.strips if s.id in component)
+        gluings = tuple(g for g in atlas.gluings if atlas.locations[g.a][0] in component)
+        out.append(StripedAtlas(strips, gluings))
+    return tuple(out)
 
 
 def canonical_form(atlas: StripedAtlas) -> str:

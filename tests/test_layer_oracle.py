@@ -8,7 +8,8 @@ They must agree on every small atlas, on seeded random atlases (often
 disconnected and not reduced) and on necklaces.  ``leaf_points`` must
 return the model's points, and the plain ``classify``, ``leafspace`` and
 ``dual`` commands, which build less than the model or the dual graph,
-must print what the oracles and the dual graph give.
+must print what the oracles and the dual graph give.  ``component_atlases``
+must split an atlas like the per-component filter.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ import io
 from bruteforce import (
     build_leaf_space_located,
     classify_leaf_located,
+    component_atlases_filtered,
     classify_text,
     leafspace_text,
     regular_seams_located,
 )
-from stripes.atlas import parse_atlas, serialize_atlas
+from stripes.atlas import component_atlases, is_connected, parse_atlas, serialize_atlas
 from stripes.cli import main
 from stripes.corpus import exhaustive_family, necklace, random_atlas
 from stripes.dualgraph import build_dual_graph, euler_invariant
@@ -101,3 +103,14 @@ def test_structural_commands_match_oracles(tmp_path):
         if found:
             failures[str(atlas)] = found
     assert not failures, list(failures.items())[:3]
+
+
+def test_component_atlases_match_the_filter():
+    disconnected = 0
+    for seed in range(300):
+        atlas = random_atlas(1 + seed % 40, 1 + seed % 3, 40_000 + seed, (0.2, 0.5, 0.8)[seed % 3])
+        disconnected += not is_connected(atlas)
+        expected = component_atlases_filtered(atlas)
+        got = component_atlases(atlas)
+        assert [(a.strips, a.gluings) for a in got] == [(a.strips, a.gluings) for a in expected]
+    assert disconnected >= 200

@@ -5,7 +5,9 @@
 on every small connected class and on a seeded random corpus that
 includes disconnected atlases.  The pruned matcher must also yield its
 witnesses in the order of the unpruned 4n-frame matcher, so that
-``isomorphic`` returns the same witness, and traverse few frames.
+``isomorphic`` returns the same witness.  It must walk few frames, stop
+each at its first row that differs, and match each pair of components
+once.  Rows and traversal texts must tell the same frames apart.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from stripes.atlas import (
     Strip,
     StripedAtlas,
     _connected_witnesses,
+    _root_frames,
+    _rows,
     _traverse,
     canonical_form,
     component_atlases,
@@ -33,7 +37,7 @@ from stripes.atlas import (
     isomorphic,
     iter_witnesses,
 )
-from stripes.corpus import necklace, random_atlas
+from stripes.corpus import exhaustive_family, necklace, random_atlas
 from stripes.symmetry import enumerate_automorphisms
 
 RANDOM_SEEDS = range(100)
@@ -164,24 +168,68 @@ def test_witness_order_matches_oracle_on_necklaces(n):
         assert_same_order(atlas, moved_copy(atlas, Random(n)))
 
 
-def test_automorphisms_traverse_only_candidate_roots(monkeypatch):
-    # All 24 frames of necklace(6) match, and the reference frame's own
-    # traversal serves the identity; the unpruned matcher makes 25.
-    traversals = count_calls(monkeypatch, _traverse)
-    assert len(enumerate_automorphisms(necklace(6))) == 24
-    assert len(traversals) == 24
+def count_rows(monkeypatch) -> list:
+    """Count the rows that ``_rows`` walks, under every name it is bound to."""
+    rows = []
+
+    def counted(*args):
+        for row in _rows(*args):
+            rows.append(row)
+            yield row
+
+    patch_everywhere(monkeypatch, _rows, counted)
+    return rows
 
 
-def test_trivial_group_skips_most_roots(monkeypatch):
-    # The largest component of this atlas has 183 strips and one
-    # automorphism; the unpruned matcher makes 733 traversals.
+def largest_random_component() -> StripedAtlas:
+    # 183 strips and one automorphism.
     atlas = max(
         component_atlases(random_atlas(200, 3, 1, 0.95)), key=lambda a: len(a.strips)
     )
     assert len(atlas.strips) == 183
-    traversals = count_calls(monkeypatch, _traverse)
+    return atlas
+
+
+def test_automorphisms_traverse_only_candidate_roots(monkeypatch):
+    # All 24 frames of necklace(6) match, and the reference frame's own
+    # walk serves the identity; the unpruned matcher makes 25 traversals.
+    walks = count_calls(monkeypatch, _rows)
+    assert len(enumerate_automorphisms(necklace(6))) == 24
+    assert len(walks) == 24
+
+
+def test_trivial_group_skips_most_roots(monkeypatch):
+    # The unpruned matcher makes 733 traversals.
+    atlas = largest_random_component()
+    walks = count_calls(monkeypatch, _rows)
     assert len(enumerate_automorphisms(atlas)) == 1
-    assert len(traversals) <= 40
+    assert len(walks) <= 40
+
+
+def test_matching_stops_at_the_first_differing_row(monkeypatch):
+    # The reference frame walks all 183 rows (231 rows in all): walking
+    # each of the other candidate frames to the end would take thousands.
+    atlas = largest_random_component()
+    rows = count_rows(monkeypatch)
+    assert len(enumerate_automorphisms(atlas)) == 1
+    assert len(rows) <= 300
+
+
+def test_rows_and_texts_partition_the_frames_alike():
+    # Matching compares rows, canonical_form compares texts: over every
+    # root frame of every connected member of the family, equal texts
+    # must mean equal rows and the other way round.
+    pairs = set()
+    for atlas in exhaustive_family(2, 2):
+        if not is_connected(atlas):
+            continue
+        for root in _root_frames(atlas):
+            rows = tuple(_rows(atlas, *root, [], {}))
+            text, order, frames = _traverse(atlas, *root)
+            assert len(rows) == len(order) == len(frames) == len(atlas.strips)
+            pairs.add((text, rows))
+    texts = {text for text, _ in pairs}
+    assert len(texts) == len({rows for _, rows in pairs}) == len(pairs)
 
 
 def disjoint_union(parts: list[StripedAtlas], rng: Random) -> StripedAtlas:
@@ -221,6 +269,20 @@ def test_component_pairing_order_matches_recursive_oracle(seed, exhaustive_conne
         assert len(expected) == count
         assert list(iter_witnesses(atlas, dst)) == expected
         assert isomorphic(atlas, dst) == expected[0]
+
+
+def test_each_pair_of_components_is_matched_once(monkeypatch, exhaustive_connected):
+    # Twelve components, four copies each of three forms with one
+    # automorphism: 4!^3 = 13,824 witnesses, and 3 * 4 * 4 = 48 pairs of
+    # components of equal form.  Matching afresh for every pairing of the
+    # earlier components makes 47,012 matcher calls.
+    forms = [a for a in exhaustive_connected if len(enumerate_automorphisms(a)) == 1][:3]
+    atlas = disjoint_union(forms * 4, Random(12))
+    expected = list(bruteforce.iter_witnesses_recursive(atlas, atlas))
+    assert len(expected) == 24**3
+    calls = count_calls(monkeypatch, _connected_witnesses)
+    assert list(iter_witnesses(atlas, atlas)) == expected
+    assert len(calls) <= 48
 
 
 def test_empty_atlas_has_the_empty_witness():
