@@ -19,9 +19,9 @@ recursion limit; the package's explicit stack must yield the same
 witnesses in the same order.  ``component_atlases_filtered`` scans every
 strip and gluing once per component; the package buckets both in one
 pass and must return the same sub-atlases in the same order.
-``parse_atlas_stepwise`` parses line by
-line with one check per interval and per request; the package's parser
-must return the same tuples or raise the same error.
+``parse_atlas_stepwise`` parses line by line with one check per interval
+and per request; the package's parser must return the same tuples or
+raise the same error.
 ``build_leaf_space_located``, ``classify_leaf_located`` and
 ``regular_seams_located`` read every interval through ``atlas.location``
 and compare side tuples, where the package's layers read the index once

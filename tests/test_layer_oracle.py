@@ -20,8 +20,8 @@ import io
 from bruteforce import (
     build_leaf_space_located,
     classify_leaf_located,
-    component_atlases_filtered,
     classify_text,
+    component_atlases_filtered,
     leafspace_text,
     regular_seams_located,
 )
@@ -108,7 +108,8 @@ def test_structural_commands_match_oracles(tmp_path):
 def test_component_atlases_match_the_filter():
     disconnected = 0
     for seed in range(300):
-        atlas = random_atlas(1 + seed % 40, 1 + seed % 3, 40_000 + seed, (0.2, 0.5, 0.8)[seed % 3])
+        glue = (0.2, 0.5, 0.8)[seed % 3]
+        atlas = random_atlas(1 + seed % 40, 1 + seed % 3, 40_000 + seed, glue)
         disconnected += not is_connected(atlas)
         expected = component_atlases_filtered(atlas)
         got = component_atlases(atlas)
