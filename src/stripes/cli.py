@@ -7,16 +7,20 @@ rejects every violation ``atlas.validate`` reports) or failed selfcheck, 2
 usage error, 3 precondition error (for example a disconnected atlas passed
 to ``kernel``), 4 internal error (a guard on a fact the package proves,
 such as an exceptional component without a leaf reversal, did not hold;
-one ``stripes: internal error: ...`` line).
+one ``stripes: internal error: ...`` line).  A reader that closes stdout
+early (``stripes aut FILE | head -n 1``) ends the command quietly, exit 0.
 
 ``aut``, ``iso`` and ``report`` find witnesses by rooted traversal: one
 root strip's image, side flip and reversal bit force the rest.  Of the 4n
 root frames of a connected atlas of n strips, only those whose root strip
 reads like the reference root (its sides' glued/free flags in frame
-order) are traversed, each O(size); ``canonical_form`` still traverses
-all 4n.  Disconnected atlases pair their components with an explicit
-stack, so any number of components fits.  ``kernel`` checks the single
-all-leaf reversal of the reduced atlas, O(size).
+order) are walked, each up to its first row (one per strip) that differs
+from the reference: 36 frames and 231 rows on a 183-strip component with
+one automorphism, 160,000 rows on ``necklace(200)`` (800 automorphisms);
+``canonical_form`` still traverses all 4n.  Disconnected atlases pair
+their components with an explicit stack, so any number of components
+fits.  ``kernel`` reads the reduced atlas's all-leaf reversal off its
+model, O(size).
 
 The structural commands build only what they print.  ``classify`` reads
 the leaf points off the atlas (``leaf_points``) and builds no leaf-space
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -217,11 +222,7 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "kernel":
-        result = leaf_action_kernel(atlas)
-        if result.is_trivial:
-            print("TRIVIAL")
-        else:
-            print("Z2 witness=(id;m=0;r=1)")
+        print("TRIVIAL" if leaf_action_kernel(atlas).is_trivial else "Z2 witness=(id;m=0;r=1)")
         return EXIT_OK
 
     if args.command == "report":
@@ -250,7 +251,13 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone: with stdout on devnull, the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except SystemExit2 as exc:
         print(f"stripes: {exc}", file=sys.stderr)
         return EXIT_USAGE

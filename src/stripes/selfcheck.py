@@ -10,10 +10,12 @@ invariants.
 The group laws and functoriality are checked on one generating set.  Each
 enumerated automorphism, and its leaf map from :func:`induced_leaf_map`,
 is encoded once as a tuple of positions, so that a product is one pick of
-entries out of a table.  The witness cross-check compares the kernel's
-reversal with the members of an enumerated group that act trivially on the
-leaf space: the reduced atlas's group on a proper component, the group of
-the canonical one-strip atlas on an exceptional one.
+entries out of a table.  The kernel comes from the same route as in
+``kernel`` and ``report``, and the witness cross-check compares its
+reversal with the members of the working atlas's enumerated group that act
+trivially on the leaf space: the reduced atlas's group on a proper
+component, the group of the canonical one-strip atlas on an exceptional
+one.
 """
 
 from __future__ import annotations
@@ -34,19 +36,14 @@ from .leafspace import (
     sampled_space,
     special_points,
 )
-from .reduction import (
-    SurfaceKind,
-    canonical_exceptional_atlas,
-    is_reduced,
-    reduce_component,
-)
+from .reduction import SurfaceKind, is_reduced, reduce_component
 from .symmetry import (
     AtlasAutomorphism,
-    _kernel,
+    _reversal,
+    _working_atlas,
     enumerate_automorphisms,
     identity_automorphism,
     induced_leaf_map,
-    reversal_witness,
 )
 
 
@@ -85,15 +82,20 @@ def selfcheck(atlas: StripedAtlas, k: int = 2) -> SelfCheckReport:
     if problems:
         return report
     for sub in component_atlases(atlas):
-        label = min(sub.strip_ids)
-        _check_component(report, sub, label, k)
+        _check_component(report, sub, min(sub.strip_ids), k)
     return report
 
 
 def _check_component(
     report: SelfCheckReport, atlas: StripedAtlas, label: str, k: int
 ) -> None:
-    model = build_leaf_space(atlas)
+    # The kernel's route gives the working atlas (the reduction, or the
+    # canonical atlas of an exceptional kind), its model and the kernel; a
+    # reduced component is its own working atlas and shares the model.
+    outcome = reduce_component(atlas)
+    working, working_model, kernel = _working_atlas(atlas, outcome)
+    own = working == atlas
+    model = working_model if own else build_leaf_space(atlas)
     closures, special, boundary = facts = _point_facts(model)
     add = lambda name, ok, detail="": report.results.append(
         CheckResult(label, name, ok, detail)
@@ -154,47 +156,28 @@ def _check_component(
     psi = dict(zip(codes, _leaf_map_codes(model, leaf_maps)))
     add("psi-functoriality", _functorial(identity, codes, psi, generators))
 
-    # Kernel dichotomy on the enumerated group of the reduced atlas, and the
-    # production route (the single all-leaf reversal candidate) against it.
-    # A reduced component is its own reduction: its group, maps, point facts
-    # and the kernel's witness serve.  Another is checked against its own.
-    outcome = reduce_component(atlas)
-    kernel = _kernel(atlas, outcome)
+    # Kernel dichotomy on the enumerated group of the working atlas, and the
+    # kernel's single reversal candidate against it.  A component that is
+    # its own working atlas filters the group and maps it already has.
+    maps = zip(group, leaf_maps) if own else (
+        (aut, induced_leaf_map(working_model, aut)) for aut in enumerate_automorphisms(working)
+    )
+    members = [aut for aut, m in maps if m.is_identity]
+    nontrivial = [aut for aut in members if not aut.is_identity]
     if outcome.kind is SurfaceKind.PROPER:
-        reduced = outcome.atlas
-        if reduced == atlas:
-            reduced_model, reduced_facts = model, facts
-            members = [aut for aut, m in zip(group, leaf_maps) if m.is_identity]
-            witness = kernel.witness
-        else:
-            reduced_model = build_leaf_space(reduced)
-            reduced_facts = _point_facts(reduced_model)
-            members = [
-                aut
-                for aut in enumerate_automorphisms(reduced)
-                if induced_leaf_map(reduced_model, aut).is_identity
-            ]
-            witness = reversal_witness(atlas)
+        # The input's own reversal must exist exactly when the kernel's does.
+        witness = kernel.witness if own else _reversal(atlas, model)
         add("kernel-dichotomy", *_kernel_dichotomy(members))
-        nontrivial = [aut for aut in members if not aut.is_identity]
         add(
             "witness-crosscheck",
             nontrivial == ([] if kernel.is_trivial else [kernel.witness])
             and (witness is not None) == (not kernel.is_trivial),
         )
     else:
-        # The component is foliated homeomorphic to the canonical one-strip
-        # atlas of its kind, whose enumerated group and leaf maps give the
-        # kernel independently: the kernel's witness must be its one
-        # non-identity member, carried to every strip.
+        # The canonical atlas's group gives the kernel independently: the
+        # kernel's witness must be its one non-identity member, carried to
+        # every strip.
         add("kernel-dichotomy", kernel.order == 2)
-        canonical = canonical_exceptional_atlas(outcome.kind)
-        canonical_model = build_leaf_space(canonical)
-        nontrivial = [
-            aut
-            for aut in enumerate_automorphisms(canonical)
-            if induced_leaf_map(canonical_model, aut).is_identity and not aut.is_identity
-        ]
         add(
             "witness-crosscheck",
             [kernel.witness] == [_on_every_strip(aut, atlas) for aut in nontrivial],
@@ -205,22 +188,24 @@ def _check_component(
     detail = ""
     euler_before = euler_invariant(build_dual_graph(atlas))
     if outcome.kind is SurfaceKind.PROPER:
-        if not is_reduced(reduced):
+        if not is_reduced(working):
             ok, detail = False, "result not reduced"
-        if euler_invariant(build_dual_graph(reduced)) != euler_before:
+        if euler_invariant(build_dual_graph(working)) != euler_before:
             ok, detail = False, "euler drift"
-        reduced_closures, reduced_special, reduced_boundary = reduced_facts
+        reduced_closures, reduced_special, reduced_boundary = (
+            facts if own else _point_facts(working_model)
+        )
         if len(special) != len(reduced_special) or len(boundary) != len(reduced_boundary):
             ok, detail = False, "point count drift"
-        surviving = set(reduced_model.points)
+        surviving = set(working_model.points)
         if not surviving <= set(model.points):
             ok, detail = False, "points renamed"
         else:
             for p in surviving:
                 if closures[p] & surviving != reduced_closures[p]:
                     ok, detail = False, "hcl drift"
-        again = reduce_component(reduced)
-        if again.kind is not SurfaceKind.PROPER or again.atlas != reduced:
+        again = reduce_component(working)
+        if again.kind is not SurfaceKind.PROPER or again.atlas != working:
             ok, detail = False, "not idempotent"
     # Another merge order (strips and gluings listed in reverse) must agree.
     other = reduce_component(StripedAtlas(atlas.strips[::-1], atlas.gluings[::-1]))

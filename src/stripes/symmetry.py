@@ -22,9 +22,11 @@ in place with all leaf points fixed, and its reversal bits then agree
 across every gluing, hence are constant on a connected atlas.  So the
 kernel is trivial or holds one more element, the all-ones reversal, which
 fixes every leaf point exactly when every arc end lists its points the
-same forwards and backwards: :func:`leaf_action_kernel` reads that off the
-model in O(size), with no psi.  ``selfcheck`` checks both facts instance
-by instance on the enumerated group of the reduced atlas.
+same forwards and backwards, which also makes it a valid witness.  One
+route, taken by :func:`leaf_action_kernel`, :func:`homeotopy_report` and
+``selfcheck``, picks the working atlas (reduced, or the canonical one-strip
+atlas of an exceptional kind), builds its model and reads the kernel in
+O(size), with no psi; ``selfcheck`` checks both facts on its group.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
-from .atlas import StripedAtlas, is_valid_witness, iter_witnesses
+from .atlas import StripedAtlas, iter_witnesses
 from .leafspace import LeafPoint, LeafSpaceModel, build_leaf_space
 from .reduction import (
     SurfaceClass,
@@ -258,9 +260,8 @@ def reversal_witness(atlas: StripedAtlas) -> AtlasAutomorphism | None:
     """The all-leaf reversal fixing every leaf point, if the atlas admits one.
 
     Checks the single candidate with identity strip map, no side flips and
-    all reversal bits set.  Gluing parities never obstruct it (each parity
-    is conjugated by two reversals); the only obstruction is an arc end of
-    the leaf-space model whose points read differently backwards.
+    all reversal bits set: every arc end of the leaf-space model must list
+    its points the same forwards and backwards, which also makes it valid.
     """
     _require_connected(atlas)
     return _reversal(atlas, None)
@@ -270,16 +271,41 @@ def _reversal(
     atlas: StripedAtlas, model: LeafSpaceModel | None
 ) -> AtlasAutomorphism | None:
     # ``reversal_witness`` on a connected ``atlas`` whose leaf-space model
-    # is ``model``, or is built here when needed.
-    candidate = all_leaf_reversal(atlas)
-    if not is_valid_witness(
-        atlas, atlas, candidate.strip_map, candidate.side_flip, candidate.reversal
-    ):
-        return None
+    # is ``model``, or is built here when needed.  Palindromic ends make the
+    # reversal valid too: a seam {a, b} lands on itself with parity
+    # p ^ 1 ^ 1 = p, and a free interval on itself, still free.
     if model is None:
         model = build_leaf_space(atlas)
     ends = model.end_points.values()
-    return candidate if all(points == points[::-1] for points in ends) else None
+    return all_leaf_reversal(atlas) if all(p == p[::-1] for p in ends) else None
+
+
+# The canonical one-strip atlas of each exceptional kind, with its model,
+# built once: the kernel of an exceptional component needs neither.
+_CANONICAL = {
+    kind: (canonical, build_leaf_space(canonical))
+    for kind in (SurfaceKind.OPEN_CYLINDER, SurfaceKind.OPEN_MOEBIUS_BAND)
+    for canonical in (canonical_exceptional_atlas(kind),)
+}
+
+
+def _working_atlas(
+    atlas: StripedAtlas, outcome: SurfaceClass
+) -> tuple[StripedAtlas, LeafSpaceModel, KernelResult]:
+    """The atlas that carries the isotopy classes of the connected ``atlas``
+    whose reduction is ``outcome``, that atlas's model, and the kernel.
+
+    A proper component works on its reduced atlas, whose model gives the
+    kernel; an exceptional one on the canonical one-strip atlas of its kind,
+    and its kernel is its own all-leaf reversal, which must exist.
+    """
+    if outcome.kind is SurfaceKind.PROPER:
+        model = build_leaf_space(outcome.atlas)
+        return outcome.atlas, model, KernelResult(_reversal(outcome.atlas, model))
+    witness = reversal_witness(atlas)
+    if witness is None:
+        raise RuntimeError("exceptional component without a reversal")
+    return (*_CANONICAL[outcome.kind], KernelResult(witness))
 
 
 def leaf_action_kernel(atlas: StripedAtlas) -> KernelResult:
@@ -288,22 +314,11 @@ def leaf_action_kernel(atlas: StripedAtlas) -> KernelResult:
     Requires a connected atlas.  Exceptional components (open cylinder or
     Moebius band) always carry the fibrewise reversal, which preserves
     every leaf and acts trivially on the base circle, so their kernel has
-    order two.  Otherwise the kernel is read off the single candidate the
-    module docstring leaves: it has order two exactly when the all-leaf
+    order two.  Otherwise it has order two exactly when the all-leaf
     reversal of the reduced atlas fixes every leaf point.  O(size).
     """
     _require_connected(atlas)
-    return _kernel(atlas, reduce_component(atlas))
-
-
-def _kernel(atlas: StripedAtlas, outcome: SurfaceClass) -> KernelResult:
-    # ``outcome`` is the reduction of the connected ``atlas``.
-    if outcome.kind is SurfaceKind.PROPER:
-        return KernelResult(reversal_witness(outcome.atlas))
-    witness = reversal_witness(atlas)
-    if witness is None:
-        raise RuntimeError("exceptional component without a reversal")
-    return KernelResult(witness)
+    return _working_atlas(atlas, reduce_component(atlas))[2]
 
 
 @dataclass(frozen=True)
@@ -329,15 +344,7 @@ def homeotopy_report(atlas: StripedAtlas) -> HomeotopyReport:
     The group acts freely on root frames, so |Aut| counts witnesses.
     """
     _require_connected(atlas)
-    outcome = reduce_component(atlas)
-    if outcome.kind is SurfaceKind.PROPER:
-        working = outcome.atlas
-        model = build_leaf_space(working)
-        kernel = KernelResult(_reversal(working, model))
-    else:
-        working = canonical_exceptional_atlas(outcome.kind)
-        model = build_leaf_space(working)
-        kernel = _kernel(atlas, outcome)
+    working, model, kernel = _working_atlas(atlas, reduce_component(atlas))
     aut_order = sum(1 for _ in iter_witnesses(working, working))
     return HomeotopyReport(
         aut_order=aut_order,

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import stripes
+from stripes.atlas import serialize_atlas
 from stripes.cli import main
+from stripes.corpus import necklace
 from stripes.fixtures import FIXTURE_NAMES, fixture_text
 
 
@@ -302,6 +304,25 @@ def test_unwritable_output_exits_2_with_one_line(atlas_file, tmp_path, argv):
     assert done.stderr.startswith("stripes: cannot write ")
     assert done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
+
+
+def test_closed_stdout_exits_0_without_traceback(tmp_path):
+    # aut on necklace(200) prints 800 lines, about 4.8 MB; the reader takes
+    # one line and closes the pipe.
+    path = tmp_path / "necklace200.atlas"
+    path.write_text(serialize_atlas(necklace(200)))
+    env = dict(os.environ, PYTHONPATH=str(Path(stripes.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stripes.cli", "aut", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b"sigma: ")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err
 
 
 def test_parser_is_reused_across_calls(atlas_file, capsys):

@@ -31,11 +31,13 @@ from stripes.fixtures import fixture_atlas
 from stripes.leafspace import build_leaf_space
 from stripes.reduction import SurfaceKind, reduce_component
 from stripes.symmetry import (
+    _reversal,
     enumerate_automorphisms,
     homeotopy_report,
     induced_leaf_map,
     leaf_action_kernel,
     leaf_model_automorphism_count,
+    reversal_witness,
 )
 
 
@@ -66,6 +68,15 @@ def same_kernel(atlas) -> bool:
     return nontrivial == ([] if kernel.is_trivial else [kernel.witness])
 
 
+def valid_reversal(atlas) -> bool:
+    """Whether the reversal that ``reversal_witness`` finds by its palindrome
+    test alone, if any, passes the witness-validity reference."""
+    witness = reversal_witness(atlas)
+    return witness is None or is_valid_witness(
+        atlas, atlas, witness.strip_map, witness.side_flip, witness.reversal
+    )
+
+
 def same_count(atlas) -> bool:
     model = build_leaf_space(atlas)
     return leaf_model_automorphism_count(model) == bruteforce.leaf_model_automorphism_count(
@@ -78,6 +89,7 @@ def test_exhaustive_family_matches_oracles():
     assert len(corpus) > 13_000
     assert [sub for sub in corpus if not same_count(sub)] == []
     assert [sub for sub in corpus if not same_kernel(sub)] == []
+    assert [sub for sub in corpus if not valid_reversal(sub)] == []
 
 
 def test_random_corpus_matches_oracles():
@@ -153,22 +165,24 @@ def test_report_and_kernel_find_components_once_and_build_one_model(name):
     # Each atlas object finds its components once: the input, and the
     # reduced (or canonical one-strip) atlas whose group is counted.  report
     # builds one model, shared by the kernel and the leaf-model count, and
-    # kernel builds one; both still check the reversal candidate once.  On
-    # CYL the kernel reads the input and report counts the canonical atlas,
-    # so report builds one model of each.
+    # kernel builds one; both read the reversal candidate once, by its
+    # palindrome test alone, with no witness-validity check.  On CYL the
+    # kernel reads the input's model; the canonical atlas's model is a
+    # constant, built once at import.
     for command in (homeotopy_report, leaf_action_kernel):
-        models = 2 if name == "CYL" and command is homeotopy_report else 1
         atlas = necklace(6) if name == "NECKLACE" else fixture_atlas(name)
         with pytest.MonkeyPatch.context() as patch:
             components = count_calls(patch, connected_components)
             builds = count_calls(patch, build_leaf_space)
-            candidates = count_calls(patch, is_valid_witness)
+            reversals = count_calls(patch, _reversal)
+            validity = count_calls(patch, is_valid_witness)
             command(atlas)
         found = [args[0] for args in components]
         assert found[0] is atlas
         assert len(found) == len({id(a) for a in found}) <= 2
-        assert len({id(args[0]) for args in builds}) == len(builds) == models
-        assert len(candidates) == 1
+        assert len({id(args[0]) for args in builds}) == len(builds) == 1
+        assert len(reversals) == 1
+        assert validity == []
 
 
 def test_seven_hundred_strip_model_count_is_fast():

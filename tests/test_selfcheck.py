@@ -37,6 +37,7 @@ from stripes.selfcheck import (
 from stripes.symmetry import (
     AtlasAutomorphism,
     LeafMap,
+    _reversal,
     all_leaf_reversal,
     enumerate_automorphisms,
     identity_automorphism,
@@ -274,7 +275,7 @@ BROKEN_RULES = {
         lambda atlas: enumerate_automorphisms(atlas)[:-1],
     ),
     "psi-functoriality": ("PUNCTURED", induced_leaf_map, swapped_images),
-    "witness-crosscheck": ("HALFPLANE", reversal_witness, lambda atlas: None),
+    "witness-crosscheck": ("HALFPLANE", _reversal, lambda atlas, model: None),
     "reduction-invariants": (
         "LADDER",
         reduce_component,
@@ -346,19 +347,23 @@ def test_selfcheck_computes_each_fact_once(fixtures):
 
 def test_selfcheck_reuses_the_kernel_witness(fixtures):
     # necklace(6) is reduced: the kernel's reversal witness serves the
-    # witness cross-check, and the kernel's model is the only other one.
-    # LADDER is not: its own witness is checked against its reduction's.
+    # witness cross-check, and the kernel's model is the only one built.
+    # LADDER is not: its own reversal is read off the model selfcheck built
+    # for it, and checked against its reduction's; one model each.
     with pytest.MonkeyPatch.context() as patch:
-        witnesses = count_calls(patch, reversal_witness)
+        reversals = count_calls(patch, _reversal)
         builds = count_calls(patch, build_leaf_space)
         assert selfcheck(necklace(6), k=2).ok
-    assert len(witnesses) == 1
-    assert len(builds) <= 2
+    assert len(reversals) == 1
+    assert len(builds) == 1
     ladder = fixtures["LADDER"]
     with pytest.MonkeyPatch.context() as patch:
-        witnesses = count_calls(patch, reversal_witness)
+        reversals = count_calls(patch, _reversal)
+        builds = count_calls(patch, build_leaf_space)
         assert selfcheck(ladder, k=2).ok
-    assert [args[0] for args in witnesses] == [reduce_component(ladder).atlas, ladder]
+    assert [args[0] for args in reversals] == [reduce_component(ladder).atlas, ladder]
+    assert [args[0] for args in builds] == [reduce_component(ladder).atlas, ladder]
+    assert all(args[1] is not None for args in reversals)
 
 
 def test_exceptional_selfcheck_checks_its_reversal_once(fixtures):

@@ -385,6 +385,11 @@ def test_dichotomy_on_random_connected(seed):
     atlas = random_connected_atlas(1 + seed % 4, 3, 9000 + seed)
     result = leaf_action_kernel(atlas)
     outcome = reduce_component(atlas)
+    # The palindrome test alone decides the reversal: the witness-validity
+    # reference must accept every reversal it finds, reduced or not.
+    for sub in (atlas, outcome.atlas) if outcome.atlas else (atlas,):
+        witness = reversal_witness(sub)
+        assert witness is None or is_valid_witness(sub, sub, *triple(witness))
     if outcome.kind is SurfaceKind.PROPER:
         members = bruteforce.kernel_members(outcome.atlas)
         assert len(members) in (1, 2)
