@@ -8,7 +8,8 @@ usage error, 3 precondition error (for example a disconnected atlas passed
 to ``kernel``), 4 internal error (a guard on a fact the package proves,
 such as an exceptional component without a leaf reversal, did not hold;
 one ``stripes: internal error: ...`` line).  A reader that closes stdout
-early (``stripes aut FILE | head -n 1``) ends the command quietly, exit 0.
+early (``stripes aut FILE | head -n 1``) ends the command quietly, exit 0,
+or 1 for a failed selfcheck, whose verdict is known before it prints.
 
 ``aut``, ``iso`` and ``report`` find witnesses by rooted traversal: one
 root strip's image, side flip and reversal bit force the rest.  Of the 4n
@@ -19,8 +20,8 @@ from the reference: 36 frames and 231 rows on a 183-strip component with
 one automorphism, 160,000 rows on ``necklace(200)`` (800 automorphisms);
 ``canonical_form`` still traverses all 4n.  Disconnected atlases pair
 their components with an explicit stack, so any number of components
-fits.  ``kernel`` reads the reduced atlas's all-leaf reversal off its
-model, O(size).
+fits.  ``kernel`` checks the single all-leaf reversal of the reduced
+atlas against its model, O(size).
 
 The structural commands build only what they print.  ``classify`` reads
 the leaf points off the atlas (``leaf_points``) and builds no leaf-space
@@ -36,6 +37,7 @@ The argument parser is built once per process, so repeated in-process
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -222,7 +224,11 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "kernel":
-        print("TRIVIAL" if leaf_action_kernel(atlas).is_trivial else "Z2 witness=(id;m=0;r=1)")
+        result = leaf_action_kernel(atlas)
+        if result.is_trivial:
+            print("TRIVIAL")
+        else:
+            print("Z2 witness=(id;m=0;r=1)")
         return EXIT_OK
 
     if args.command == "report":
@@ -235,9 +241,11 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "selfcheck":
         report = selfcheck(atlas, args.samples)
-        for line in report.lines():
-            print(line)
-        print("SELFCHECK OK" if report.ok else "SELFCHECK FAILED")
+        # The verdict is the exit code, also when the reader stops early.
+        with contextlib.suppress(BrokenPipeError):
+            for line in report.lines():
+                print(line)
+            print("SELFCHECK OK" if report.ok else "SELFCHECK FAILED")
         return EXIT_OK if report.ok else EXIT_INVALID
 
     raise SystemExit2(f"unknown command {args.command!r}")
@@ -250,14 +258,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
+    code = EXIT_OK
     try:
         code = _run(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # The reader is gone: with stdout on devnull, the flush at exit cannot fail.
+        # The reader is gone: with stdout on devnull, the flush at exit cannot
+        # fail.  A code already computed (a failed selfcheck) stands.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
+        return code
     except SystemExit2 as exc:
         print(f"stripes: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -82,7 +82,8 @@ def selfcheck(atlas: StripedAtlas, k: int = 2) -> SelfCheckReport:
     if problems:
         return report
     for sub in component_atlases(atlas):
-        _check_component(report, sub, min(sub.strip_ids), k)
+        label = min(sub.strip_ids)
+        _check_component(report, sub, label, k)
     return report
 
 

@@ -22,11 +22,11 @@ in place with all leaf points fixed, and its reversal bits then agree
 across every gluing, hence are constant on a connected atlas.  So the
 kernel is trivial or holds one more element, the all-ones reversal, which
 fixes every leaf point exactly when every arc end lists its points the
-same forwards and backwards, which also makes it a valid witness.  One
-route, taken by :func:`leaf_action_kernel`, :func:`homeotopy_report` and
-``selfcheck``, picks the working atlas (reduced, or the canonical one-strip
-atlas of an exceptional kind), builds its model and reads the kernel in
-O(size), with no psi; ``selfcheck`` checks both facts on its group.
+same forwards and backwards.  One route, taken by
+:func:`leaf_action_kernel`, :func:`homeotopy_report` and ``selfcheck``,
+picks the working atlas (reduced, or the canonical one-strip atlas of an
+exceptional kind), builds its model and reads the kernel in O(size), with
+no psi; ``selfcheck`` checks both facts on the working atlas's group.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
-from .atlas import StripedAtlas, iter_witnesses
+from .atlas import StripedAtlas, is_valid_witness, iter_witnesses
 from .leafspace import LeafPoint, LeafSpaceModel, build_leaf_space
 from .reduction import (
     SurfaceClass,
@@ -260,8 +260,9 @@ def reversal_witness(atlas: StripedAtlas) -> AtlasAutomorphism | None:
     """The all-leaf reversal fixing every leaf point, if the atlas admits one.
 
     Checks the single candidate with identity strip map, no side flips and
-    all reversal bits set: every arc end of the leaf-space model must list
-    its points the same forwards and backwards, which also makes it valid.
+    all reversal bits set.  Gluing parities never obstruct it (each parity
+    is conjugated by two reversals); the only obstruction is an arc end of
+    the leaf-space model whose points read differently backwards.
     """
     _require_connected(atlas)
     return _reversal(atlas, None)
@@ -271,13 +272,16 @@ def _reversal(
     atlas: StripedAtlas, model: LeafSpaceModel | None
 ) -> AtlasAutomorphism | None:
     # ``reversal_witness`` on a connected ``atlas`` whose leaf-space model
-    # is ``model``, or is built here when needed.  Palindromic ends make the
-    # reversal valid too: a seam {a, b} lands on itself with parity
-    # p ^ 1 ^ 1 = p, and a free interval on itself, still free.
+    # is ``model``, or is built here when needed.
+    candidate = all_leaf_reversal(atlas)
+    if not is_valid_witness(
+        atlas, atlas, candidate.strip_map, candidate.side_flip, candidate.reversal
+    ):
+        return None
     if model is None:
         model = build_leaf_space(atlas)
     ends = model.end_points.values()
-    return all_leaf_reversal(atlas) if all(p == p[::-1] for p in ends) else None
+    return candidate if all(points == points[::-1] for points in ends) else None
 
 
 # The canonical one-strip atlas of each exceptional kind, with its model,

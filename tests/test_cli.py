@@ -325,6 +325,23 @@ def test_closed_stdout_exits_0_without_traceback(tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("failures", [1, 2000])
+def test_closed_stdout_keeps_a_failed_selfcheck_exit_1(atlas_file, monkeypatch, failures):
+    # One failure line stays in the buffer until the final flush; 2,000
+    # lines (about 60 KB) overflow it while they are printed.
+    import stripes.cli as cli
+    from stripes.selfcheck import CheckResult, SelfCheckReport
+
+    failed = SelfCheckReport([CheckResult("s0", "broken", False)] * failures)
+    monkeypatch.setattr(cli, "selfcheck", lambda atlas, k: failed)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(["selfcheck", atlas_file("PLANE")]) == 1
+        monkeypatch.undo()
+
+
 def test_parser_is_reused_across_calls(atlas_file, capsys):
     path = atlas_file("PUNCTURED")
     first = run(capsys, "report", path)

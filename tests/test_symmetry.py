@@ -385,10 +385,13 @@ def test_dichotomy_on_random_connected(seed):
     atlas = random_connected_atlas(1 + seed % 4, 3, 9000 + seed)
     result = leaf_action_kernel(atlas)
     outcome = reduce_component(atlas)
-    # The palindrome test alone decides the reversal: the witness-validity
-    # reference must accept every reversal it finds, reduced or not.
+    # The palindrome test alone decides the reversal, reduced or not: it is
+    # found exactly when every arc end reads the same backwards, and the
+    # witness-validity reference then accepts it.
     for sub in (atlas, outcome.atlas) if outcome.atlas else (atlas,):
+        ends = build_leaf_space(sub).end_points.values()
         witness = reversal_witness(sub)
+        assert (witness is not None) == all(p == p[::-1] for p in ends)
         assert witness is None or is_valid_witness(sub, sub, *triple(witness))
     if outcome.kind is SurfaceKind.PROPER:
         members = bruteforce.kernel_members(outcome.atlas)
