@@ -7,7 +7,8 @@ automorphism group, functoriality of the induced leaf-space action, the
 kernel dichotomy with its witness cross-check, and the reduction
 invariants.
 
-The group laws and functoriality are checked on one generating set.  Each
+The group laws and functoriality are checked in one closure pass over a
+greedy generating set, which forms each generator product once.  Each
 enumerated automorphism, and its leaf map from :func:`induced_leaf_map`,
 is encoded once as a tuple of positions, so that a product is one pick of
 entries out of a table.  The kernel comes from the same route as in
@@ -42,7 +43,6 @@ from .symmetry import (
     _reversal,
     _working_atlas,
     enumerate_automorphisms,
-    identity_automorphism,
     induced_leaf_map,
 )
 
@@ -146,16 +146,16 @@ def _check_component(
     add("classification-consistency", ok)
 
     # Group laws of the enumerated automorphisms and functoriality of the
-    # induced leaf-space action, both checked on one generating set, with
-    # every element and its leaf map encoded once as position tuples.
+    # induced leaf-space action, both read off one closure pass, with every
+    # element and its leaf map encoded once as position tuples.
     group = enumerate_automorphisms(atlas)
     leaf_maps = [induced_leaf_map(model, aut) for aut in group]
     codes = _automorphism_codes(atlas, group)
-    (identity,) = _automorphism_codes(atlas, [identity_automorphism(atlas)])
-    generators = _generators(identity, codes)
-    add("group-laws", _group_laws(identity, codes, generators))
+    identity = tuple(range(0, 4 * len(atlas.strips), 4))
     psi = dict(zip(codes, _leaf_map_codes(model, leaf_maps)))
-    add("psi-functoriality", _functorial(identity, codes, psi, generators))
+    laws, functorial = _closure(identity, codes, psi)
+    add("group-laws", laws)
+    add("psi-functoriality", functorial)
 
     # Kernel dichotomy on the enumerated group of the working atlas, and the
     # kernel's single reversal candidate against it.  A component that is
@@ -304,57 +304,36 @@ def _is_identity(code: tuple[int, ...]) -> bool:
     return code == tuple(range(0, 4 * len(code), 4))
 
 
-def _generators(identity, group) -> list:
-    """A greedy generating set of the code list ``group``: each element not
-    yet reached from ``identity`` by left products of the earlier
-    generators that stay inside ``group`` becomes a generator."""
+def _closure(identity, group, psi) -> tuple[bool, bool]:
+    """Whether the code list ``group`` holds the identity and every inverse
+    and is closed, and whether ``psi`` (code -> leaf-map code) respects
+    composition on it: psi(e) = id and psi(a*b) = psi(a)*psi(b).
+
+    Each element not yet reached from ``identity`` by left products of the
+    earlier generators that stay inside ``group`` becomes a generator.  Each
+    product s*b of a generator s and a reached element b is formed once: a
+    new generator is multiplied by every element reached so far, a newly
+    reached element by every generator so far.  The product must lie in
+    ``group``, and psi(s*b) must equal psi(s)*psi(b).  Every element is a
+    product of generators, so both facts hold for every pair (a, b) by
+    induction on the length of a."""
     members = set(group)
-    generators, tables, reached = [], [], {identity}
+    laws = identity in members and all(_inverse(code) in members for code in group)
+    functorial = identity in psi and _is_identity(psi[identity])
+    generators, reached, pending = [], {identity}, []
     for code in group:
         if code in reached:
             continue
-        generators.append(code)
-        tables.append(_table(code))
-        frontier = list(reached)
-        while frontier:
-            element = frontier.pop()
-            for table in tables:
-                product = _compose(table, element)
-                if product in members and product not in reached:
-                    reached.add(product)
-                    frontier.append(product)
-    return generators
-
-
-def _group_laws(identity, group, generators) -> bool:
-    """Whether the code list ``group`` holds the identity and every inverse
-    and is closed.  Closure is checked as s*b in group for each s of
-    ``generators`` and each b: every element is then a product of
-    generators, so a*b is in group for every pair by induction on the
-    length of a."""
-    members = set(group)
-    return (
-        identity in members
-        and all(_inverse(code) in members for code in group)
-        and all(
-            _compose(table, b) in members
-            for table in map(_table, generators)
-            for b in group
-        )
-    )
-
-
-def _functorial(identity, group, leaf_maps, generators) -> bool:
-    """Whether ``leaf_maps`` (code -> leaf-map code) respects composition on
-    a closed code list ``group``: psi(e) = id and psi(s*b) = psi(s)*psi(b)
-    for each b and each s of ``generators``, which covers every pair (a*b)
-    by induction."""
-    if identity not in leaf_maps or not _is_identity(leaf_maps[identity]):
-        return False
-    return all(
-        leaf_maps.get(_compose(table, b)) == _compose(psi_table, leaf_maps[b])
-        for table, psi_table in (
-            (_table(s), _table(leaf_maps[s])) for s in generators
-        )
-        for b in group
-    )
+        generators.append((_table(code), _table(psi[code]) if functorial else None))
+        pending += [(generators[-1], b) for b in reached]
+        while pending:
+            (table, psi_table), b = pending.pop()
+            product = _compose(table, b)
+            if functorial:
+                functorial = psi.get(product) == _compose(psi_table, psi[b])
+            if product not in members:
+                laws = False
+            elif product not in reached:
+                reached.add(product)
+                pending += [(generator, product) for generator in generators]
+    return laws, functorial

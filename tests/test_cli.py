@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import stripes
-from stripes.atlas import serialize_atlas
+from stripes.atlas import parse_atlas, serialize_atlas
 from stripes.cli import main
 from stripes.corpus import necklace
 from stripes.fixtures import FIXTURE_NAMES, fixture_text
@@ -74,6 +74,16 @@ def test_reduce_ladder_writes_atlas(atlas_file, capsys, tmp_path):
     code, out, _ = run(capsys, "reduce", atlas_file("LADDER"), "-o", str(out_path))
     assert code == 0
     assert out_path.read_text() == "strip S\n"
+
+
+def test_reduce_all_exceptional_replaces_out(atlas_file, capsys, tmp_path):
+    # No proper component: OUT still gets the (empty) proper part, so a
+    # file left there by an earlier run does not survive.
+    out_path = tmp_path / "reduced.atlas"
+    out_path.write_text("strip OLD\n")
+    code, out, _ = run(capsys, "reduce", atlas_file("MOEB"), "-o", str(out_path))
+    assert (code, out) == (0, "MOEBIUS\n")
+    assert parse_atlas(out_path.read_text()).strips == ()
 
 
 def test_reduce_mixed_components(atlas_file, capsys):
@@ -217,9 +227,10 @@ def test_selfcheck_fixtures(atlas_file, capsys, name):
 
 
 def test_selfcheck_samples_flag(atlas_file, capsys):
-    code, out, _ = run(capsys, "selfcheck", atlas_file("PUNCTURED"), "--samples", "3")
-    assert code == 0
-    assert "PASS S:hcl-oracle-agreement" in out
+    for samples in ("3", "16"):
+        code, out, _ = run(capsys, "selfcheck", atlas_file("PUNCTURED"), "--samples", samples)
+        assert code == 0
+        assert "PASS S:hcl-oracle-agreement" in out
 
 
 def test_help_exits_zero(capsys):
@@ -239,6 +250,8 @@ def test_help_exits_zero(capsys):
         ["selfcheck", "{punctured}", "--samples", "0"],
         ["selfcheck", "{punctured}", "--samples", "-3"],
         ["validate", "{punctured}/"],
+        ["selfcheck", "{punctured}", "--samples", "17"],
+        ["selfcheck", "{punctured}", "--samples", "100000000"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(atlas_file, capsys, tmp_path, argv):

@@ -27,11 +27,11 @@ from stripes.leafspace import (
 from stripes.reduction import SurfaceClass, SurfaceKind, reduce_component
 from stripes.selfcheck import (
     _automorphism_codes,
-    _functorial,
-    _generators,
-    _group_laws,
+    _closure,
+    _compose,
     _kernel_dichotomy,
     _leaf_map_codes,
+    _table,
     selfcheck,
 )
 from stripes.symmetry import (
@@ -116,7 +116,6 @@ def test_generator_functoriality_agrees_with_all_pairs(fixtures):
             codes = _automorphism_codes(sub, group)
             code_of = dict(zip(group, codes))
             (identity_code,) = _automorphism_codes(sub, [identity])
-            generators = _generators(identity_code, codes)
 
             def encoded(leaf_maps):
                 return dict(
@@ -131,18 +130,19 @@ def test_generator_functoriality_agrees_with_all_pairs(fixtures):
                 if maps[a] != maps[b]
             ]
             for variant in variants:
-                fast = _functorial(identity_code, codes, encoded(variant), generators)
+                _, fast = _closure(identity_code, codes, encoded(variant))
                 assert fast == bruteforce.functorial_all_pairs(identity, group, variant)
                 failing += not fast
-            assert _functorial(identity_code, codes, encoded(maps), generators)
+            assert _closure(identity_code, codes, encoded(maps)) == (True, True)
     assert failing > 0
 
 
 def group_laws(identity, elements, atlas) -> bool:
-    """``_group_laws`` on the greedy generating set of the list ``elements``
-    of automorphisms of ``atlas``, all encoded as position codes."""
+    """The group-laws verdict of ``_closure`` on the list ``elements`` of
+    automorphisms of ``atlas``, all encoded as position codes."""
     identity, *codes = _automorphism_codes(atlas, (identity, *elements))
-    return _group_laws(identity, codes, _generators(identity, codes))
+    laws, _ = _closure(identity, codes, {})
+    return laws
 
 
 def test_generator_group_laws_agree_with_all_pairs(fixtures):
@@ -336,13 +336,24 @@ def test_selfcheck_computes_each_fact_once(fixtures):
     for atlas, models in ((necklace(6), 1), (fixtures["LADDER"], 2)):
         with pytest.MonkeyPatch.context() as patch:
             reductions = count_calls(patch, reduce_component)
-            generators = count_calls(patch, _generators)
+            closures = count_calls(patch, _closure)
             special = count_calls(patch, special_points)
             boundary = count_calls(patch, boundary_points)
             assert selfcheck(atlas, k=2).ok
         assert len(reductions) <= 3
-        assert len(generators) == 1
+        assert len(closures) == 1
         assert len(special) == len(boundary) == models
+
+
+def test_selfcheck_forms_each_product_once(monkeypatch):
+    # necklace(6): 24 automorphisms and 3 greedy generators.  Each product
+    # s*b of a generator and an element is formed once, and its leaf map
+    # once: one table per generator for each, and 2 * 3 * 24 compositions.
+    tables = count_calls(monkeypatch, _table)
+    compositions = count_calls(monkeypatch, _compose)
+    assert selfcheck(necklace(6), k=2).ok
+    assert len(tables) == 2 * 3
+    assert len(compositions) == len(tables) * 24 == 144
 
 
 def test_selfcheck_reuses_the_kernel_witness(fixtures):
