@@ -1,18 +1,27 @@
 #!/bin/sh
-# Usage: sh .github/check-cli.sh OUT ARGS...
+# Usage: [EXPECT=CODE] sh .github/check-cli.sh OUT ARGS...
 #
 # Runs `python -m stripes.cli ARGS` with a 60 s limit (timeout exits 124), its
 # stdout to the file OUT, or left on stdout when OUT is "-" (for a pipe).  It
-# fails, showing stderr and the tail of OUT, when the command exits non-zero
-# or prints a traceback.
+# fails, showing stderr and the tail of OUT, when the command exits with
+# another code than EXPECT (default 0) or prints a traceback.  With a
+# non-zero EXPECT, stderr must be one `stripes: ...` line.
 out=$1
 shift
+expect=${EXPECT:-0}
 [ "$out" = - ] || exec > "$out"
 err=$(mktemp)
+trap 'rm -f "$err"' EXIT
 timeout 60 python -m stripes.cli "$@" 2> "$err"
 code=$?
-if [ "$code" -ne 0 ] || grep -q Traceback "$err"; then
-    echo "stripes $* exited $code or printed a traceback" >&2
+ok=1
+[ "$code" -eq "$expect" ] || ok=
+! grep -q Traceback "$err" || ok=
+if [ "$expect" -ne 0 ]; then
+    [ "$(wc -l < "$err")" -eq 1 ] && grep -q "^stripes: " "$err" || ok=
+fi
+if [ -z "$ok" ]; then
+    echo "stripes $* exited $code, not $expect, or printed a traceback" >&2
     [ "$out" = - ] || tail -n 20 "$out" >&2
     cat "$err" >&2
     exit 1

@@ -278,27 +278,27 @@ def connected_components(atlas: StripedAtlas) -> tuple[frozenset[str], ...]:
     Two strips are linked when some gluing has one endpoint on each;
     components are returned in order of first appearance in the atlas.
     """
-    neighbours: dict[str, set[str]] = {s.id: set() for s in atlas.strips}
+    neighbours: dict[str, list[str]] = {s.id: [] for s in atlas.strips}
     locations = atlas.locations
     for g in atlas.gluings:
         sa, sb = locations[g.a][0], locations[g.b][0]
-        neighbours[sa].add(sb)
-        neighbours[sb].add(sa)
+        neighbours[sa].append(sb)
+        neighbours[sb].append(sa)
 
+    # One seen-set for the whole walk: a strip is marked when first reached.
     seen: set[str] = set()
     components: list[frozenset[str]] = []
     for s in atlas.strips:
         if s.id in seen:
             continue
-        stack = [s.id]
-        component: set[str] = set()
+        seen.add(s.id)
+        component, stack = [s.id], [s.id]
         while stack:
-            current = stack.pop()
-            if current in component:
-                continue
-            component.add(current)
-            stack.extend(neighbours[current] - component)
-        seen |= component
+            for other in neighbours[stack.pop()]:
+                if other not in seen:
+                    seen.add(other)
+                    component.append(other)
+                    stack.append(other)
         components.append(frozenset(component))
     return tuple(components)
 

@@ -84,22 +84,36 @@ def reduce_component(atlas: StripedAtlas) -> SurfaceClass:
     both side orders of) the other strip when the seam is decreasing.  So
     the least-id strip survives in place, a strip is mirrored when the
     seams from the least-id one multiply to decreasing, and side 0 is the
-    outer side on the least-id strip's side of the path's last seam.
+    outer side on the least-id strip's side of the path's last seam.  An
+    atlas with no regular seam is its own reduction, returned as is.
+
+    Merges stay inside a component, so on a disconnected atlas a PROPER
+    outcome is the union of its components' reductions, with as many
+    components as the input; a cylinder or Moebius outcome says only that
+    some component is one.
     """
-    # Seams are keyed by their end ``a``, which names one gluing in a valid
-    # atlas and hashes as a plain string.
     seams = regular_seams(atlas)
+    if not seams:
+        return SurfaceClass(SurfaceKind.PROPER, atlas)
+    # Seams are keyed by their end ``a``, which names one gluing in a valid
+    # atlas and hashes as a plain string.  Both ends of a seam are alone on
+    # their sides, so those sides give every seam end's strip and side.
     seam_rank = {g.a: i for i, g in enumerate(seams)}
-    locations = atlas.locations
-    strip_of = lambda name: locations[name][0]
+    alone: dict[str, tuple[str, int]] = {}
+    for s in atlas.strips:
+        if len(s.side0) == 1:
+            alone[s.side0[0]] = s.id, 0
+        if len(s.side1) == 1:
+            alone[s.side1[0]] = s.id, 1
     links: dict[str, list[tuple[Gluing, str]]] = {}
     for g in seams:
-        a, b = strip_of(g.a), strip_of(g.b)
+        a, b = alone[g.a][0], alone[g.b][0]
         links.setdefault(a, []).append((g, b))
         links.setdefault(b, []).append((g, a))
 
     mirror: dict[str, int] = {}
     replaced: dict[str, Strip | None] = {}
+    mirrored: set[str] = set()  # the intervals kept on mirrored strips
     for end, here in links.items():
         if len(here) != 1 or end in mirror:
             continue
@@ -111,9 +125,14 @@ def reduce_component(atlas: StripedAtlas) -> SurfaceClass:
         mirror.update((sid, bit ^ bits[root]) for sid, bit in zip(path, bits))
         outer = []
         for sid, g in ((path[0], walked[0]), (path[-1], walked[-1])):
-            seam_side = locations[g.a if strip_of(g.a) == sid else g.b][1]
+            seam_sid, seam_side = alone[g.a]
+            if seam_sid != sid:
+                seam_side = alone[g.b][1]
             side = atlas.strip(sid).side(1 - seam_side)
-            outer.append(side[::-1] if mirror[sid] else side)
+            if mirror[sid]:
+                mirrored.update(side)
+                side = side[::-1]
+            outer.append(side)
         if root > max(range(len(walked)), key=lambda i: seam_rank[walked[i].a]):
             outer.reverse()
         replaced.update(dict.fromkeys(path))
@@ -125,11 +144,14 @@ def reduce_component(atlas: StripedAtlas) -> SurfaceClass:
         kind = SurfaceKind.OPEN_MOEBIUS_BAND if twist % 2 else SurfaceKind.OPEN_CYLINDER
         return SurfaceClass(kind)
 
-    # A kept gluing, normalised already, flips once per mirrored end strip.
-    flip = lambda name: mirror.get(strip_of(name), 0)
+    # A path's intervals other than its seams' ends lie on its end strips'
+    # outer sides, so a kept gluing, normalised already, flips once per end
+    # on the outer side of a mirrored strip.
     strips = tuple(t for t in (replaced.get(s.id, s) for s in atlas.strips) if t)
     gluings = tuple(
-        tuple.__new__(Gluing, (g.a, g.b, g.parity.flipped())) if flip(g.a) ^ flip(g.b) else g
+        tuple.__new__(Gluing, (g.a, g.b, g.parity.flipped()))
+        if (g.a in mirrored) != (g.b in mirrored)
+        else g
         for g in atlas.gluings
         if g.a not in seam_rank
     )
@@ -137,5 +159,14 @@ def reduce_component(atlas: StripedAtlas) -> SurfaceClass:
 
 
 def reduce_atlas(atlas: StripedAtlas) -> tuple[SurfaceClass, ...]:
-    """Reduce every connected component, in order of first appearance."""
+    """Reduce every connected component, in order of first appearance.
+
+    The whole atlas is reduced first: a PROPER outcome with one component
+    is the answer, found without indexing the input.  Otherwise (a
+    disconnected atlas, or a cylinder or Moebius band somewhere) each
+    component is reduced on its own, one more linear pass.
+    """
+    whole = reduce_component(atlas)
+    if whole.kind is SurfaceKind.PROPER and len(whole.atlas.components) == 1:
+        return (whole,)
     return tuple(reduce_component(sub) for sub in component_atlases(atlas))

@@ -27,6 +27,10 @@ same forwards and backwards.  One route, taken by
 picks the working atlas (reduced, or the canonical one-strip atlas of an
 exceptional kind), builds its model and reads the kernel in O(size), with
 no psi; ``selfcheck`` checks both facts on the working atlas's group.
+The kernel and the report reduce first and check connectivity after:
+reduction keeps the number of components, so a proper input is checked on
+its reduced atlas, often far smaller, and the input's own components are
+found only for a cylinder or Moebius outcome.
 """
 
 from __future__ import annotations
@@ -293,6 +297,14 @@ _CANONICAL = {
 }
 
 
+def _reduce_connected(atlas: StripedAtlas) -> SurfaceClass:
+    # ``reduce_component`` of an atlas that must be connected, checked on
+    # the reduced atlas when there is one (see ``leaf_action_kernel``).
+    outcome = reduce_component(atlas)
+    _require_connected(atlas if outcome.atlas is None else outcome.atlas)
+    return outcome
+
+
 def _working_atlas(
     atlas: StripedAtlas, outcome: SurfaceClass
 ) -> tuple[StripedAtlas, LeafSpaceModel, KernelResult]:
@@ -320,9 +332,12 @@ def leaf_action_kernel(atlas: StripedAtlas) -> KernelResult:
     every leaf and acts trivially on the base circle, so their kernel has
     order two.  Otherwise it has order two exactly when the all-leaf
     reversal of the reduced atlas fixes every leaf point.  O(size).
+
+    Reduction keeps the number of components, so connectivity is checked on
+    the reduced atlas; the input is checked only after a cylinder or
+    Moebius outcome, which may describe one component of several.
     """
-    _require_connected(atlas)
-    return _working_atlas(atlas, reduce_component(atlas))[2]
+    return _working_atlas(atlas, _reduce_connected(atlas))[2]
 
 
 @dataclass(frozen=True)
@@ -343,12 +358,12 @@ class HomeotopyReport:
 def homeotopy_report(atlas: StripedAtlas) -> HomeotopyReport:
     """Order of the automorphism group, the kernel, and the image.
 
+    Requires a connected atlas, checked as in :func:`leaf_action_kernel`.
     Works on the reduced atlas; an exceptional component is replaced by
     its canonical one-strip atlas, to which it is foliated homeomorphic.
     The group acts freely on root frames, so |Aut| counts witnesses.
     """
-    _require_connected(atlas)
-    working, model, kernel = _working_atlas(atlas, reduce_component(atlas))
+    working, model, kernel = _working_atlas(atlas, _reduce_connected(atlas))
     aut_order = sum(1 for _ in iter_witnesses(working, working))
     return HomeotopyReport(
         aut_order=aut_order,

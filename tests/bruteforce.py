@@ -5,8 +5,11 @@ assignment, side flip bits, reversal bits), so they are only usable on a
 few strips.  The package's rooted traversal is checked against them.
 ``reduce_stepwise`` merges one regular seam at a time and rescans after
 every merge, in any order; the package's one-pass chain walk is checked
-against it.  ``leaf_map`` pushes an automorphism to the leaf space through
-the positional interval bijection instead of the model's arc ends, and
+against it.  ``reduce_per_component`` splits an atlas into its components
+before reducing each; ``reduce_atlas`` reduces the whole atlas first and
+must return the same outcomes.  ``leaf_map`` pushes an automorphism to the
+leaf space through the positional interval bijection instead of the
+model's arc ends, and
 ``kernel_members`` keeps the enumerated automorphisms that act trivially
 through it: the enumeration route of the kernel.  ``closure_scan`` tests
 every ground element of a finite space against all its basic sets.
@@ -65,7 +68,7 @@ from stripes.leafspace import (
     classify_leaf,
     hcl_point,
 )
-from stripes.reduction import SurfaceClass, SurfaceKind, is_reduced
+from stripes.reduction import SurfaceClass, SurfaceKind, is_reduced, reduce_component
 from stripes.symmetry import AtlasAutomorphism, LeafMap, enumerate_automorphisms
 
 
@@ -286,6 +289,12 @@ def reduce_stepwise(atlas: StripedAtlas, rng: Random | None = None) -> SurfaceCl
         assert len(outcome.strips) == len(current.strips) - 1
         assert len(outcome.gluings) == len(current.gluings) - 1
         current = outcome
+
+
+def reduce_per_component(atlas: StripedAtlas) -> tuple[SurfaceClass, ...]:
+    """Every connected component reduced on its own, in order of first
+    appearance."""
+    return tuple(map(reduce_component, component_atlases(atlas)))
 
 
 def functorial_all_pairs(identity, group, leaf_maps) -> bool:

@@ -1,17 +1,22 @@
 from __future__ import annotations
 
+import io
+import itertools
 import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stripes
-from stripes.atlas import parse_atlas, serialize_atlas
+from stripes.atlas import StripedAtlas, iter_witnesses, parse_atlas, serialize_atlas
 from stripes.cli import main
-from stripes.corpus import necklace
+from stripes.corpus import necklace, random_atlas
 from stripes.fixtures import FIXTURE_NAMES, fixture_text
 
 
@@ -47,10 +52,21 @@ def test_kernel_plane(atlas_file, capsys):
 
 
 def test_kernel_disconnected_exits_3(atlas_file, capsys):
-    code, out, err = run(capsys, "kernel", atlas_file("strip S\nstrip T\n"))
-    assert code == 3
-    assert out == ""
-    assert "disconnected" in err
+    # Connectivity is checked after reducing: on the reduced atlas when it
+    # is proper (a ladder's reduction keeps its disjoint strip), on the
+    # input when a cylinder component takes the exceptional fallback.
+    cylinder = "strip C\nside0 x\nside1 y\nglue x y +\n"
+    punctured = "strip U\nside1 u1 u2\nstrip V\nside0 v1 v2\nglue u1 v1 +\nglue u2 v2 +\n"
+    inputs = [
+        "strip S\nstrip T\n",
+        fixture_text("LADDER") + "strip U\n",
+        serialize_atlas(necklace(3)) + cylinder,
+        fixture_text("PUNCTURED") + punctured,
+    ]
+    for text in inputs:
+        for command in ("kernel", "report"):
+            code, out, err = run(capsys, command, atlas_file(text))
+            assert (code, out, err) == (3, "", "stripes: atlas disconnected - apply per component\n")
 
 
 @pytest.mark.parametrize("command", ["kernel", "report"])
@@ -374,3 +390,35 @@ def test_internal_error_exits_4_with_one_line(atlas_file, capsys, monkeypatch):
     code, out, err = run(capsys, "kernel", atlas_file("CYL"))
     assert (code, out) == (4, "")
     assert err == "stripes: internal error: exceptional component without a reversal\n"
+
+
+# ``aut`` prints one line per automorphism, and repeated components
+# multiply them: eight bare strips have 8!·4^8 = 2,642,411,520.  A draw
+# with more automorphisms than this runs every command but ``aut``.
+AUT_LINES_CAP = 10_000
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    strips=st.integers(0, 8),
+    max_ints=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    glue_prob=st.floats(0, 1),
+)
+def test_every_file_command_ends_cleanly(tmp_path_factory, strips, max_ints, seed, glue_prob):
+    # In-process, on random atlases of at most 8 strips, the empty one too:
+    # each command exits 0 or 3 with at most one stderr line.  A traceback
+    # would surface here as the exception itself.
+    atlas = random_atlas(strips, max_ints, seed, glue_prob) if strips else StripedAtlas((), ())
+    path = str(tmp_path_factory.getbasetemp() / "drawn.atlas")
+    Path(path).write_text(serialize_atlas(atlas))
+    commands = ["validate", "classify", "leafspace", "dual", "reduce", "kernel", "report", "selfcheck"]
+    if sum(1 for _ in itertools.islice(iter_witnesses(atlas, atlas), AUT_LINES_CAP + 1)) <= AUT_LINES_CAP:
+        commands.append("aut")
+    for argv in [[command, path] for command in commands] + [["iso", path, path]]:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 3), (argv, code, err.getvalue())
+        assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

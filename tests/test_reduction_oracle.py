@@ -5,6 +5,13 @@ rescans after each merge.  Merging in gluing order, it must give the same
 kind and the same bytes as the chain walk on every small component, on a
 seeded random corpus rich in regular seams, and on long ladders and
 cycles; merging in random order, an isomorphic result.
+
+``reduce_atlas`` reduces the whole atlas before splitting it, and the
+kernel and the report check connectivity on the reduced atlas.  Both rest
+on merges staying inside a component: a proper outcome has as many
+components as its input, and ``bruteforce.reduce_per_component``, which
+splits first, gives the same outcomes.  An atlas already reduced comes
+back as the same object.
 """
 
 from __future__ import annotations
@@ -14,19 +21,20 @@ from random import Random
 
 import pytest
 
-from bruteforce import reduce_stepwise
+from bruteforce import reduce_per_component, reduce_stepwise
 from stripes.atlas import (
     Gluing,
     Parity,
     Strip,
     StripedAtlas,
     component_atlases,
+    connected_components,
     is_valid,
     isomorphic,
     serialize_atlas,
 )
 from stripes.corpus import exhaustive_family, random_atlas
-from stripes.reduction import SurfaceKind, reduce_component
+from stripes.reduction import SurfaceKind, is_reduced, reduce_atlas, reduce_component
 from stripes.symmetry import leaf_action_kernel
 
 RANDOM_SEEDS = range(1200)
@@ -113,6 +121,38 @@ def test_any_merge_order_is_isomorphic(order_seed):
         assert other.kind is fast.kind
         if fast.kind is SurfaceKind.PROPER:
             assert other.atlas == fast.atlas or isomorphic(other.atlas, fast.atlas)
+
+
+def whole_atlas_corpus():
+    # Whole atlases, not their components: many are disconnected, many
+    # unreduced, and some have a cylinder or Moebius component.
+    yield from exhaustive_family(2, 2)
+    for seed in range(400):
+        glue_prob = (1.0, 0.95, 0.8, 0.5)[seed % 4]
+        yield random_atlas(1 + seed % 8, 1 + seed % 3 // 2, 40_000 + seed, glue_prob)
+
+
+def keeps_components_and_splits_late(atlas: StripedAtlas) -> bool:
+    outcome = reduce_component(atlas)
+    if outcome.kind is SurfaceKind.PROPER:
+        if len(connected_components(outcome.atlas)) != len(connected_components(atlas)):
+            return False
+        if is_reduced(atlas) and outcome.atlas is not atlas:
+            return False
+    return reduce_atlas(atlas) == reduce_per_component(atlas)
+
+
+def test_reduction_keeps_components_and_reduced_atlases():
+    corpus = list(whole_atlas_corpus())
+    # The random draws hold every case the whole-atlas route must get right.
+    draws = [(atlas, reduce_per_component(atlas)) for atlas in corpus[-400:]]
+    assert sum(len(outcomes) > 1 for _, outcomes in draws) >= 200
+    assert sum(not is_reduced(atlas) for atlas, _ in draws) >= 200
+    assert sum(
+        len(outcomes) > 1 and any(o.kind is not SurfaceKind.PROPER for o in outcomes)
+        for _, outcomes in draws
+    ) >= 40
+    assert [atlas for atlas in corpus if not keeps_components_and_splits_late(atlas)] == []
 
 
 @pytest.mark.parametrize("closed", [False, True], ids=["ladder", "cycle"])
