@@ -62,11 +62,6 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 
-# The largest ``selfcheck --samples K``.  The closure oracle samples K points
-# per arc end, and its cost grows fast with K: on ``necklace(30)`` selfcheck
-# takes 0.04 s at K = 2, 0.4 s at K = 16 and 3.2 s at K = 32.
-MAX_SAMPLES = 16
-
 
 def _load(path: str) -> StripedAtlas:
     try:
@@ -124,8 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rand.add_argument("--glue-prob", type=float, default=0.75, metavar="P")
     rand.add_argument("-o", metavar="OUT", dest="out", help="output file")
 
-    check = with_file("selfcheck", "run all invariant cross-checks")
-    check.add_argument("--samples", type=int, default=2, metavar="K")
+    with_file("selfcheck", "run all invariant cross-checks")
 
     return parser
 
@@ -153,11 +147,6 @@ def _run(args: argparse.Namespace) -> int:
             raise SystemExit2(str(exc)) from exc
         _emit(serialize_atlas(atlas), args.out)
         return EXIT_OK
-
-    if args.command == "selfcheck" and args.samples < 1:
-        raise SystemExit2("--samples must be at least 1")
-    if args.command == "selfcheck" and args.samples > MAX_SAMPLES:
-        raise SystemExit2(f"--samples must be at most {MAX_SAMPLES}")
 
     if args.command == "iso":
         witness = isomorphic(_load(args.file), _load(args.other))
@@ -247,7 +236,7 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "selfcheck":
-        report = selfcheck(atlas, args.samples)
+        report = selfcheck(atlas)
         # The verdict is the exit code, also when the reader stops early.
         with contextlib.suppress(BrokenPipeError):
             for line in report.lines():

@@ -62,11 +62,12 @@ class AtlasAutomorphism:
     reversal: dict[str, int]
 
     def key(self):
-        """Sort key: the three dicts as tuples in strip order."""
+        """Sort key: images, side flips, reversal bits, each in strip order."""
+        strips = sorted(self.strip_map)
         return (
-            tuple(sorted(self.strip_map.items())),
-            tuple(sorted(self.side_flip.items())),
-            tuple(sorted(self.reversal.items())),
+            *map(self.strip_map.__getitem__, strips),
+            *map(self.side_flip.__getitem__, strips),
+            *map(self.reversal.__getitem__, strips),
         )
 
     def __hash__(self):
@@ -269,21 +270,17 @@ def reversal_witness(atlas: StripedAtlas) -> AtlasAutomorphism | None:
     the leaf-space model whose points read differently backwards.
     """
     _require_connected(atlas)
-    return _reversal(atlas, None)
+    return _reversal(atlas, build_leaf_space(atlas))
 
 
-def _reversal(
-    atlas: StripedAtlas, model: LeafSpaceModel | None
-) -> AtlasAutomorphism | None:
+def _reversal(atlas: StripedAtlas, model: LeafSpaceModel) -> AtlasAutomorphism | None:
     # ``reversal_witness`` on a connected ``atlas`` whose leaf-space model
-    # is ``model``, or is built here when needed.
+    # is ``model``.
     candidate = all_leaf_reversal(atlas)
     if not is_valid_witness(
         atlas, atlas, candidate.strip_map, candidate.side_flip, candidate.reversal
     ):
         return None
-    if model is None:
-        model = build_leaf_space(atlas)
     ends = model.end_points.values()
     return candidate if all(points == points[::-1] for points in ends) else None
 

@@ -242,11 +242,11 @@ def test_selfcheck_fixtures(atlas_file, capsys, name):
     assert all(line.startswith(("PASS", "SELFCHECK")) for line in out.splitlines())
 
 
-def test_selfcheck_samples_flag(atlas_file, capsys):
-    for samples in ("3", "16"):
-        code, out, _ = run(capsys, "selfcheck", atlas_file("PUNCTURED"), "--samples", samples)
-        assert code == 0
-        assert "PASS S:hcl-oracle-agreement" in out
+def test_selfcheck_takes_no_samples_option(atlas_file, capsys):
+    # selfcheck has no settings: argparse rejects the removed option.
+    code, out, err = run(capsys, "selfcheck", atlas_file("PUNCTURED"), "--samples", "2")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --samples 2" in err
 
 
 def test_help_exits_zero(capsys):
@@ -263,11 +263,7 @@ def test_help_exits_zero(capsys):
         ["random", "--strips", "2", "--max-ints", "1", "--seed", "1", "--glue-prob", "nan"],
         ["validate", "{binary}"],
         ["iso", "{binary}", "{binary}"],
-        ["selfcheck", "{punctured}", "--samples", "0"],
-        ["selfcheck", "{punctured}", "--samples", "-3"],
         ["validate", "{punctured}/"],
-        ["selfcheck", "{punctured}", "--samples", "17"],
-        ["selfcheck", "{punctured}", "--samples", "100000000"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(atlas_file, capsys, tmp_path, argv):
@@ -362,7 +358,7 @@ def test_closed_stdout_keeps_a_failed_selfcheck_exit_1(atlas_file, monkeypatch, 
     from stripes.selfcheck import CheckResult, SelfCheckReport
 
     failed = SelfCheckReport([CheckResult("s0", "broken", False)] * failures)
-    monkeypatch.setattr(cli, "selfcheck", lambda atlas, k: failed)
+    monkeypatch.setattr(cli, "selfcheck", lambda atlas: failed)
     read_end, write_end = os.pipe()
     os.close(read_end)
     with os.fdopen(write_end, "w") as closed:

@@ -125,6 +125,24 @@ def test_oracle_agreement_on_random_atlases(seed, strips, k):
         assert leaf_points_of(hcl_bruteforce(space, p)) == hcl_point(model, p)
 
 
+def test_leaf_point_closures_do_not_depend_on_the_depth(exhaustive_all):
+    # Every basic set of a leaf point holds the depth-k samples of all its
+    # ends, so depths 1..4 give the same closures, the shared-end rule's.
+    # selfcheck samples one depth only, on this fact.
+    corpus = list(exhaustive_all)
+    corpus += [random_atlas(2 + seed % 4, 3, 90_000 + seed, 0.6) for seed in range(60)]
+    points_seen = 0
+    for atlas in corpus:
+        model = build_leaf_space(atlas)
+        spaces = [sampled_space(model, k) for k in (1, 2, 3, 4)]
+        points = frozenset(model.points)
+        for p in model.points:
+            closures = {hcl_bruteforce(space, p) & points for space in spaces}
+            assert closures == {hcl_point(model, p)}, (atlas, p)
+            points_seen += 1
+    assert points_seen > 1_000
+
+
 def test_sampled_space_rejects_bad_depth(fixtures):
     with pytest.raises(ValueError):
         sampled_space(build_leaf_space(fixtures["PLANE"]), 0)

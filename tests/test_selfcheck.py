@@ -62,7 +62,7 @@ CHECK_NAMES = {
     "name", ["PLANE", "HALFPLANE", "CYL", "MOEB", "SAMESIDE", "PUNCTURED", "LADDER"]
 )
 def test_fixtures_pass(fixtures, name):
-    report = selfcheck(fixtures[name], k=2)
+    report = selfcheck(fixtures[name])
     assert report.ok, report.lines()
     names = {r.name for r in report.results if r.component != "*"}
     assert names == CHECK_NAMES
@@ -70,7 +70,7 @@ def test_fixtures_pass(fixtures, name):
 
 def test_runs_per_component():
     atlas = parse_atlas("strip S\nside0 a b\nglue a b -\nstrip T\nside1 x\n")
-    report = selfcheck(atlas, k=1)
+    report = selfcheck(atlas)
     assert report.ok
     components = {r.component for r in report.results}
     assert components == {"*", "S", "T"}
@@ -94,7 +94,7 @@ def test_lines_are_pass_or_fail(fixtures):
 def test_exhaustive_family_has_zero_failures(exhaustive_all):
     failures = []
     for atlas in exhaustive_all:
-        report = selfcheck(atlas, k=2)
+        report = selfcheck(atlas)
         if not report.ok:
             failures.append((atlas, [l for l in report.lines() if l.startswith("FAIL")]))
     assert failures == []
@@ -199,7 +199,7 @@ def test_kernel_dichotomy_guards(fixtures, monkeypatch):
             return _kernel_dichotomy(members)
 
         monkeypatch.setattr("stripes.selfcheck._kernel_dichotomy", fake)
-        lines = selfcheck(atlas, k=1).lines()
+        lines = selfcheck(atlas).lines()
         assert f"FAIL S:kernel-dichotomy ({detail})" in lines
         assert seen == [[identity]]
 
@@ -214,7 +214,7 @@ def selfcheck_kernel_members(atlas, monkeypatch) -> list:
         return _kernel_dichotomy(members)
 
     monkeypatch.setattr("stripes.selfcheck._kernel_dichotomy", record)
-    assert selfcheck(atlas, k=1).ok
+    assert selfcheck(atlas).ok
     return seen
 
 
@@ -289,10 +289,10 @@ def test_each_check_can_fail(fixtures):
     # the model and the atlas, which every other check needs intact.
     assert set(BROKEN_RULES) | {"interval-partition", "kernel-dichotomy"} == CHECK_NAMES
     for check, (name, rule, broken) in BROKEN_RULES.items():
-        assert selfcheck(fixtures[name], k=1).ok
+        assert selfcheck(fixtures[name]).ok
         with pytest.MonkeyPatch.context() as patch:
             patch_everywhere(patch, rule, broken)
-            lines = selfcheck(fixtures[name], k=1).lines()
+            lines = selfcheck(fixtures[name]).lines()
         assert any(line.startswith(f"FAIL S:{check}") for line in lines), (check, lines)
 
 
@@ -314,7 +314,7 @@ def test_exceptional_witness_crosscheck_can_fail(fixtures, name):
     for rule, broken in defects:
         with pytest.MonkeyPatch.context() as patch:
             patch_everywhere(patch, rule, broken)
-            lines = selfcheck(fixtures[name], k=1).lines()
+            lines = selfcheck(fixtures[name]).lines()
         assert "FAIL S:witness-crosscheck" in lines, (rule, lines)
         assert "PASS S:kernel-dichotomy" in lines
 
@@ -324,23 +324,23 @@ def test_selfcheck_enumerates_once_and_builds_few_models(monkeypatch):
     # the group laws, the leaf maps and the kernel, and one model all maps.
     enumerations = count_calls(monkeypatch, enumerate_automorphisms)
     builds = count_calls(monkeypatch, build_leaf_space)
-    assert selfcheck(necklace(6), k=2).ok
+    assert selfcheck(necklace(6)).ok
     assert len(enumerations) == 1
     assert len(builds) <= 4
 
 
 def test_selfcheck_computes_each_fact_once(fixtures):
     # necklace(6) is reduced and builds one model; LADDER is not, and builds
-    # a second one for its reduction.  The reductions: the component, its
-    # reverse listing and, when PROPER, the result again.
+    # a second one for its reduction.  The reductions: the component and its
+    # reversed listing.
     for atlas, models in ((necklace(6), 1), (fixtures["LADDER"], 2)):
         with pytest.MonkeyPatch.context() as patch:
             reductions = count_calls(patch, reduce_component)
             closures = count_calls(patch, _closure)
             special = count_calls(patch, special_points)
             boundary = count_calls(patch, boundary_points)
-            assert selfcheck(atlas, k=2).ok
-        assert len(reductions) <= 3
+            assert selfcheck(atlas).ok
+        assert len(reductions) == 2
         assert len(closures) == 1
         assert len(special) == len(boundary) == models
 
@@ -351,7 +351,7 @@ def test_selfcheck_forms_each_product_once(monkeypatch):
     # once: one table per generator for each, and 2 * 3 * 24 compositions.
     tables = count_calls(monkeypatch, _table)
     compositions = count_calls(monkeypatch, _compose)
-    assert selfcheck(necklace(6), k=2).ok
+    assert selfcheck(necklace(6)).ok
     assert len(tables) == 2 * 3
     assert len(compositions) == len(tables) * 24 == 144
 
@@ -364,14 +364,14 @@ def test_selfcheck_reuses_the_kernel_witness(fixtures):
     with pytest.MonkeyPatch.context() as patch:
         reversals = count_calls(patch, _reversal)
         builds = count_calls(patch, build_leaf_space)
-        assert selfcheck(necklace(6), k=2).ok
+        assert selfcheck(necklace(6)).ok
     assert len(reversals) == 1
     assert len(builds) == 1
     ladder = fixtures["LADDER"]
     with pytest.MonkeyPatch.context() as patch:
         reversals = count_calls(patch, _reversal)
         builds = count_calls(patch, build_leaf_space)
-        assert selfcheck(ladder, k=2).ok
+        assert selfcheck(ladder).ok
     assert [args[0] for args in reversals] == [reduce_component(ladder).atlas, ladder]
     assert [args[0] for args in builds] == [reduce_component(ladder).atlas, ladder]
     assert all(args[1] is not None for args in reversals)
@@ -382,12 +382,12 @@ def test_exceptional_selfcheck_checks_its_reversal_once(fixtures):
     for name in ("CYL", "MOEB"):
         with pytest.MonkeyPatch.context() as patch:
             witnesses = count_calls(patch, reversal_witness)
-            assert selfcheck(fixtures[name], k=2).ok
+            assert selfcheck(fixtures[name]).ok
         assert [args[0] for args in witnesses] == [fixtures[name]]
 
 
 def test_thirty_strip_necklace_selfcheck_is_fast():
     start = time.perf_counter()
-    report = selfcheck(necklace(30), k=2)
+    report = selfcheck(necklace(30))
     assert report.ok, report.lines()
     assert time.perf_counter() - start < 5

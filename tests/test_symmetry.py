@@ -105,9 +105,11 @@ def test_group_orders(fixtures, name, order):
     assert len(enumerate_automorphisms(fixtures[name])) == order
 
 
-def test_enumeration_equals_brute_force(fixtures):
-    for atlas in fixtures.values():
-        found = [a.key() for a in enumerate_automorphisms(atlas)]
+def test_enumeration_equals_brute_force(fixtures, exhaustive_all):
+    # The brute-force witnesses are sorted by the former key, three tuples of
+    # (strip, value) pairs; the flat key must keep that canonical order.
+    for atlas in (*fixtures.values(), *exhaustive_all, necklace(4)):
+        found = [bruteforce.witness_key(triple(a)) for a in enumerate_automorphisms(atlas)]
         assert found == bruteforce.witnesses(atlas, atlas)
 
 
