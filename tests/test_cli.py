@@ -263,7 +263,11 @@ def test_help_exits_zero(capsys):
         ["random", "--strips", "2", "--max-ints", "1", "--seed", "1", "--glue-prob", "nan"],
         ["validate", "{binary}"],
         ["iso", "{binary}", "{binary}"],
+        ["selfcheck", "{binary}"],
+        ["selfcheck", "{punctured}/"],
         ["validate", "{punctured}/"],
+        ["iso", "{punctured}", "{binary}"],
+        ["random", "--strips", "2", "--max-ints", "1", "--seed", "1", "--glue-prob", "inf"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(atlas_file, capsys, tmp_path, argv):
