@@ -69,6 +69,7 @@ class Parity(Enum):
 
 _PARITY_OF_SYMBOL = {parity.value: parity for parity in Parity}
 _PARITY_OF_BIT = (Parity.INCREASING, Parity.DECREASING)
+_SIDE_SLOT = {"side0": 1, "side1": 2}  # where parse_atlas keeps a strip's side
 
 
 # Value types are named tuples, built, hashed and sorted in C by the
@@ -334,76 +335,104 @@ def parse_atlas(text: str) -> StripedAtlas:
     """Parse atlas text; raise :class:`AtlasError` with a line number on bad input.
 
     Identifiers are preserved verbatim.  Gluings may reference intervals
-    declared on any line, earlier or later.  The first fault by line is
-    reported; an unknown glued interval only when there is no other.
+    declared on any line, earlier or later.  One loop sorts the lines into
+    strips, sides and glue rows; whole-text checks on set sizes (distinct
+    strip names, intervals and glue ends, glue ends declared, parities
+    known) accept the text.  Only a faulty text is walked line by line, to
+    report its first fault; an unknown glued interval when there is no other.
     """
-    strips: list[list] = []  # [name, side0, side1] per strip line
-    current, given = None, 0  # the last strip; bit 1 or 2 once its side0 or side1 is seen
-    strip_names: set[str] = set()
-    declared: set[str] = set()
-    glued: set[str] = set()
-    gluings: list[Gluing] = []
-    parity_of, new = _PARITY_OF_SYMBOL.get, tuple.__new__
-
     lines = text.splitlines()
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
-    for lineno, tokens in enumerate(map(str.split, lines), 1):
+    strips: list[list] = []  # [name, side0, side1] per strip; a side is None until given
+    glues: list[list[str]] = []
+    declared: list[str] = []
+    current = None
+    for tokens in map(str.split, lines):
         if not tokens:
             continue
         keyword = tokens[0]
-
-        if keyword == "side0" or keyword == "side1":
-            if current is None:
-                raise AtlasError(f"{keyword} before any strip", lineno)
-            which = 1 if keyword == "side0" else 2
-            if given & which:
-                raise AtlasError(f"{keyword} given twice for strip {current[0]!r}", lineno)
-            given |= which
-            del tokens[0]
-            if not declared.isdisjoint(tokens) or (
-                len(tokens) > 1 and len(set(tokens)) != len(tokens)
-            ):
-                name = next(n for i, n in enumerate(tokens) if n in declared or n in tokens[:i])
-                raise AtlasError(f"duplicate interval id {name!r}", lineno)
-            declared.update(tokens)
-            current[which] = tuple(tokens)
-
-        elif keyword == "glue":
-            if len(tokens) != 4:
-                raise AtlasError("expected: glue <interval> <interval> +|-", lineno)
-            _, a, b, symbol = tokens
-            parity = parity_of(symbol)
-            if parity is None:
-                raise AtlasError(f"parity must be '+' or '-', got {symbol!r}", lineno)
-            if a == b:
-                raise AtlasError(f"interval {a!r} glued to itself", lineno)
-            if a in glued or b in glued:
-                raise AtlasError(f"interval {a if a in glued else b!r} glued twice", lineno)
-            glued.add(a)
-            glued.add(b)
-            gluings.append(new(Gluing, (a, b, parity) if a <= b else (b, a, parity)))
-
-        elif keyword == "strip":
-            if len(tokens) != 2:
-                raise AtlasError("expected: strip <name>", lineno)
-            name = tokens[1]
-            if name in strip_names:
-                raise AtlasError(f"duplicate strip id {name!r}", lineno)
-            strip_names.add(name)
-            current, given = [name, (), ()], 0
+        if keyword == "glue" and len(tokens) == 4:
+            glues.append(tokens)
+        elif keyword == "strip" and len(tokens) == 2:
+            current = [tokens[1], None, None]
             strips.append(current)
-
         else:
-            raise AtlasError(f"unknown directive {keyword!r}", lineno)
+            which = _SIDE_SLOT.get(keyword)
+            if which is None or current is None or current[which] is not None:
+                raise _first_fault(lines)
+            del tokens[0]
+            current[which] = tokens
+            declared += tokens
 
-    if not glued <= declared:
-        for lineno, tokens in enumerate(map(str.split, lines), 1):
-            for name in tokens[1:3] if tokens[:1] == ["glue"] else ():
-                if name not in declared:
-                    raise AtlasError(f"glue references unknown interval {name!r}", lineno)
+    parity_of, new = _PARITY_OF_SYMBOL.get, tuple.__new__
+    parities = [parity_of(row[3]) for row in glues]
+    ends = [row[1] for row in glues] + [row[2] for row in glues]
+    known, glued = set(declared), set(ends)
+    if (
+        len(known) != len(declared)
+        or len(glued) != len(ends)
+        or not glued <= known
+        or len({entry[0] for entry in strips}) != len(strips)
+        or None in parities
+    ):
+        raise _first_fault(lines)
+    return StripedAtlas(
+        tuple([new(Strip, (name, tuple(s0 or ()), tuple(s1 or ()))) for name, s0, s1 in strips]),
+        tuple([
+            new(Gluing, (a, b, parity) if a <= b else (b, a, parity))
+            for (_, a, b, _), parity in zip(glues, parities)
+        ]),
+    )
 
-    return StripedAtlas(tuple([new(Strip, entry) for entry in strips]), tuple(gluings))
+
+def _first_fault(lines: list[str]) -> AtlasError:
+    # The error ``parse_atlas`` raises on faulty text (lines without comments):
+    # the first fault by line, an unknown glued interval only if no other.
+    strip_names, declared, glued = set(), set(), set()
+    requests: list[tuple[int, str, str]] = []
+    given = None  # the side keywords seen for the last strip
+    for lineno, tokens in enumerate(map(str.split, lines), 1):
+        if not tokens:
+            continue
+        keyword, args = tokens[0], tokens[1:]
+        if keyword == "strip":
+            if len(args) != 1:
+                return AtlasError("expected: strip <name>", lineno)
+            if args[0] in strip_names:
+                return AtlasError(f"duplicate strip id {args[0]!r}", lineno)
+            strip_names.add(args[0])
+            name, given = args[0], set()
+        elif keyword in ("side0", "side1"):
+            if given is None:
+                return AtlasError(f"{keyword} before any strip", lineno)
+            if keyword in given:
+                return AtlasError(f"{keyword} given twice for strip {name!r}", lineno)
+            given.add(keyword)
+            for interval in args:
+                if interval in declared:
+                    return AtlasError(f"duplicate interval id {interval!r}", lineno)
+                declared.add(interval)
+        elif keyword == "glue":
+            if len(args) != 3:
+                return AtlasError("expected: glue <interval> <interval> +|-", lineno)
+            a, b, symbol = args
+            if symbol not in _PARITY_OF_SYMBOL:
+                return AtlasError(f"parity must be '+' or '-', got {symbol!r}", lineno)
+            if a == b:
+                return AtlasError(f"interval {a!r} glued to itself", lineno)
+            for end in (a, b):
+                if end in glued:
+                    return AtlasError(f"interval {end!r} glued twice", lineno)
+                glued.add(end)
+            requests.append((lineno, a, b))
+        else:
+            return AtlasError(f"unknown directive {keyword!r}", lineno)
+    for lineno, a, b in requests:
+        for end in (a, b):
+            if end not in declared:
+                return AtlasError(f"glue references unknown interval {end!r}", lineno)
+    raise AssertionError("parse_atlas found a fault that the line walk does not")
 
 
 def serialize_atlas(atlas: StripedAtlas) -> str:

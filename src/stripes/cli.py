@@ -21,12 +21,13 @@ Disconnected atlases pair their components with an explicit stack, so any
 number of components fits.  ``kernel`` checks the single all-leaf reversal
 of the reduced atlas against its model, O(size).
 
-The structural commands build only what they print.  ``classify`` reads
-the leaf points off the atlas (``leaf_points``) and builds no leaf-space
-model.  Plain ``dual`` prints its counts from the atlas: the dual graph
-has one vertex per strip and one edge per gluing, so only ``dual --dot``
-builds it.  Plain ``leafspace`` renders each point's label once and
-writes its output in one piece.
+The structural commands build only what they print, from an atlas that
+``parse_atlas`` accepts by whole-text checks.  ``classify`` reads the leaf
+points off the atlas (``leaf_points``) and builds no leaf-space model.
+Plain ``dual`` prints its counts from the atlas: the dual graph has one
+vertex per strip and one edge per gluing, so only ``dual --dot`` builds
+it.  Plain ``leafspace`` formats one position pass (``leaf_point_table``),
+each label rendered once; only ``--dot`` and ``--svg`` build the model.
 
 The argument parser is built once per process, so repeated in-process
 ``main`` calls (tests, library users) do not rebuild it.
@@ -44,7 +45,7 @@ from pathlib import Path
 from .atlas import AtlasError, StripedAtlas, isomorphic, parse_atlas, serialize_atlas
 from .corpus import random_atlas
 from .dualgraph import build_dual_graph, export_dot
-from .leafspace import build_leaf_space, classify_leaf, hcl_point, leaf_points
+from .leafspace import build_leaf_space, classify_leaf, leaf_point_table, leaf_points
 from .reduction import SurfaceKind, reduce_atlas
 from .render import leafspace_dot, leafspace_svg
 from .selfcheck import selfcheck
@@ -167,22 +168,22 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "leafspace":
-        model = build_leaf_space(atlas)
-        if args.svg:
-            _emit(leafspace_svg(model), args.svg)
-        if args.dot:
-            sys.stdout.write(leafspace_dot(model))
-            return EXIT_OK
+        if args.svg or args.dot:
+            model = build_leaf_space(atlas)
+            if args.svg:
+                _emit(leafspace_svg(model), args.svg)
+            if args.dot:
+                sys.stdout.write(leafspace_dot(model))
+                return EXIT_OK
         # Arcs are the strips in atlas order; every label is rendered once.
+        points, slots, closures = leaf_point_table(atlas)
+        labels = [point.label() for point in points]
         lines = [f"arc {s.id} side0={len(s.side0)} side1={len(s.side1)}\n" for s in atlas.strips]
-        label = {point: point.label() for point in model.points}
-        for point in model.points:
-            slots = model.attachments[point]
-            attach = ",".join([f"{strip}.{side}[{index}]" for (strip, side), index in slots])
-            lines.append(f"point {label[point]} kind={point.kind} attach={attach}\n")
-        for point in model.points:
-            closure = ",".join([label[q] for q in sorted(hcl_point(model, point))])
-            lines.append(f"hcl {label[point]} = {closure}\n")
+        for label, point, where in zip(labels, points, slots):
+            attach = ",".join([f"{strip}.{side}[{index}]" for strip, side, index in where])
+            lines.append(f"point {label} kind={point.kind} attach={attach}\n")
+        for label, closure in zip(labels, closures):
+            lines.append(f"hcl {label} = {','.join([labels[q] for q in closure])}\n")
         sys.stdout.write("".join(lines))
         return EXIT_OK
 

@@ -12,11 +12,12 @@ consists of
 Two leaf points cannot be separated by open sets exactly when they attach
 to a common arc end: any saturated neighbourhood of one sweeps interior
 leaves whose closure meets every interval on that end.  That rule is what
-:func:`hcl_point` implements; :func:`hcl_bruteforce` recomputes Hausdorff
-closures from first principles on a finite discretisation so the rule is
-validated rather than trusted: :func:`sampled_space` builds the finite
-space, and the closure of a point is the meet of the closures of its basic
-neighbourhoods in it.
+:func:`hcl_point` implements, and :func:`leaf_point_table` on positions
+(plain ``stripes leafspace`` builds no model); :func:`hcl_bruteforce`
+recomputes Hausdorff closures from first principles on a finite
+discretisation so the rule is validated rather than trusted:
+:func:`sampled_space` builds the finite space, and the closure of a point
+is the meet of the closures of its basic neighbourhoods in it.
 """
 
 from __future__ import annotations
@@ -134,6 +135,27 @@ def leaf_points(atlas: StripedAtlas) -> tuple[LeafPoint, ...]:
     keys.sort()
     new = tuple.__new__
     return tuple([new(LeafPoint, (key,)) for key in keys])
+
+
+def leaf_point_table(atlas: StripedAtlas) -> tuple[tuple[LeafPoint, ...], list, list]:
+    """What plain ``stripes leafspace`` prints, read off a valid atlas in one
+    pass with no model: the points of :func:`leaf_points`, each point's
+    slots ``(strip, side, index)`` in the order of its intervals, and each
+    point's closure as sorted positions in the points: by the rule of
+    :func:`hcl_point`, the union of the positions on the point's ends."""
+    points = leaf_points(atlas)
+    position = {name: i for i, point in enumerate(points) for name in point[0]}
+    slot: dict[str, tuple[str, int, int]] = {}
+    on_end: dict[str, list[int]] = {}  # interval -> the positions on its end
+    for s in atlas.strips:
+        for side, names in ((0, s.side0), (1, s.side1)):
+            here = [position[name] for name in names]
+            for index, name in enumerate(names):
+                slot[name] = (s.id, side, index)
+                on_end[name] = here
+    slots = [[slot[name] for name in point[0]] for point in points]
+    closures = [sorted(set().union(*[on_end[name] for name in point[0]])) for point in points]
+    return points, slots, closures
 
 
 def build_leaf_space(atlas: StripedAtlas) -> LeafSpaceModel:

@@ -89,11 +89,14 @@ def selfcheck(atlas: StripedAtlas) -> SelfCheckReport:
 def _check_component(report: SelfCheckReport, atlas: StripedAtlas, label: str) -> None:
     # The kernel's route gives the working atlas (the reduction, or the
     # canonical atlas of an exceptional kind), its model and the kernel; a
-    # reduced component is its own working atlas and shares the model.
+    # reduced component is its own working atlas and shares the model.  An
+    # exceptional component's kernel is read off its model, built here once.
     outcome = reduce_component(atlas)
-    working, working_model, kernel = _working_atlas(atlas, outcome)
+    model = None if outcome.kind is SurfaceKind.PROPER else build_leaf_space(atlas)
+    working, working_model, kernel = _working_atlas(atlas, outcome, model)
     own = working == atlas
-    model = working_model if own else build_leaf_space(atlas)
+    if model is None:
+        model = working_model if own else build_leaf_space(atlas)
     closures, special, boundary = facts = _point_facts(model)
     add = lambda name, ok, detail="": report.results.append(
         CheckResult(label, name, ok, detail)

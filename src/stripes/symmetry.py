@@ -261,16 +261,19 @@ class KernelResult:
         return "TRIVIAL" if self.witness is None else "Z2"
 
 
-def reversal_witness(atlas: StripedAtlas) -> AtlasAutomorphism | None:
+def reversal_witness(
+    atlas: StripedAtlas, model: LeafSpaceModel | None = None
+) -> AtlasAutomorphism | None:
     """The all-leaf reversal fixing every leaf point, if the atlas admits one.
 
     Checks the single candidate with identity strip map, no side flips and
     all reversal bits set.  Gluing parities never obstruct it (each parity
     is conjugated by two reversals); the only obstruction is an arc end of
-    the leaf-space model whose points read differently backwards.
+    the leaf-space model whose points read differently backwards.  The
+    model is built unless the caller passes the one it has.
     """
     _require_connected(atlas)
-    return _reversal(atlas, build_leaf_space(atlas))
+    return _reversal(atlas, build_leaf_space(atlas) if model is None else model)
 
 
 def _reversal(atlas: StripedAtlas, model: LeafSpaceModel) -> AtlasAutomorphism | None:
@@ -303,19 +306,20 @@ def _reduce_connected(atlas: StripedAtlas) -> SurfaceClass:
 
 
 def _working_atlas(
-    atlas: StripedAtlas, outcome: SurfaceClass
+    atlas: StripedAtlas, outcome: SurfaceClass, model: LeafSpaceModel | None = None
 ) -> tuple[StripedAtlas, LeafSpaceModel, KernelResult]:
     """The atlas that carries the isotopy classes of the connected ``atlas``
     whose reduction is ``outcome``, that atlas's model, and the kernel.
 
     A proper component works on its reduced atlas, whose model gives the
     kernel; an exceptional one on the canonical one-strip atlas of its kind,
-    and its kernel is its own all-leaf reversal, which must exist.
+    and its kernel is its own all-leaf reversal, which must exist.  That
+    reversal is read off ``model``, ``atlas``'s own model, when given.
     """
     if outcome.kind is SurfaceKind.PROPER:
         model = build_leaf_space(outcome.atlas)
         return outcome.atlas, model, KernelResult(_reversal(outcome.atlas, model))
-    witness = reversal_witness(atlas)
+    witness = reversal_witness(atlas, model)
     if witness is None:
         raise RuntimeError("exceptional component without a reversal")
     return (*_CANONICAL[outcome.kind], KernelResult(witness))

@@ -31,7 +31,9 @@ and compare side tuples, where the package's layers read the index once
 and compare side lengths.  ``classify_text`` and ``leafspace_text`` build
 the plain ``classify`` and ``leafspace`` output from the located model,
 one point at a time; the CLI reads its points off the atlas and renders
-each label once.
+each label once.  ``leafspace_text`` with ``build_leaf_space`` is the
+model route of plain ``leafspace``, where the CLI reads one position pass
+(``leaf_point_table``) and builds no model.
 """
 
 from __future__ import annotations
@@ -571,11 +573,13 @@ def classify_text(atlas: StripedAtlas) -> str:
     return "".join(lines)
 
 
-def leafspace_text(atlas: StripedAtlas) -> str:
-    """Plain ``stripes leafspace`` output from the located model: arcs with
-    their side sizes, points with their attachment slots, then every
-    point's Hausdorff closure, each label rendered where it is printed."""
-    model = build_leaf_space_located(atlas)
+def leafspace_text(atlas: StripedAtlas, build=build_leaf_space_located) -> str:
+    """Plain ``stripes leafspace`` output from a leaf-space model, the
+    located one unless ``build`` is another builder: arcs with their side
+    sizes, points with their attachment slots, then every point's
+    Hausdorff closure from ``hcl_point``, each label rendered where it is
+    printed."""
+    model = build(atlas)
     lines = []
     for arc in model.arcs:
         strip = atlas.strip(arc)

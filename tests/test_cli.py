@@ -386,7 +386,7 @@ def test_parser_is_reused_across_calls(atlas_file, capsys):
 
 
 def test_internal_error_exits_4_with_one_line(atlas_file, capsys, monkeypatch):
-    monkeypatch.setattr("stripes.symmetry.reversal_witness", lambda atlas: None)
+    monkeypatch.setattr("stripes.symmetry.reversal_witness", lambda atlas, model=None: None)
     code, out, err = run(capsys, "kernel", atlas_file("CYL"))
     assert (code, out) == (4, "")
     assert err == "stripes: internal error: exceptional component without a reversal\n"

@@ -8,8 +8,10 @@ They must agree on every small atlas, on seeded random atlases (often
 disconnected and not reduced) and on necklaces.  ``leaf_points`` must
 return the model's points, and the plain ``classify``, ``leafspace`` and
 ``dual`` commands, which build less than the model or the dual graph,
-must print what the oracles and the dual graph give.  ``component_atlases``
-must split an atlas like the per-component filter.
+must print what the oracles and the dual graph give.  Plain ``leafspace``
+must print byte for byte what the model route gives, and the closures of
+its position pass must be ``hcl_point``'s.  ``component_atlases`` must
+split an atlas like the per-component filter.
 """
 
 from __future__ import annotations
@@ -29,7 +31,13 @@ from stripes.atlas import component_atlases, is_connected, parse_atlas, serializ
 from stripes.cli import main
 from stripes.corpus import exhaustive_family, necklace, random_atlas
 from stripes.dualgraph import build_dual_graph, euler_invariant
-from stripes.leafspace import build_leaf_space, classify_leaf, hcl_point, leaf_points
+from stripes.leafspace import (
+    build_leaf_space,
+    classify_leaf,
+    hcl_point,
+    leaf_point_table,
+    leaf_points,
+)
 from stripes.reduction import regular_seams
 from test_cli import ODD_NAMES
 
@@ -103,6 +111,41 @@ def test_structural_commands_match_oracles(tmp_path):
         if found:
             failures[str(atlas)] = found
     assert not failures, list(failures.items())[:3]
+
+
+def leafspace_corpus(fixtures, classes):
+    yield from fixtures.values()
+    yield from classes
+    for seed in range(200):
+        glue = (0.3, 0.6, 0.9, 1.0)[seed % 4]
+        yield random_atlas(1 + seed % 12, 1 + seed % 3, 70_000 + seed, glue)
+    for n in range(3, 9):
+        yield necklace(n, "+" * n)
+        yield necklace(n, "-" * n)
+
+
+def test_plain_leafspace_matches_the_model_route(fixtures, exhaustive_all, tmp_path):
+    path = tmp_path / "input.atlas"
+    failures, count, disconnected = [], 0, 0
+    for atlas in leafspace_corpus(fixtures, exhaustive_all):
+        count += 1
+        disconnected += not is_connected(atlas)
+        path.write_text(serialize_atlas(atlas), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["leafspace", str(path)])
+        if (code, out.getvalue()) != (0, leafspace_text(atlas, build_leaf_space)):
+            failures.append((atlas, "stdout"))
+        model = build_leaf_space(atlas)
+        points, _, closures = leaf_point_table(atlas)
+        for point, closure in zip(points, closures):
+            if closure != sorted(set(closure)) or {points[q] for q in closure} != hcl_point(
+                model, point
+            ):
+                failures.append((atlas, point.label()))
+    assert count == 7 + 1043 + 200 + 12
+    assert disconnected >= 60
+    assert not failures, failures[:3]
 
 
 def test_component_atlases_match_the_filter():

@@ -5,7 +5,10 @@ gluings in the same order, or raise ``AtlasError`` with the same message
 and line.  The texts mix real directives with unknown and reserved words,
 repeat strip and interval names within a line and across lines, glue
 intervals declared later, add comments, and separate tokens and lines by
-every kind of whitespace ``str.split`` and ``str.splitlines`` know.
+every kind of whitespace ``str.split`` and ``str.splitlines`` know.  At
+scale, serialized atlases of 200 to 240 strips get one fault each on their
+first or last line, so the whole-text checks must hand every kind of fault
+to the line walk, which must find the same first fault as the oracle.
 """
 
 from __future__ import annotations
@@ -140,3 +143,52 @@ def test_parser_matches_oracle_on_serialized_corpora():
 )
 def test_parser_matches_oracle_on_edge_cases(text):
     assert same_as_oracle(text)
+
+
+def fault_lines(atlas) -> dict[str, list[str]]:
+    """One fault each, as the lines that carry it; a side line needs a strip."""
+    intervals, gluings = atlas.intervals(), atlas.gluings
+    middle = intervals[len(intervals) // 2]
+    glued = gluings[0].a  # not on the last line
+    other = next(name for name in intervals if name != glued)
+    last = gluings[-1]  # the last line: in its place, a wrong parity is the only fault
+    assert not {"zz0", "zz1"} & set(intervals) and "Q" not in atlas.strip_ids
+    return {
+        "duplicate interval": ["strip Q", f"side0 {middle}"],
+        "duplicate strip id": [f"strip {atlas.strips[len(atlas.strips) // 2].id}"],
+        "unknown glued interval": ["glue zz0 zz1 +"],
+        "interval glued twice": [f"glue {other} {glued} -"],
+        "self-glue": [f"glue {middle} {middle} +"],
+        "parity *": [f"glue {last.a} {last.b} *"],
+        "side0 given twice": ["strip Q", "side0", "side0"],
+        "side line before any strip": ["side1 zz0"],
+        "unknown directive": ["frobnicate"],
+        "3-token glue": [f"glue {glued} {other}"],
+        "strip A B": ["strip A B"],
+    }
+
+
+def mutants(atlas) -> list[str]:
+    """The serialized atlas with each fault before its first line or after
+    its last, and a one-line fault in place of its first or last line; a
+    side line before any strip only at the head."""
+    lines = serialize_atlas(atlas).splitlines()
+    texts = []
+    for kind, fault in fault_lines(atlas).items():
+        head = [fault + lines] + ([fault + lines[1:]] if len(fault) == 1 else [])
+        tail = [lines + fault] + ([lines[:-1] + fault] if len(fault) == 1 else [])
+        variants = head if kind == "side line before any strip" else head + tail
+        texts += ["\n".join(variant) + "\n" for variant in variants]
+    return texts
+
+
+def test_parser_matches_oracle_at_scale_with_first_and_last_line_faults():
+    atlases = [necklace(200)] + [random_atlas(240, 3, seed, 0.9) for seed in (1, 2, 3)]
+    for atlas in atlases:
+        text = serialize_atlas(atlas)
+        assert same_as_oracle(text) and parse_atlas(text) == atlas
+        texts = mutants(atlas)
+        assert len(texts) == 38
+        for mutant in texts:
+            assert outcome(parse_atlas_stepwise, mutant)[0] == "error", mutant[:80]
+            assert same_as_oracle(mutant), outcome(parse_atlas, mutant)

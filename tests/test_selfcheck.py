@@ -302,13 +302,18 @@ def leaf_maps_without_orientation(model, aut):
     return LeafMap(leaf_map.point_map, leaf_map.arc_map, dict.fromkeys(leaf_map.arc_map, 0))
 
 
+def identity_as_reversal(atlas, model=None):
+    # A wrong kernel witness: the identity, whatever the model reads.
+    return identity_automorphism(atlas)
+
+
 @pytest.mark.parametrize("name", ["CYL", "MOEB"])
 def test_exceptional_witness_crosscheck_can_fail(fixtures, name):
     # The kernel's witness is checked against the enumerated group of the
     # canonical one-strip atlas and its leaf maps: a wrong witness fails,
     # and so does a leaf map that lets the side flips into the kernel.
     defects = [
-        (reversal_witness, identity_automorphism),
+        (reversal_witness, identity_as_reversal),
         (induced_leaf_map, leaf_maps_without_orientation),
     ]
     for rule, broken in defects:
@@ -331,18 +336,25 @@ def test_selfcheck_enumerates_once_and_builds_few_models(monkeypatch):
 
 def test_selfcheck_computes_each_fact_once(fixtures):
     # necklace(6) is reduced and builds one model; LADDER is not, and builds
-    # a second one for its reduction.  The reductions: the component and its
-    # reversed listing.
-    for atlas, models in ((necklace(6), 1), (fixtures["LADDER"], 2)):
+    # a second one for its reduction.  The two-strip open cylinder is
+    # exceptional: its kernel's reversal and its checks read the one model
+    # of the input, and the canonical atlas's model is a constant.  The
+    # reductions: the component and its reversed listing.
+    cylinder = parse_atlas(
+        "strip S\nside0 a\nside1 b\nstrip T\nside0 c\nside1 d\nglue b c +\nglue d a +\n"
+    )
+    for atlas, models in ((necklace(6), 1), (fixtures["LADDER"], 2), (cylinder, 1)):
         with pytest.MonkeyPatch.context() as patch:
             reductions = count_calls(patch, reduce_component)
             closures = count_calls(patch, _closure)
             special = count_calls(patch, special_points)
             boundary = count_calls(patch, boundary_points)
+            builds = count_calls(patch, build_leaf_space)
             assert selfcheck(atlas).ok
         assert len(reductions) == 2
         assert len(closures) == 1
         assert len(special) == len(boundary) == models
+        assert [args[0] for args in builds].count(atlas) == 1
 
 
 def test_selfcheck_forms_each_product_once(monkeypatch):
