@@ -38,6 +38,13 @@ class AtlasError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+class DisconnectedAtlasError(ValueError):
+    """Raised by operations that are only defined on connected atlases.
+
+    Defined here, with the connectivity it is about, so that catching it
+    (as the CLI does) loads no other module; ``symmetry`` re-exports it."""
+
+
 class Parity(Enum):
     """Monotonicity class of a gluing homeomorphism.
 

@@ -31,6 +31,19 @@ each label rendered once; only ``--dot`` and ``--svg`` build the model.
 
 The argument parser is built once per process, so repeated in-process
 ``main`` calls (tests, library users) do not rebuild it.
+
+A command loads only the modules it uses.  This module imports ``atlas``
+alone; every other name below is bound on its first use by ``__getattr__``
+(PEP 562), which imports the home module, and then kept as a module global,
+as an import would keep it.  ``_run`` reads those names through the module
+(``_cli.name``), so a value set on ``stripes.cli`` (a test's monkeypatch, a
+tracer's wrapper) is the one called.  ``validate`` and plain ``dual`` load
+nothing more; ``classify`` and plain ``leafspace`` add ``leafspace``;
+``reduce`` adds ``reduction``; ``aut``, ``kernel``, ``report`` and ``iso``
+(to print a witness) add ``symmetry``, which loads ``leafspace`` and
+``reduction``; ``selfcheck`` adds ``selfcheck``, which loads those three;
+``random`` adds ``corpus``.  Only ``--dot`` and ``--svg`` add ``render``
+(and ``leafspace`` for the model, ``dualgraph`` for ``dual --dot``).
 """
 
 from __future__ import annotations
@@ -42,20 +55,47 @@ import os
 import sys
 from pathlib import Path
 
-from .atlas import AtlasError, StripedAtlas, isomorphic, parse_atlas, serialize_atlas
-from .corpus import random_atlas
-from .dualgraph import build_dual_graph, export_dot
-from .leafspace import build_leaf_space, classify_leaf, leaf_point_table, leaf_points
-from .reduction import SurfaceKind, reduce_atlas
-from .render import leafspace_dot, leafspace_svg
-from .selfcheck import selfcheck
-from .symmetry import (
-    AtlasAutomorphism,
+from .atlas import (
+    AtlasError,
     DisconnectedAtlasError,
-    enumerate_automorphisms,
-    homeotopy_report,
-    leaf_action_kernel,
+    StripedAtlas,
+    isomorphic,
+    parse_atlas,
+    serialize_atlas,
 )
+
+# Name -> home module, for the names bound on first use.
+_LAZY = {
+    "AtlasAutomorphism": "symmetry",
+    "enumerate_automorphisms": "symmetry",
+    "homeotopy_report": "symmetry",
+    "leaf_action_kernel": "symmetry",
+    "build_leaf_space": "leafspace",
+    "classify_leaf": "leafspace",
+    "leaf_point_table": "leafspace",
+    "leaf_points": "leafspace",
+    "SurfaceKind": "reduction",
+    "reduce_atlas": "reduction",
+    "build_dual_graph": "dualgraph",
+    "export_dot": "dualgraph",
+    "leafspace_dot": "render",
+    "leafspace_svg": "render",
+    "random_atlas": "corpus",
+    "selfcheck": "selfcheck",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f"{__package__}.{module}"), name)
+    return value
+
+
+_cli = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -143,7 +183,7 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "random":
         try:
-            atlas = random_atlas(args.strips, args.max_ints, args.seed, args.glue_prob)
+            atlas = _cli.random_atlas(args.strips, args.max_ints, args.seed, args.glue_prob)
         except ValueError as exc:
             raise SystemExit2(str(exc)) from exc
         _emit(serialize_atlas(atlas), args.out)
@@ -154,29 +194,30 @@ def _run(args: argparse.Namespace) -> int:
         if witness is None:
             print("NOT-ISOMORPHIC")
         else:
-            print("ISOMORPHIC " + AtlasAutomorphism(*witness).format())
+            print("ISOMORPHIC " + _cli.AtlasAutomorphism(*witness).format())
         return EXIT_OK
 
     atlas = _load(args.file)
 
     if args.command == "classify":
+        classify = _cli.classify_leaf
         lines = [
-            f"{point.kind} {' '.join(point.intervals)} {classify_leaf(atlas, point).value}\n"
-            for point in leaf_points(atlas)
+            f"{point.kind} {' '.join(point.intervals)} {classify(atlas, point).value}\n"
+            for point in _cli.leaf_points(atlas)
         ]
         sys.stdout.write("".join(lines))
         return EXIT_OK
 
     if args.command == "leafspace":
         if args.svg or args.dot:
-            model = build_leaf_space(atlas)
+            model = _cli.build_leaf_space(atlas)
             if args.svg:
-                _emit(leafspace_svg(model), args.svg)
+                _emit(_cli.leafspace_svg(model), args.svg)
             if args.dot:
-                sys.stdout.write(leafspace_dot(model))
+                sys.stdout.write(_cli.leafspace_dot(model))
                 return EXIT_OK
         # Arcs are the strips in atlas order; every label is rendered once.
-        points, slots, closures = leaf_point_table(atlas)
+        points, slots, closures = _cli.leaf_point_table(atlas)
         labels = [point.label() for point in points]
         lines = [f"arc {s.id} side0={len(s.side0)} side1={len(s.side1)}\n" for s in atlas.strips]
         for label, point, where in zip(labels, points, slots):
@@ -189,10 +230,10 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "reduce":
         proper: list[StripedAtlas] = []
-        for outcome in reduce_atlas(atlas):
-            if outcome.kind is SurfaceKind.OPEN_CYLINDER:
+        for outcome in _cli.reduce_atlas(atlas):
+            if outcome.kind is _cli.SurfaceKind.OPEN_CYLINDER:
                 print("CYLINDER")
-            elif outcome.kind is SurfaceKind.OPEN_MOEBIUS_BAND:
+            elif outcome.kind is _cli.SurfaceKind.OPEN_MOEBIUS_BAND:
                 print("MOEBIUS")
             else:
                 proper.append(outcome.atlas)
@@ -208,7 +249,7 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "dual":
         if args.dot:
-            sys.stdout.write(export_dot(build_dual_graph(atlas)))
+            sys.stdout.write(_cli.export_dot(_cli.build_dual_graph(atlas)))
             return EXIT_OK
         # One vertex per strip and one edge per gluing, by construction.
         vertices, edges = len(atlas.strips), len(atlas.gluings)
@@ -216,12 +257,12 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "aut":
-        for aut in enumerate_automorphisms(atlas):
+        for aut in _cli.enumerate_automorphisms(atlas):
             print(aut.format())
         return EXIT_OK
 
     if args.command == "kernel":
-        result = leaf_action_kernel(atlas)
+        result = _cli.leaf_action_kernel(atlas)
         if result.is_trivial:
             print("TRIVIAL")
         else:
@@ -229,7 +270,7 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "report":
-        result = homeotopy_report(atlas)
+        result = _cli.homeotopy_report(atlas)
         print(f"autOrder {result.aut_order}")
         print(f"kernel {result.kernel.label()}")
         print(f"imageOrder {result.image_order}")
@@ -237,7 +278,7 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "selfcheck":
-        report = selfcheck(atlas)
+        report = _cli.selfcheck(atlas)
         # The verdict is the exit code, also when the reader stops early.
         with contextlib.suppress(BrokenPipeError):
             for line in report.lines():

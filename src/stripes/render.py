@@ -2,7 +2,17 @@
 
 from __future__ import annotations
 
-from .leafspace import ArcEnd, LeafSpaceModel
+import re
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .leafspace import LeafSpaceModel
+
+# What XML 1.0 forbids in character data and that an identifier may hold:
+# control characters other than tab, newline and carriage return, surrogates,
+# U+FFFE and U+FFFF.  Escaping them (&#1;) would not help: the references
+# are forbidden as well.
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def dot_quote(text: str) -> str:
@@ -34,8 +44,15 @@ def leafspace_svg(model: LeafSpaceModel) -> str:
     """Arcs as horizontal segments, attached points as stacked dots at the
     ends.  Presentational only; no layout guarantees."""
     # Imported here: saxutils pulls in urllib, which every other command
-    # would pay for at start-up.
-    from xml.sax.saxutils import escape
+    # would pay for at start-up, and ``dual --dot`` (dot_quote only) needs
+    # no leafspace.
+    from xml.sax.saxutils import escape as escape_markup
+
+    from .leafspace import ArcEnd
+
+    def escape(text: str) -> str:
+        # A character XML cannot carry is shown as its Python escape, \x01.
+        return escape_markup(_NOT_XML.sub(lambda m: ascii(m[0])[1:-1], text))
 
     row_height = 70
     left, right = 120, 680

@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
-from .atlas import StripedAtlas, is_valid_witness, iter_witnesses
+from .atlas import DisconnectedAtlasError, StripedAtlas, is_valid_witness, iter_witnesses
 from .leafspace import LeafPoint, LeafSpaceModel, build_leaf_space
 from .reduction import (
     SurfaceClass,
@@ -47,10 +47,6 @@ from .reduction import (
     canonical_exceptional_atlas,
     reduce_component,
 )
-
-
-class DisconnectedAtlasError(ValueError):
-    """Raised by operations that are only defined on connected atlases."""
 
 
 @dataclass(frozen=True)

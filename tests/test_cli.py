@@ -306,6 +306,18 @@ def test_svg_escapes_identifiers(atlas_file, capsys, tmp_path):
     assert {'S"x', "{a<b,e}", "{c\\d&}"} <= texts
 
 
+def test_svg_shows_characters_xml_forbids(atlas_file, capsys, tmp_path):
+    # The parser takes any token without whitespace or '#'; the SVG shows
+    # what XML 1.0 cannot carry as its Python escape and still parses.
+    text = "strip A\x01B\nside0 x\x00y z\ufffe\nstrip T\nside1 e\x1b\uffff\nglue x\x00y e\x1b\uffff +\n"
+    assert parse_atlas(text).strips[0].id == "A\x01B"
+    svg_path = tmp_path / "ctrl.svg"
+    code, _, _ = run(capsys, "leafspace", atlas_file(text), "--svg", str(svg_path))
+    assert code == 0
+    texts = {node.text for node in ET.parse(svg_path).getroot().iter()}
+    assert {"A\\x01B", "T", "{e\\x1b\\uffff,x\\x00y}", "{z\\ufffe}"} <= texts
+
+
 @pytest.mark.parametrize(
     "argv",
     [

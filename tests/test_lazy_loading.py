@@ -1,0 +1,115 @@
+"""Modules load on first use: ``import stripes`` runs no submodule, and
+each CLI command loads only the modules it uses."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import stripes
+from stripes import atlas, symmetry
+
+SRC = Path(stripes.__file__).parents[1]
+DATA = Path(stripes.__file__).parent / "data"
+
+# The public names of the package, by home module.
+PUBLIC = {
+    "atlas": "AtlasError DisconnectedAtlasError Gluing Parity Strip StripedAtlas canonical_form "
+    "connected_components component_atlases is_connected is_valid isomorphic parse_atlas "
+    "serialize_atlas validate",
+    "dualgraph": "DualGraph build_dual_graph euler_invariant export_dot",
+    "fixtures": "FIXTURE_NAMES all_fixtures fixture_atlas fixture_text",
+    "leafspace": "ArcEnd Attachment FiniteBasisSpace LeafClass LeafPoint LeafSpaceModel Sample "
+    "boundary_points build_leaf_space classify_leaf hcl_bruteforce hcl_point sampled_space "
+    "special_points",
+    "reduction": "SurfaceClass SurfaceKind is_reduced reduce_atlas reduce_component regular_seams",
+    "symmetry": "AtlasAutomorphism HomeotopyReport KernelResult LeafMap all_leaf_reversal "
+    "enumerate_automorphisms homeotopy_report identity_automorphism induced_leaf_map "
+    "leaf_action_kernel leaf_model_automorphism_count reversal_witness",
+}
+HOME = {name: module for module, names in PUBLIC.items() for name in names.split()}
+
+
+def loaded_after(code: str, *args: str) -> set[str]:
+    """The ``stripes`` modules a fresh interpreter holds after ``code``."""
+    probe = code + (
+        "\nimport sys"
+        "\nsys.stdout.flush()"
+        "\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'stripes'), file=sys.stderr)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stderr.splitlines()[-1].split())
+
+
+def test_import_stripes_loads_no_submodule():
+    assert loaded_after("import stripes") == {"stripes"}
+
+
+def test_import_cli_loads_only_atlas():
+    assert loaded_after("import stripes.cli") == {"stripes", "stripes.cli", "stripes.atlas"}
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["validate", "{plane}"], ""),
+        (["dual", "{plane}"], ""),
+        (["iso", "{plane}", "{cyl}"], ""),  # no witness to print
+        (["classify", "{plane}"], "leafspace"),
+        (["leafspace", "{plane}"], "leafspace"),
+        (["reduce", "{plane}"], "reduction"),
+        (["aut", "{plane}"], "symmetry leafspace reduction"),
+        (["iso", "{plane}", "{plane}"], "symmetry leafspace reduction"),
+        (["kernel", "{plane}"], "symmetry leafspace reduction"),
+        (["report", "{plane}"], "symmetry leafspace reduction"),
+        (["selfcheck", "{plane}"], "selfcheck symmetry leafspace reduction"),
+        (["random", "--strips", "3", "--max-ints", "2", "--seed", "1"], "corpus"),
+        (["leafspace", "{plane}", "--dot"], "render leafspace"),
+        (["leafspace", "{plane}", "--svg", "{svg}"], "render leafspace"),
+        (["dual", "{plane}", "--dot"], "render dualgraph"),
+    ],
+)
+def test_each_command_loads_only_its_modules(tmp_path, argv, modules):
+    paths = {"plane": DATA / "plane.atlas", "cyl": DATA / "cyl.atlas", "svg": tmp_path / "out.svg"}
+    args = [arg.format(**paths) for arg in argv]
+    code = "import sys\nfrom stripes.cli import main\nassert main(sys.argv[1:]) == 0"
+    expected = {"stripes", "stripes.cli", "stripes.atlas"} | {f"stripes.{m}" for m in modules.split()}
+    assert loaded_after(code, *args) == expected
+
+
+def test_all_holds_the_public_names():
+    assert sorted(stripes.__all__) == sorted(HOME)
+    assert len(stripes.__all__) == 55
+
+
+@pytest.mark.parametrize("name", sorted(HOME))
+def test_name_is_its_home_modules_object(name):
+    assert getattr(stripes, name) is getattr(import_module(f"stripes.{HOME[name]}"), name)
+
+
+def test_dir_and_star_import_list_the_public_names():
+    assert set(HOME) <= set(dir(stripes))
+    namespace: dict = {}
+    exec("from stripes import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == set(HOME)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        stripes.no_such_name  # noqa: B018
+
+
+def test_disconnected_error_is_one_class():
+    assert symmetry.DisconnectedAtlasError is atlas.DisconnectedAtlasError
+    assert stripes.DisconnectedAtlasError is atlas.DisconnectedAtlasError
