@@ -18,8 +18,8 @@ reads like the reference root (its sides' glued/free flags in frame
 order) are walked, each up to its first row (one per strip) that differs
 from the reference; ``canonical_form`` still traverses all 4n.
 Disconnected atlases pair their components with an explicit stack, so any
-number of components fits.  ``kernel`` checks the single all-leaf reversal
-of the reduced atlas against its model, O(size).
+number of components fits.  ``kernel`` reads the single all-leaf reversal
+of the reduced atlas off its sides, O(size), and builds no leaf-space model.
 
 The structural commands build only what they print, from an atlas that
 ``parse_atlas`` accepts by whole-text checks.  ``classify`` reads the leaf
@@ -106,7 +106,7 @@ EXIT_INTERNAL = 4
 
 def _load(path: str) -> StripedAtlas:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         raise SystemExit2(f"cannot read {path}: {exc.strerror or exc}") from exc
@@ -237,14 +237,18 @@ def _run(args: argparse.Namespace) -> int:
                 print("MOEBIUS")
             else:
                 proper.append(outcome.atlas)
-        # OUT always gets the proper part, empty when there is none, so no
-        # earlier file survives there; stdout gets it only when non-empty.
-        if proper or args.out:
-            combined = StripedAtlas(
-                tuple(s for a in proper for s in a.strips),
-                tuple(g for a in proper for g in a.gluings),
+        # OUT always gets the proper part, so no earlier file survives
+        # there; with no proper part, it and stdout get no text at all.
+        text = ""
+        if proper:
+            text = serialize_atlas(
+                StripedAtlas(
+                    tuple(s for a in proper for s in a.strips),
+                    tuple(g for a in proper for g in a.gluings),
+                )
             )
-            _emit(serialize_atlas(combined), args.out)
+        if text or args.out:
+            _emit(text, args.out)
         return EXIT_OK
 
     if args.command == "dual":

@@ -12,11 +12,13 @@ greedy generating set, which forms each generator product once.  Each
 enumerated automorphism, and its leaf map from :func:`induced_leaf_map`,
 is encoded once as a tuple of positions, so that a product is one pick of
 entries out of a table.  The kernel comes from the same route as in
-``kernel`` and ``report``, and the witness cross-check compares its
-reversal with the members of the working atlas's enumerated group that act
-trivially on the leaf space: the reduced atlas's group on a proper
-component, the group of the canonical one-strip atlas on an exceptional
-one.
+``kernel`` and ``report``, read off the working atlas's sides, and the
+witness cross-check compares its reversal with the members of the working
+atlas's enumerated group that act trivially on the leaf space: the reduced
+atlas's group on a proper component, the group of the canonical one-strip
+atlas on an exceptional one.  Each of those members must also pass the
+witness-validity oracle, ``is_valid_witness``, on the working atlas; no
+other command runs it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .atlas import StripedAtlas, component_atlases, isomorphic, validate
+from .atlas import StripedAtlas, component_atlases, is_valid_witness, isomorphic, validate
 from .leafspace import (
     LeafClass,
     LeafSpaceModel,
@@ -88,15 +90,13 @@ def selfcheck(atlas: StripedAtlas) -> SelfCheckReport:
 
 def _check_component(report: SelfCheckReport, atlas: StripedAtlas, label: str) -> None:
     # The kernel's route gives the working atlas (the reduction, or the
-    # canonical atlas of an exceptional kind), its model and the kernel; a
-    # reduced component is its own working atlas and shares the model.  An
-    # exceptional component's kernel is read off its model, built here once.
+    # canonical atlas of an exceptional kind) and the kernel; a reduced
+    # component is its own working atlas and shares its model.
     outcome = reduce_component(atlas)
-    model = None if outcome.kind is SurfaceKind.PROPER else build_leaf_space(atlas)
-    working, working_model, kernel = _working_atlas(atlas, outcome, model)
+    working, kernel = _working_atlas(atlas, outcome)
     own = working == atlas
-    if model is None:
-        model = working_model if own else build_leaf_space(atlas)
+    working_model = build_leaf_space(working)
+    model = working_model if own else build_leaf_space(atlas)
     closures, special, boundary = facts = _point_facts(model)
     add = lambda name, ok, detail="": report.results.append(
         CheckResult(label, name, ok, detail)
@@ -151,19 +151,25 @@ def _check_component(report: SelfCheckReport, atlas: StripedAtlas, label: str) -
 
     # Kernel dichotomy on the enumerated group of the working atlas, and the
     # kernel's single reversal candidate against it.  A component that is
-    # its own working atlas filters the group and maps it already has.
+    # its own working atlas filters the group and maps it already has.  The
+    # members must pass the witness-validity oracle on the working atlas.
     maps = zip(group, leaf_maps) if own else (
         (aut, induced_leaf_map(working_model, aut)) for aut in enumerate_automorphisms(working)
     )
     members = [aut for aut, m in maps if m.is_identity]
     nontrivial = [aut for aut in members if not aut.is_identity]
+    valid = all(
+        is_valid_witness(working, working, aut.strip_map, aut.side_flip, aut.reversal)
+        for aut in members
+    )
     if outcome.kind is SurfaceKind.PROPER:
         # The input's own reversal must exist exactly when the kernel's does.
-        witness = kernel.witness if own else _reversal(atlas, model)
+        witness = kernel.witness if own else _reversal(atlas)
         add("kernel-dichotomy", *_kernel_dichotomy(members))
         add(
             "witness-crosscheck",
-            nontrivial == ([] if kernel.is_trivial else [kernel.witness])
+            valid
+            and nontrivial == ([] if kernel.is_trivial else [kernel.witness])
             and (witness is not None) == (not kernel.is_trivial),
         )
     else:
@@ -173,7 +179,7 @@ def _check_component(report: SelfCheckReport, atlas: StripedAtlas, label: str) -
         add("kernel-dichotomy", kernel.order == 2)
         add(
             "witness-crosscheck",
-            [kernel.witness] == [_on_every_strip(aut, atlas) for aut in nontrivial],
+            valid and [kernel.witness] == [_on_every_strip(aut, atlas) for aut in nontrivial],
         )
 
     # Reduction invariants.

@@ -21,16 +21,16 @@ automorphism acting trivially on the leaf space keeps every strip and side
 in place with all leaf points fixed, and its reversal bits then agree
 across every gluing, hence are constant on a connected atlas.  So the
 kernel is trivial or holds one more element, the all-ones reversal, which
-fixes every leaf point exactly when every arc end lists its points the
-same forwards and backwards.  One route, taken by
-:func:`leaf_action_kernel`, :func:`homeotopy_report` and ``selfcheck``,
-picks the working atlas (reduced, or the canonical one-strip atlas of an
-exceptional kind), builds its model and reads the kernel in O(size), with
-no psi; ``selfcheck`` checks both facts on the working atlas's group.
-The kernel and the report reduce first and check connectivity after:
-reduction keeps the number of components, so a proper input is checked on
-its reduced atlas, often far smaller, and the input's own components are
-found only for a cylinder or Moebius outcome.
+fixes every leaf point exactly when every side lists its leaf points (one
+per gluing or free interval) the same forwards and backwards.  One route,
+taken by :func:`leaf_action_kernel`, :func:`homeotopy_report` and
+``selfcheck``, picks the working atlas (reduced, or the canonical one-strip
+atlas of an exceptional kind) and reads the kernel off the sides in
+O(size), with no model and no psi; ``selfcheck`` checks both facts on the
+working atlas's group.  The kernel and the report reduce first and check
+connectivity after: reduction keeps the number of components, so a proper
+input is checked on its reduced atlas, often far smaller, and the input's
+own components are found only for a cylinder or Moebius outcome.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
-from .atlas import DisconnectedAtlasError, StripedAtlas, is_valid_witness, iter_witnesses
+from .atlas import DisconnectedAtlasError, StripedAtlas, iter_witnesses
 from .leafspace import LeafPoint, LeafSpaceModel, build_leaf_space
 from .reduction import (
     SurfaceClass,
@@ -257,40 +257,28 @@ class KernelResult:
         return "TRIVIAL" if self.witness is None else "Z2"
 
 
-def reversal_witness(
-    atlas: StripedAtlas, model: LeafSpaceModel | None = None
-) -> AtlasAutomorphism | None:
+def reversal_witness(atlas: StripedAtlas) -> AtlasAutomorphism | None:
     """The all-leaf reversal fixing every leaf point, if the atlas admits one.
 
     Checks the single candidate with identity strip map, no side flips and
     all reversal bits set.  Gluing parities never obstruct it (each parity
-    is conjugated by two reversals); the only obstruction is an arc end of
-    the leaf-space model whose points read differently backwards.  The
-    model is built unless the caller passes the one it has.
+    is conjugated by two reversals); the only obstruction is a side whose
+    leaf points read differently backwards.
     """
     _require_connected(atlas)
-    return _reversal(atlas, build_leaf_space(atlas) if model is None else model)
+    return _reversal(atlas)
 
 
-def _reversal(atlas: StripedAtlas, model: LeafSpaceModel) -> AtlasAutomorphism | None:
-    # ``reversal_witness`` on a connected ``atlas`` whose leaf-space model
-    # is ``model``.
-    candidate = all_leaf_reversal(atlas)
-    if not is_valid_witness(
-        atlas, atlas, candidate.strip_map, candidate.side_flip, candidate.reversal
-    ):
-        return None
-    ends = model.end_points.values()
-    return candidate if all(points == points[::-1] for points in ends) else None
-
-
-# The canonical one-strip atlas of each exceptional kind, with its model,
-# built once: the kernel of an exceptional component needs neither.
-_CANONICAL = {
-    kind: (canonical, build_leaf_space(canonical))
-    for kind in (SurfaceKind.OPEN_CYLINDER, SurfaceKind.OPEN_MOEBIUS_BAND)
-    for canonical in (canonical_exceptional_atlas(kind),)
-}
+def _reversal(atlas: StripedAtlas) -> AtlasAutomorphism | None:
+    # ``reversal_witness`` on a connected ``atlas``.  An interval stands for
+    # its leaf point: its gluing, or itself when free.
+    point = atlas.gluing_of.get
+    for s in atlas.strips:
+        for side in (s.side0, s.side1):
+            points = [point(name, name) for name in side]
+            if points != points[::-1]:
+                return None
+    return all_leaf_reversal(atlas)
 
 
 def _reduce_connected(atlas: StripedAtlas) -> SurfaceClass:
@@ -302,23 +290,21 @@ def _reduce_connected(atlas: StripedAtlas) -> SurfaceClass:
 
 
 def _working_atlas(
-    atlas: StripedAtlas, outcome: SurfaceClass, model: LeafSpaceModel | None = None
-) -> tuple[StripedAtlas, LeafSpaceModel, KernelResult]:
+    atlas: StripedAtlas, outcome: SurfaceClass
+) -> tuple[StripedAtlas, KernelResult]:
     """The atlas that carries the isotopy classes of the connected ``atlas``
-    whose reduction is ``outcome``, that atlas's model, and the kernel.
+    whose reduction is ``outcome``, and the kernel.
 
-    A proper component works on its reduced atlas, whose model gives the
+    A proper component works on its reduced atlas, whose sides give the
     kernel; an exceptional one on the canonical one-strip atlas of its kind,
-    and its kernel is its own all-leaf reversal, which must exist.  That
-    reversal is read off ``model``, ``atlas``'s own model, when given.
+    and its kernel is its own all-leaf reversal, which must exist.
     """
     if outcome.kind is SurfaceKind.PROPER:
-        model = build_leaf_space(outcome.atlas)
-        return outcome.atlas, model, KernelResult(_reversal(outcome.atlas, model))
-    witness = reversal_witness(atlas, model)
+        return outcome.atlas, KernelResult(_reversal(outcome.atlas))
+    witness = reversal_witness(atlas)
     if witness is None:
         raise RuntimeError("exceptional component without a reversal")
-    return (*_CANONICAL[outcome.kind], KernelResult(witness))
+    return canonical_exceptional_atlas(outcome.kind), KernelResult(witness)
 
 
 def leaf_action_kernel(atlas: StripedAtlas) -> KernelResult:
@@ -334,7 +320,7 @@ def leaf_action_kernel(atlas: StripedAtlas) -> KernelResult:
     the reduced atlas; the input is checked only after a cylinder or
     Moebius outcome, which may describe one component of several.
     """
-    return _working_atlas(atlas, _reduce_connected(atlas))[2]
+    return _working_atlas(atlas, _reduce_connected(atlas))[1]
 
 
 @dataclass(frozen=True)
@@ -360,13 +346,13 @@ def homeotopy_report(atlas: StripedAtlas) -> HomeotopyReport:
     its canonical one-strip atlas, to which it is foliated homeomorphic.
     The group acts freely on root frames, so |Aut| counts witnesses.
     """
-    working, model, kernel = _working_atlas(atlas, _reduce_connected(atlas))
+    working, kernel = _working_atlas(atlas, _reduce_connected(atlas))
     aut_order = sum(1 for _ in iter_witnesses(working, working))
     return HomeotopyReport(
         aut_order=aut_order,
         kernel=kernel,
         image_order=aut_order // kernel.order,
-        leaf_model_aut_order=leaf_model_automorphism_count(model),
+        leaf_model_aut_order=leaf_model_automorphism_count(build_leaf_space(working)),
     )
 
 

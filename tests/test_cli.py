@@ -14,7 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stripes
-from stripes.atlas import StripedAtlas, iter_witnesses, parse_atlas, serialize_atlas
+from stripes.atlas import (
+    Gluing,
+    Strip,
+    StripedAtlas,
+    iter_witnesses,
+    parse_atlas,
+    serialize_atlas,
+)
 from stripes.cli import main
 from stripes.corpus import necklace, random_atlas
 from stripes.fixtures import FIXTURE_NAMES, fixture_text
@@ -93,13 +100,14 @@ def test_reduce_ladder_writes_atlas(atlas_file, capsys, tmp_path):
 
 
 def test_reduce_all_exceptional_replaces_out(atlas_file, capsys, tmp_path):
-    # No proper component: OUT still gets the (empty) proper part, so a
-    # file left there by an earlier run does not survive.
+    # No proper component: OUT still gets the proper part, no text at all,
+    # so a file left there by an earlier run does not survive, and stdout
+    # followed by OUT is what plain reduce prints.
     out_path = tmp_path / "reduced.atlas"
     out_path.write_text("strip OLD\n")
     code, out, _ = run(capsys, "reduce", atlas_file("MOEB"), "-o", str(out_path))
     assert (code, out) == (0, "MOEBIUS\n")
-    assert parse_atlas(out_path.read_text()).strips == ()
+    assert out_path.read_text() == ""
 
 
 def test_reduce_mixed_components(atlas_file, capsys):
@@ -118,6 +126,18 @@ def test_validate_parse_error_exits_1(atlas_file, capsys):
     code, _, err = run(capsys, "validate", atlas_file("strip S\nglue a a +\n"))
     assert code == 1
     assert "glued to itself" in err
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_byte_order_mark_is_skipped(tmp_path, capsys, name):
+    # A file saved with a UTF-8 byte-order mark reads like the plain file.
+    plain, marked = tmp_path / "plain.atlas", tmp_path / "marked.atlas"
+    plain.write_bytes(fixture_text(name).encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + fixture_text(name).encode())
+    for command in ("validate", "kernel", "report"):
+        expected = run(capsys, command, str(plain))
+        assert expected[0] == 0
+        assert run(capsys, command, str(marked)) == expected
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -398,7 +418,7 @@ def test_parser_is_reused_across_calls(atlas_file, capsys):
 
 
 def test_internal_error_exits_4_with_one_line(atlas_file, capsys, monkeypatch):
-    monkeypatch.setattr("stripes.symmetry.reversal_witness", lambda atlas, model=None: None)
+    monkeypatch.setattr("stripes.symmetry.reversal_witness", lambda atlas: None)
     code, out, err = run(capsys, "kernel", atlas_file("CYL"))
     assert (code, out) == (4, "")
     assert err == "stripes: internal error: exceptional component without a reversal\n"
@@ -408,6 +428,11 @@ def test_internal_error_exits_4_with_one_line(atlas_file, capsys, monkeypatch):
 # multiply them: eight bare strips have 8!·4^8 = 2,642,411,520.  A draw
 # with more automorphisms than this runs every command but ``aut``.
 AUT_LINES_CAP = 10_000
+
+
+def aut_lines_fit(atlas) -> bool:
+    witnesses = iter_witnesses(atlas, atlas)
+    return sum(1 for _ in itertools.islice(witnesses, AUT_LINES_CAP + 1)) <= AUT_LINES_CAP
 
 
 @settings(max_examples=60, deadline=None)
@@ -425,7 +450,7 @@ def test_every_file_command_ends_cleanly(tmp_path_factory, strips, max_ints, see
     path = str(tmp_path_factory.getbasetemp() / "drawn.atlas")
     Path(path).write_text(serialize_atlas(atlas))
     commands = ["validate", "classify", "leafspace", "dual", "reduce", "kernel", "report", "selfcheck"]
-    if sum(1 for _ in itertools.islice(iter_witnesses(atlas, atlas), AUT_LINES_CAP + 1)) <= AUT_LINES_CAP:
+    if aut_lines_fit(atlas):
         commands.append("aut")
     for argv in [[command, path] for command in commands] + [["iso", path, path]]:
         out, err = io.StringIO(), io.StringIO()
@@ -434,3 +459,62 @@ def test_every_file_command_ends_cleanly(tmp_path_factory, strips, max_ints, see
         assert code in (0, 3), (argv, code, err.getvalue())
         assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+# Any token of the text format: no whitespace (as str.split sees it), no
+# '#', and no lone surrogate, which UTF-8 cannot encode.
+identifiers = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1).filter(
+    lambda name: "#" not in name and name.split() == [name]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    strips=st.integers(1, 6),
+    max_ints=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    glue_prob=st.floats(0, 1),
+)
+def test_every_command_ends_cleanly_on_any_identifiers(
+    tmp_path_factory, data, strips, max_ints, seed, glue_prob
+):
+    # A random atlas renamed with distinct drawn identifiers: every file
+    # command, and each output option, exits 0 or 3 with at most one stderr
+    # line; the SVG parses, and reduce -o writes what plain reduce prints
+    # after its CYLINDER / MOEBIUS lines.
+    atlas = random_atlas(strips, max_ints, seed, glue_prob)
+    old = [*atlas.strip_ids, *atlas.intervals()]
+    new = data.draw(st.lists(identifiers, min_size=len(old), max_size=len(old), unique=True))
+    name = dict(zip(old, new)).__getitem__
+    atlas = StripedAtlas(
+        tuple(
+            Strip(name(s.id), tuple(map(name, s.side0)), tuple(map(name, s.side1)))
+            for s in atlas.strips
+        ),
+        tuple(Gluing(name(g.a), name(g.b), g.parity) for g in atlas.gluings),
+    )
+    base = tmp_path_factory.getbasetemp()
+    path, svg, reduced = (str(base / f"renamed.{ext}") for ext in ("atlas", "svg", "out"))
+    Path(path).write_text(serialize_atlas(atlas), encoding="utf-8")
+    commands = ["validate", "classify", "leafspace", "dual", "reduce", "kernel", "report", "selfcheck"]
+    if aut_lines_fit(atlas):
+        commands.append("aut")
+    runs = [[command, path] for command in commands] + [
+        ["iso", path, path],
+        ["leafspace", path, "--dot"],
+        ["leafspace", path, "--svg", svg],
+        ["dual", path, "--dot"],
+        ["reduce", path, "-o", reduced],
+    ]
+    printed = {}
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 3), (argv, code, err.getvalue())
+        assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+        printed[tuple(argv)] = out.getvalue()
+    ET.parse(svg)
+    written = Path(reduced).read_text(encoding="utf-8")
+    assert printed[("reduce", path, "-o", reduced)] + written == printed[("reduce", path)]

@@ -12,9 +12,12 @@ from stripes.atlas import (
     Strip,
     StripedAtlas,
     component_atlases,
+    is_valid_witness,
     parse_atlas,
 )
+from stripes.cli import main
 from stripes.corpus import necklace, random_atlas, random_connected_atlas
+from stripes.fixtures import fixture_text
 from stripes.leafspace import (
     LeafClass,
     boundary_points,
@@ -275,7 +278,7 @@ BROKEN_RULES = {
         lambda atlas: enumerate_automorphisms(atlas)[:-1],
     ),
     "psi-functoriality": ("PUNCTURED", induced_leaf_map, swapped_images),
-    "witness-crosscheck": ("HALFPLANE", _reversal, lambda atlas, model: None),
+    "witness-crosscheck": ("HALFPLANE", _reversal, lambda atlas: None),
     "reduction-invariants": (
         "LADDER",
         reduce_component,
@@ -302,8 +305,8 @@ def leaf_maps_without_orientation(model, aut):
     return LeafMap(leaf_map.point_map, leaf_map.arc_map, dict.fromkeys(leaf_map.arc_map, 0))
 
 
-def identity_as_reversal(atlas, model=None):
-    # A wrong kernel witness: the identity, whatever the model reads.
+def identity_as_reversal(atlas):
+    # A wrong kernel witness: the identity, whatever the sides read.
     return identity_automorphism(atlas)
 
 
@@ -324,6 +327,34 @@ def test_exceptional_witness_crosscheck_can_fail(fixtures, name):
         assert "PASS S:kernel-dichotomy" in lines
 
 
+def test_only_selfcheck_runs_the_validity_oracle(fixtures, tmp_path, capsys):
+    # The kernel is read off the sides, so an oracle that rejects every
+    # witness changes no kernel or report line.  selfcheck runs it on the
+    # kernel's members of the working atlas: PLANE (proper, kernel Z2),
+    # PUNCTURED (proper, trivial) and CYL (exceptional) fail the witness
+    # cross-check, and only it.
+    def printed(name):
+        path = tmp_path / f"{name}.atlas"
+        path.write_text(fixture_text(name))
+        outputs = []
+        for command in ("kernel", "report"):
+            assert main([command, str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        return outputs
+
+    names = ("PLANE", "PUNCTURED", "CYL")
+    before = {name: printed(name) for name in names}
+    assert before["PLANE"][0] == "Z2 witness=(id;m=0;r=1)\n"
+    with pytest.MonkeyPatch.context() as patch:
+        patch_everywhere(patch, is_valid_witness, lambda *args: False)
+        for name in names:
+            lines = selfcheck(fixtures[name]).lines()
+            assert [line for line in lines if not line.startswith("PASS")] == [
+                "FAIL S:witness-crosscheck"
+            ], (name, lines)
+            assert printed(name) == before[name]
+
+
 def test_selfcheck_enumerates_once_and_builds_few_models(monkeypatch):
     # necklace(6) is reduced with 24 automorphisms: one enumeration serves
     # the group laws, the leaf maps and the kernel, and one model all maps.
@@ -337,9 +368,10 @@ def test_selfcheck_enumerates_once_and_builds_few_models(monkeypatch):
 def test_selfcheck_computes_each_fact_once(fixtures):
     # necklace(6) is reduced and builds one model; LADDER is not, and builds
     # a second one for its reduction.  The two-strip open cylinder is
-    # exceptional: its kernel's reversal and its checks read the one model
-    # of the input, and the canonical atlas's model is a constant.  The
-    # reductions: the component and its reversed listing.
+    # exceptional: its kernel's reversal is read off the input's sides, its
+    # checks read the one model of the input, and the kernel's cross-check
+    # the canonical atlas's.  The reductions: the component and its
+    # reversed listing.
     cylinder = parse_atlas(
         "strip S\nside0 a\nside1 b\nstrip T\nside0 c\nside1 d\nglue b c +\nglue d a +\n"
     )
@@ -370,9 +402,9 @@ def test_selfcheck_forms_each_product_once(monkeypatch):
 
 def test_selfcheck_reuses_the_kernel_witness(fixtures):
     # necklace(6) is reduced: the kernel's reversal witness serves the
-    # witness cross-check, and the kernel's model is the only one built.
-    # LADDER is not: its own reversal is read off the model selfcheck built
-    # for it, and checked against its reduction's; one model each.
+    # witness cross-check, and its own model is the only one built.  LADDER
+    # is not: its own reversal is read off its sides and checked against its
+    # reduction's; one model each, the reduction's first.
     with pytest.MonkeyPatch.context() as patch:
         reversals = count_calls(patch, _reversal)
         builds = count_calls(patch, build_leaf_space)
@@ -386,7 +418,6 @@ def test_selfcheck_reuses_the_kernel_witness(fixtures):
         assert selfcheck(ladder).ok
     assert [args[0] for args in reversals] == [reduce_component(ladder).atlas, ladder]
     assert [args[0] for args in builds] == [reduce_component(ladder).atlas, ladder]
-    assert all(args[1] is not None for args in reversals)
 
 
 def test_exceptional_selfcheck_checks_its_reversal_once(fixtures):
