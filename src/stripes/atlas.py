@@ -165,7 +165,8 @@ class StripedAtlas:
         return hash((frozenset(self.strips), frozenset(self.gluings)))
 
     @cached_property
-    def _strips_by_id(self) -> dict[str, Strip]:
+    def strips_by_id(self) -> dict[str, Strip]:
+        """Read-only index: strip id -> strip."""
         return {s.id: s for s in self.strips}
 
     @property
@@ -173,7 +174,7 @@ class StripedAtlas:
         return tuple(s.id for s in self.strips)
 
     def strip(self, strip_id: str) -> Strip:
-        return self._strips_by_id[strip_id]
+        return self.strips_by_id[strip_id]
 
     @cached_property
     def locations(self) -> dict[str, tuple[str, int, int]]:
@@ -212,7 +213,7 @@ class StripedAtlas:
         """Per strip id, one entry per interval of each side: ``None`` when
         free, else the partner's ``(strip id, side, index, index from the
         end, 1 if the gluing decreases else 0)``; what :func:`_rows` reads."""
-        glued, locations, strips = self.gluing_of, self.locations, self._strips_by_id
+        glued, locations, strips = self.gluing_of, self.locations, self.strips_by_id
 
         def entry(name: str):
             g = glued.get(name)

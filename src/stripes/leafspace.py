@@ -218,20 +218,22 @@ def classify_leaf(atlas: StripedAtlas, point: LeafPoint) -> LeafClass:
     side, and SPECIAL otherwise.  A free interval is REGULAR when it fills
     its side and SPECIAL otherwise; it is never SINGULAR_NON_SPECIAL.
     """
-    locations, strip = atlas.locations, atlas.strip
-    if point.is_seam:
-        a, b = point.intervals
+    # A side's intervals are field 1 + side of its strip.
+    locations, strips = atlas.locations, atlas.strips_by_id
+    intervals = point[0]
+    if len(intervals) == 2:
+        a, b = intervals
         strip_a, side_a, _ = locations[a]
         strip_b, side_b, _ = locations[b]
-        names_a = strip(strip_a).side(side_a)
-        if len(names_a) == 1 and len(strip(strip_b).side(side_b)) == 1:
+        names_a = strips[strip_a][1 + side_a]
+        if len(names_a) == 1 and len(strips[strip_b][1 + side_b]) == 1:
             return LeafClass.REGULAR
         if strip_a == strip_b and side_a == side_b and len(names_a) == 2:
             return LeafClass.SINGULAR_NON_SPECIAL
         return LeafClass.SPECIAL
 
-    strip_id, side, _ = locations[point.intervals[0]]
-    if len(strip(strip_id).side(side)) == 1:
+    strip_id, side, _ = locations[intervals[0]]
+    if len(strips[strip_id][1 + side]) == 1:
         return LeafClass.REGULAR
     return LeafClass.SPECIAL
 

@@ -4,11 +4,13 @@ A seam both of whose intervals fill their sides bounds a trivially
 foliated collar, so the two strips it joins can be replaced by a single
 strip.  Merging keeps every side's intervals, so the regular seams are
 found once; as a strip has at most one regular seam per side, they form
-paths and cycles of strips, and each is walked once.  A path becomes one
-strip: the result is a reduced atlas (every surviving seam is singular).
-A cycle uses up every side of its strips, so it is the whole connected
-surface: an open cylinder when its seam parities multiply to increasing,
-an open Moebius band otherwise, and it has no reduced atlas at all.
+paths and cycles of strips.  Each is walked once, leaving every strip by
+the side it did not enter by, so each seam is crossed once.  A path
+becomes one strip: the result is a reduced atlas (every surviving seam
+is singular).  A cycle uses up every side of its strips, so it is the
+whole connected surface: an open cylinder when its seam parities
+multiply to increasing, an open Moebius band otherwise, and it has no
+reduced atlas at all.
 """
 
 from __future__ import annotations
@@ -62,20 +64,6 @@ def is_reduced(atlas: StripedAtlas) -> bool:
     return not regular_seams(atlas)
 
 
-def _walk(links: dict[str, list[tuple[Gluing, str]]], start: str):
-    """Strips and seams met from ``start`` up to a chain end or back at it."""
-    path, walked = [start], []
-    while True:
-        steps = [(g, o) for g, o in links[path[-1]] if not walked or g != walked[-1]]
-        if not steps:
-            return path, walked
-        seam, other = steps[0]
-        walked.append(seam)
-        if other == start:
-            return path, walked
-        path.append(other)
-
-
 def reduce_component(atlas: StripedAtlas) -> SurfaceClass:
     """Reduce one connected atlas to a SurfaceClass in one linear pass.
 
@@ -84,8 +72,12 @@ def reduce_component(atlas: StripedAtlas) -> SurfaceClass:
     both side orders of) the other strip when the seam is decreasing.  So
     the least-id strip survives in place, a strip is mirrored when the
     seams from the least-id one multiply to decreasing, and side 0 is the
-    outer side on the least-id strip's side of the path's last seam.  An
-    atlas with no regular seam is its own reduction, returned as is.
+    outer side on the least-id strip's side of the path's last seam in
+    gluing order.  One walk from an end of the path finds all three,
+    leaving each strip by the side it did not enter by and so crossing
+    each seam once: it keeps the least id, the running parity bit and
+    whether the least id comes after the last seam met so far.  An atlas
+    with no regular seam is its own reduction, returned as is.
 
     Merges stay inside a component, so on a disconnected atlas a PROPER
     outcome is the union of its components' reductions, with as many
@@ -95,65 +87,72 @@ def reduce_component(atlas: StripedAtlas) -> SurfaceClass:
     seams = regular_seams(atlas)
     if not seams:
         return SurfaceClass(SurfaceKind.PROPER, atlas)
-    # Seams are keyed by their end ``a``, which names one gluing in a valid
-    # atlas and hashes as a plain string.  Both ends of a seam are alone on
-    # their sides, so those sides give every seam end's strip and side.
-    seam_rank = {g.a: i for i, g in enumerate(seams)}
-    alone: dict[str, tuple[str, int]] = {}
+    # Both ends of a seam are alone on their sides, which give each seam
+    # end's strip and side.  exits[side][strip id] is the strip across that
+    # side's seam, the side it is entered by, the seam's rank and its bit.
+    alone: dict[str, tuple[Strip, int]] = {}
     for s in atlas.strips:
-        if len(s.side0) == 1:
-            alone[s.side0[0]] = s.id, 0
-        if len(s.side1) == 1:
-            alone[s.side1[0]] = s.id, 1
-    links: dict[str, list[tuple[Gluing, str]]] = {}
-    for g in seams:
-        a, b = alone[g.a][0], alone[g.b][0]
-        links.setdefault(a, []).append((g, b))
-        links.setdefault(b, []).append((g, a))
+        _, side0, side1 = s
+        if len(side0) == 1:
+            alone[side0[0]] = s, 0
+        if len(side1) == 1:
+            alone[side1[0]] = s, 1
+    exits: tuple[dict, dict] = ({}, {})
+    decreasing = Parity.DECREASING
+    for rank, g in enumerate(seams):
+        (a, side_a), (b, side_b) = alone[g.a], alone[g.b]
+        bit = g.parity is decreasing
+        exits[side_a][a.id] = b, side_b, rank, bit
+        exits[side_b][b.id] = a, side_a, rank, bit
 
-    mirror: dict[str, int] = {}
     replaced: dict[str, Strip | None] = {}
     mirrored: set[str] = set()  # the intervals kept on mirrored strips
-    for end, here in links.items():
-        if len(here) != 1 or end in mirror:
+    ends = exits[0].keys() ^ exits[1].keys()
+    for end in ends:
+        if end in replaced:
             continue
-        path, walked = _walk(links, end)
-        bits = [0]
-        for g in walked:
-            bits.append(bits[-1] ^ (g.parity is Parity.DECREASING))
-        root = path.index(min(path))
-        mirror.update((sid, bit ^ bits[root]) for sid, bit in zip(path, bits))
-        outer = []
-        for sid, g in ((path[0], walked[0]), (path[-1], walked[-1])):
-            seam_sid, seam_side = alone[g.a]
-            if seam_sid != sid:
-                seam_side = alone[g.b][1]
-            side = atlas.strip(sid).side(1 - seam_side)
-            if mirror[sid]:
-                mirrored.update(side)
-                side = side[::-1]
-            outer.append(side)
-        if root > max(range(len(walked)), key=lambda i: seam_rank[walked[i].a]):
-            outer.reverse()
-        replaced.update(dict.fromkeys(path))
-        replaced[path[root]] = Strip(path[root], *outer)
+        # The end strip, read back across its one seam, is entered by its outer side.
+        seam_side = end in exits[1]
+        far, far_side = exits[seam_side][end][:2]
+        first = here = exits[far_side][far.id][0]
+        entered, root, bit, root_bit, top, after = 1 - seam_side, end, 0, 0, -1, False
+        replaced[end] = None
+        while step := exits[1 - entered].get(here.id):
+            here, entered, rank, seam_bit = step
+            replaced[here.id] = None
+            bit ^= seam_bit
+            if rank > top:
+                top, after = rank, False
+            if here.id < root:
+                root, root_bit, after = here.id, bit, True
+        outer = []  # the end strips' outer sides; side k is a strip's field 1 + k
+        for names, flip in ((first[2 - seam_side], root_bit), (here[2 - entered], bit ^ root_bit)):
+            if flip:
+                mirrored.update(names)
+                names = names[::-1]
+            outer.append(names)
+        replaced[root] = Strip(root, *(outer[::-1] if after else outer))
 
-    on_cycle = next((sid for sid in links if sid not in mirror), None)
-    if on_cycle is not None:
-        twist = sum(g.parity is Parity.DECREASING for g in _walk(links, on_cycle)[1])
-        kind = SurfaceKind.OPEN_MOEBIUS_BAND if twist % 2 else SurfaceKind.OPEN_CYLINDER
+    # A path of k strips holds k - 1 seams: seams left over lie on cycles.
+    if len(replaced) - len(ends) // 2 < len(seams):
+        start, side = alone[next(g.a for g in seams if alone[g.a][0].id not in replaced)]
+        here, entered, _, twist = exits[side][start.id]
+        while here is not start:
+            here, entered, _, seam_bit = exits[1 - entered][here.id]
+            twist ^= seam_bit
+        kind = SurfaceKind.OPEN_MOEBIUS_BAND if twist else SurfaceKind.OPEN_CYLINDER
         return SurfaceClass(kind)
 
     # A path's intervals other than its seams' ends lie on its end strips'
     # outer sides, so a kept gluing, normalised already, flips once per end
     # on the outer side of a mirrored strip.
-    strips = tuple(t for t in (replaced.get(s.id, s) for s in atlas.strips) if t)
+    strips = tuple(filter(None, [replaced.get(s.id, s) for s in atlas.strips]))
     gluings = tuple(
         tuple.__new__(Gluing, (g.a, g.b, g.parity.flipped()))
         if (g.a in mirrored) != (g.b in mirrored)
         else g
         for g in atlas.gluings
-        if g.a not in seam_rank
+        if g.a not in alone or g.b not in alone
     )
     return SurfaceClass(SurfaceKind.PROPER, StripedAtlas(strips, gluings))
 

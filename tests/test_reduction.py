@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+import stripes.reduction
 from bruteforce import reduce_stepwise
 from stripes.atlas import component_atlases, isomorphic, parse_atlas
 from stripes.corpus import random_atlas
@@ -22,6 +23,7 @@ from stripes.reduction import (
     reduce_component,
     regular_seams,
 )
+from test_reduction_oracle import chain
 
 
 @pytest.mark.parametrize(
@@ -162,3 +164,24 @@ def test_reduction_preserves_leaf_space_data(seed):
         assert surviving <= set(before.points)
         for p in surviving:
             assert hcl_point(before, p) & surviving == hcl_point(after, p)
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
+def test_reduction_is_one_pass_reading_no_index(monkeypatch, closed):
+    # One regular_seams call per reduction (the benchmark's tracer counts
+    # it by name), and no index of the input built: the walk reads only
+    # the strips' sides and the gluings.
+    atlas = chain(200, 3, closed)
+    calls = []
+
+    def counted(seen):
+        calls.append(seen)
+        return regular_seams(seen)
+
+    monkeypatch.setattr(stripes.reduction, "regular_seams", counted)
+    outcome = reduce_component(atlas)
+    assert calls == [atlas]
+    assert (outcome.kind is SurfaceKind.PROPER) is not closed
+    if not closed:
+        assert len(outcome.atlas.strips) == 1
+    assert not {"locations", "gluing_of", "components"} & atlas.__dict__.keys()

@@ -3,8 +3,9 @@
 ``bruteforce.reduce_stepwise`` merges one regular seam at a time and
 rescans after each merge.  Merging in gluing order, it must give the same
 kind and the same bytes as the chain walk on every small component, on a
-seeded random corpus rich in regular seams, and on long ladders and
-cycles; merging in random order, an isomorphic result.
+seeded random corpus rich in regular seams, on long ladders and cycles,
+and on necklaces of long paths; merging in random order, an isomorphic
+result.
 
 ``reduce_atlas`` reduces the whole atlas before splitting it, and the
 kernel and the report check connectivity on the reduced atlas.  Both rest
@@ -82,6 +83,37 @@ def chain(n: int, seed: int, closed: bool) -> StripedAtlas:
     return StripedAtlas(tuple(strips), tuple(gluings))
 
 
+def beaded(m: int, beads: int, seed: int) -> StripedAtlas:
+    """m paths of ``beads`` strips joined by regular seams, strung into a
+    necklace: each path's last strip and the next path's first strip have
+    an outer side of two intervals, glued pairwise (singular seams).  Strip
+    names, strip order, gluing order, side choice, parities and the pairing
+    at each joint are shuffled, so kept gluings join the ends of different
+    paths, each end mirrored or not."""
+    rng = Random(seed)
+    parities = (Parity.INCREASING, Parity.DECREASING)
+    n = m * beads
+    names = [f"S{k}" for k in rng.sample(range(10 * n), n)]
+    strips, gluings = [], []
+    for i, name in enumerate(names):
+        path, k = divmod(i, beads)
+        down = (f"d{i}",) if k > 0 else (f"p{path}", f"q{path}")
+        up = (f"u{i}",) if k < beads - 1 else (f"r{path}", f"s{path}")
+        sides = (up, down) if rng.random() < 0.5 else (down, up)
+        strips.append(Strip(name, *sides))
+        if k:
+            gluings.append(Gluing(f"u{i - 1}", f"d{i}", rng.choice(parities)))
+    for path in range(m):
+        p, q = f"p{(path + 1) % m}", f"q{(path + 1) % m}"
+        if rng.random() < 0.5:
+            p, q = q, p
+        gluings.append(Gluing(f"r{path}", p, rng.choice(parities)))
+        gluings.append(Gluing(f"s{path}", q, rng.choice(parities)))
+    rng.shuffle(strips)
+    rng.shuffle(gluings)
+    return StripedAtlas(tuple(strips), tuple(gluings))
+
+
 def test_exhaustive_family_matches_oracle():
     mismatches = [
         sub
@@ -103,10 +135,13 @@ def test_random_corpus_matches_oracle():
     assert [sub for sub in corpus if not same_as_oracle(sub)] == []
 
 
-@pytest.mark.parametrize("closed", [False, True], ids=["ladder", "cycle"])
+@pytest.mark.parametrize("shape", ["ladder", "cycle", "beaded"])
 @pytest.mark.parametrize("seed", range(4))
-def test_long_chains_match_oracle(seed, closed):
-    atlas = chain(200, seed, closed)
+def test_long_chains_match_oracle(seed, shape):
+    if shape == "beaded":
+        atlas = beaded(3 + seed % 2, 20 + 10 * seed, seed)
+    else:
+        atlas = chain(200, seed, shape == "cycle")
     assert is_valid(atlas)
     assert same_as_oracle(atlas)
 
