@@ -26,7 +26,7 @@ from copy import copy
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import tee
+from itertools import chain, tee
 from typing import Iterator, NamedTuple
 
 
@@ -60,7 +60,7 @@ class Parity(Enum):
         return self.value
 
     def flipped(self) -> "Parity":
-        return Parity.DECREASING if self is Parity.INCREASING else Parity.INCREASING
+        return _DECREASING if self is _INCREASING else _INCREASING
 
     def xor(self, bit: int) -> "Parity":
         """Parity after conjugating by ``bit`` many order reversals."""
@@ -74,8 +74,10 @@ class Parity(Enum):
         return parity
 
 
+# Members bound once: reading one off its class costs several attribute reads.
+_INCREASING, _DECREASING = Parity.INCREASING, Parity.DECREASING
 _PARITY_OF_SYMBOL = {parity.value: parity for parity in Parity}
-_PARITY_OF_BIT = (Parity.INCREASING, Parity.DECREASING)
+_PARITY_OF_BIT = (_INCREASING, _DECREASING)
 _SIDE_SLOT = {"side0": 1, "side1": 2}  # where parse_atlas keeps a strip's side
 
 
@@ -214,6 +216,7 @@ class StripedAtlas:
         free, else the partner's ``(strip id, side, index, index from the
         end, 1 if the gluing decreases else 0)``; what :func:`_rows` reads."""
         glued, locations, strips = self.gluing_of, self.locations, self.strips_by_id
+        decreasing = _DECREASING
 
         def entry(name: str):
             g = glued.get(name)
@@ -221,7 +224,7 @@ class StripedAtlas:
                 return None
             other, side, index = locations[g.b if g.a == name else g.a]
             back = len(strips[other][1 + side]) - 1 - index
-            return other, side, index, back, int(g.parity is Parity.DECREASING)
+            return other, side, index, back, int(g.parity is decreasing)
 
         return {
             s.id: (tuple(map(entry, s.side0)), tuple(map(entry, s.side1)))
@@ -237,16 +240,78 @@ class StripedAtlas:
 def validate(atlas: StripedAtlas) -> list[str]:
     """Return all invariant violations of an atlas; empty means valid.
 
-    Never raises: the point is to report on hand-built or adversarial
-    values.  Checked invariants: unique strip ids, globally unique interval
-    names, gluing endpoints exist, no interval glued to itself, no interval
-    in more than one gluing, every identifier one token of the text format
-    (non-empty, no whitespace, no ``#``), as ``serialize_atlas`` needs.
+    Checked invariants: unique strip ids, globally unique interval names,
+    gluing endpoints exist, no interval glued to itself, no interval in
+    more than one gluing, every parity a :class:`Parity` member, every
+    identifier one token of the text format (a non-empty ``str`` with no
+    whitespace and no ``#``), as ``serialize_atlas`` needs.
+
+    A valid atlas is accepted by whole-atlas checks on set sizes, the
+    test of :func:`_distinct` that ``parse_atlas`` also applies, and one
+    join and split of all identifiers.  Only an atlas that fails them is
+    walked, strip by strip and gluing by gluing, to list its problems.
+
+    Never raises on values built from :class:`Strip` and :class:`Gluing`:
+    the point is to report on hand-built or adversarial values.  An
+    identifier that cannot be hashed is reported as not one token, as is
+    any other identifier that is not a ``str``; a parity such as the
+    string ``"+"`` is reported as not ``+`` or ``-``.
     """
+    try:
+        # zip(*()) unpacks to nothing: an atlas without strips is walked.
+        ids, side0s, side1s = zip(*atlas.strips)
+        intervals = list(chain(*side0s, *side1s))
+        ends, parities = (), ()
+        if atlas.gluings:
+            a, b, parities = zip(*atlas.gluings)
+            ends = a + b
+        words = [*ids, *intervals]
+        joined = " ".join(words)  # TypeError unless every identifier is a str
+        if (
+            _distinct(ids, intervals, ends)
+            and parities.count(_INCREASING) + parities.count(_DECREASING) == len(parities)
+            and "#" not in joined
+            and joined.split() == words
+        ):
+            return []
+    except (TypeError, ValueError):
+        pass  # not accepted: an identifier is not a hashable str, or no strips
+    return _problems(atlas)
+
+
+def _distinct(ids, intervals, ends) -> bool:
+    """The set-size half of a valid atlas: distinct strip ids, distinct
+    intervals, and distinct glue ends (both ends of every gluing) that are
+    all declared intervals."""
+    known, glued = set(intervals), set(ends)
+    return (
+        len(known) == len(intervals)
+        and len(glued) == len(ends)
+        and glued <= known
+        and len(set(ids)) == len(ids)
+    )
+
+
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _problems(atlas: StripedAtlas) -> list[str]:
+    # What validate returns on an atlas that its whole-atlas checks do not
+    # accept: every violation, found one strip, interval and gluing at a
+    # time.  An unhashable identifier takes part in no duplicate check; the
+    # identifier check at the end (on a strip) or the gluing loop (on a
+    # gluing end) reports it.
     problems: list[str] = []
 
     seen_strips: set[str] = set()
     for s in atlas.strips:
+        if not _hashable(s.id):
+            continue
         if s.id in seen_strips:
             problems.append(f"duplicate strip id {s.id!r}")
         seen_strips.add(s.id)
@@ -255,6 +320,8 @@ def validate(atlas: StripedAtlas) -> list[str]:
     for s in atlas.strips:
         for which in (0, 1):
             for name in s.side(which):
+                if not _hashable(name):
+                    continue
                 if name in seen_intervals:
                     problems.append(f"interval {name!r} appears more than once")
                 seen_intervals.add(name)
@@ -264,9 +331,14 @@ def validate(atlas: StripedAtlas) -> list[str]:
         if g.a == g.b:
             problems.append(f"interval {g.a!r} glued to itself")
         for name in (g.a, g.b):
+            if not _hashable(name):
+                problems.append(f"identifier {name!r} is not one token of the text format")
+                continue
             if name not in seen_intervals:
                 problems.append(f"gluing references unknown interval {name!r}")
             uses[name] = uses.get(name, 0) + 1
+        if g.parity not in _PARITY_OF_BIT:
+            problems.append(f"gluing of {g.a!r} and {g.b!r} has parity {g.parity!r}, not '+' or '-'")
     for name, count in uses.items():
         if count > 1:
             problems.append(f"interval {name!r} multiply glued")
@@ -344,10 +416,11 @@ def parse_atlas(text: str) -> StripedAtlas:
 
     Identifiers are preserved verbatim.  Gluings may reference intervals
     declared on any line, earlier or later.  One loop sorts the lines into
-    strips, sides and glue rows; whole-text checks on set sizes (distinct
-    strip names, intervals and glue ends, glue ends declared, parities
-    known) accept the text.  Only a faulty text is walked line by line, to
-    report its first fault; an unknown glued interval when there is no other.
+    strips, sides and glue rows; whole-text checks accept the text: the set
+    sizes of :func:`_distinct`, which ``validate`` also applies (distinct
+    strip names, intervals and glue ends, glue ends declared), and known
+    parities.  Only a faulty text is walked line by line, to report its
+    first fault; an unknown glued interval when there is no other.
     """
     lines = text.splitlines()
     if "#" in text:
@@ -355,6 +428,7 @@ def parse_atlas(text: str) -> StripedAtlas:
     strips: list[list] = []  # [name, side0, side1] per strip; a side is None until given
     glues: list[list[str]] = []
     declared: list[str] = []
+    names: list[str] = []
     current = None
     for tokens in map(str.split, lines):
         if not tokens:
@@ -365,6 +439,7 @@ def parse_atlas(text: str) -> StripedAtlas:
         elif keyword == "strip" and len(tokens) == 2:
             current = [tokens[1], None, None]
             strips.append(current)
+            names.append(tokens[1])
         else:
             which = _SIDE_SLOT.get(keyword)
             if which is None or current is None or current[which] is not None:
@@ -374,16 +449,11 @@ def parse_atlas(text: str) -> StripedAtlas:
             declared += tokens
 
     parity_of, new = _PARITY_OF_SYMBOL.get, tuple.__new__
-    parities = [parity_of(row[3]) for row in glues]
-    ends = [row[1] for row in glues] + [row[2] for row in glues]
-    known, glued = set(declared), set(ends)
-    if (
-        len(known) != len(declared)
-        or len(glued) != len(ends)
-        or not glued <= known
-        or len({entry[0] for entry in strips}) != len(strips)
-        or None in parities
-    ):
+    parities, ends = [], ()
+    if glues:
+        _, a, b, symbols = zip(*glues)
+        parities, ends = list(map(parity_of, symbols)), a + b
+    if None in parities or not _distinct(names, declared, ends):
         raise _first_fault(lines)
     return StripedAtlas(
         tuple([new(Strip, (name, tuple(s0 or ()), tuple(s1 or ()))) for name, s0, s1 in strips]),

@@ -70,6 +70,7 @@ _LAZY = {
     "enumerate_automorphisms": "symmetry",
     "homeotopy_report": "symmetry",
     "leaf_action_kernel": "symmetry",
+    "LeafClass": "leafspace",
     "build_leaf_space": "leafspace",
     "classify_leaf": "leafspace",
     "leaf_point_table": "leafspace",
@@ -200,9 +201,10 @@ def _run(args: argparse.Namespace) -> int:
     atlas = _load(args.file)
 
     if args.command == "classify":
-        classify = _cli.classify_leaf
+        # One classify_leaf call per point; each class's text is read once.
+        classify, text = _cli.classify_leaf, {kind: kind.value for kind in _cli.LeafClass}
         lines = [
-            f"{point.kind} {' '.join(point.intervals)} {classify(atlas, point).value}\n"
+            f"{point.kind} {' '.join(point.intervals)} {text[classify(atlas, point)]}\n"
             for point in _cli.leaf_points(atlas)
         ]
         sys.stdout.write("".join(lines))

@@ -89,6 +89,11 @@ class LeafClass(Enum):
     SPECIAL = "Special"
 
 
+# Members bound once: reading one off its class costs several attribute reads.
+_REGULAR, _SPECIAL = LeafClass.REGULAR, LeafClass.SPECIAL
+_SINGULAR_NON_SPECIAL = LeafClass.SINGULAR_NON_SPECIAL
+
+
 @dataclass
 class LeafSpaceModel:
     """Arcs, leaf points, and their ordered end attachments.
@@ -227,15 +232,15 @@ def classify_leaf(atlas: StripedAtlas, point: LeafPoint) -> LeafClass:
         strip_b, side_b, _ = locations[b]
         names_a = strips[strip_a][1 + side_a]
         if len(names_a) == 1 and len(strips[strip_b][1 + side_b]) == 1:
-            return LeafClass.REGULAR
+            return _REGULAR
         if strip_a == strip_b and side_a == side_b and len(names_a) == 2:
-            return LeafClass.SINGULAR_NON_SPECIAL
-        return LeafClass.SPECIAL
+            return _SINGULAR_NON_SPECIAL
+        return _SPECIAL
 
     strip_id, side, _ = locations[intervals[0]]
     if len(strips[strip_id][1 + side]) == 1:
-        return LeafClass.REGULAR
-    return LeafClass.SPECIAL
+        return _REGULAR
+    return _SPECIAL
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,10 @@ strip and gluing once per component; the package buckets both in one
 pass and must return the same sub-atlases in the same order.
 ``parse_atlas_stepwise`` parses line by line with one check per interval
 and per request; the package's parser must return the same tuples or
-raise the same error.
+raise the same error.  ``validate_stepwise`` walks every strip, interval,
+gluing and identifier of an atlas value; the package's ``validate``
+accepts by whole-atlas set sizes and must return the same problems in the
+same order.
 ``build_leaf_space_located``, ``classify_leaf_located`` and
 ``regular_seams_located`` read every interval through ``atlas.location``
 and compare side tuples, where the package's layers read the index once
@@ -491,6 +494,63 @@ def parse_atlas_stepwise(text: str) -> StripedAtlas:
         ),
         gluings=tuple(Gluing(a, b, parity) for _, a, b, parity in glue_requests),
     )
+
+
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def validate_stepwise(atlas: StripedAtlas) -> list[str]:
+    """Every invariant violation, found one strip, interval, gluing and
+    identifier at a time.  An unhashable identifier takes part in no
+    duplicate check: on a strip the identifier check reports it, as a
+    gluing end the gluing loop does; a parity that is not a ``Parity``
+    member is reported with its gluing."""
+    problems: list[str] = []
+
+    seen_strips: set[str] = set()
+    for s in atlas.strips:
+        if not _hashable(s.id):
+            continue
+        if s.id in seen_strips:
+            problems.append(f"duplicate strip id {s.id!r}")
+        seen_strips.add(s.id)
+
+    seen_intervals: set[str] = set()
+    for s in atlas.strips:
+        for which in (0, 1):
+            for name in s.side(which):
+                if not _hashable(name):
+                    continue
+                if name in seen_intervals:
+                    problems.append(f"interval {name!r} appears more than once")
+                seen_intervals.add(name)
+
+    uses: dict[str, int] = {}
+    for g in atlas.gluings:
+        if g.a == g.b:
+            problems.append(f"interval {g.a!r} glued to itself")
+        for name in (g.a, g.b):
+            if not _hashable(name):
+                problems.append(f"identifier {name!r} is not one token of the text format")
+                continue
+            if name not in seen_intervals:
+                problems.append(f"gluing references unknown interval {name!r}")
+            uses[name] = uses.get(name, 0) + 1
+        if g.parity is not Parity.INCREASING and g.parity is not Parity.DECREASING:
+            problems.append(f"gluing of {g.a!r} and {g.b!r} has parity {g.parity!r}, not '+' or '-'")
+    for name, count in uses.items():
+        if count > 1:
+            problems.append(f"interval {name!r} multiply glued")
+
+    for name in [n for s in atlas.strips for n in (s.id, *s.side0, *s.side1)]:
+        if not isinstance(name, str) or "#" in name or name.split() != [name]:
+            problems.append(f"identifier {name!r} is not one token of the text format")
+    return problems
 
 
 def build_leaf_space_located(atlas: StripedAtlas) -> LeafSpaceModel:

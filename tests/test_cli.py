@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import stripes
 from stripes.atlas import (
+    AtlasError,
     Gluing,
     Strip,
     StripedAtlas,
@@ -518,3 +519,55 @@ def test_every_command_ends_cleanly_on_any_identifiers(
     ET.parse(svg)
     written = Path(reduced).read_text(encoding="utf-8")
     assert printed[("reduce", path, "-o", reduced)] + written == printed[("reduce", path)]
+
+
+# Valid atlas texts, then chunks to insert anywhere: directive words,
+# names and parities, bytes that are not UTF-8, a byte-order mark, NUL,
+# line and token separators str.splitlines and str.split know, and the
+# UTF-8 forms of U+0085, U+00A0 and U+2028.
+RAW_BASES = (
+    b"",
+    b"strip S\nside0 a b\nside1 c\nstrip T\nside0 d\nglue a c +\nglue b d -\n",
+    b"strip S\nside0 a\nside1 b\nglue a b -\n",
+    b"strip S\nstrip T\nside1 x y\n",
+)
+BYTE_CHUNKS = (
+    b"strip ", b"side0 ", b"side1 ", b"glue ", b"a", b"b", b"c", b" ", b"+", b"-", b"#", b"\n",
+    b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xef\xbb\xbf", b"\x00", b"\r", b"\x0b", b"\x0c",
+    b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\xc2\x85", b"\xc2\xa0", b"\xe2\x80\xa8",
+)
+
+
+@st.composite
+def raw_files(draw) -> bytes:
+    # A valid text, or none, with drawn chunks inserted, cut at 200 bytes.
+    data = draw(st.sampled_from(RAW_BASES))
+    for chunk in draw(st.lists(st.sampled_from(BYTE_CHUNKS), max_size=30)):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + chunk + data[at:]
+    return data[:200]
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_files())
+def test_every_file_command_ends_cleanly_on_raw_bytes(tmp_path_factory, data):
+    # Any file of at most 200 bytes: every file command exits 0, 1, 2 or 3
+    # with at most one newline-terminated stderr line.  aut runs only where
+    # its lines are few, as a file of bare strips has factorially many.
+    path = tmp_path_factory.getbasetemp() / "raw.atlas"
+    path.write_bytes(data)
+    try:
+        atlas = parse_atlas(data.decode("utf-8-sig"))
+    except (UnicodeDecodeError, AtlasError):
+        atlas = None
+    commands = ["validate", "classify", "leafspace", "dual", "reduce", "kernel", "report", "selfcheck"]
+    if atlas is None or aut_lines_fit(atlas):
+        commands.append("aut")
+    for command in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, str(path)])
+        message = err.getvalue()
+        assert code in (0, 1, 2, 3), (command, data, code, message)
+        assert len(message.splitlines()) <= 1 and message.count("\n") <= 1, (command, data, message)
+        assert not message or message.endswith("\n"), (command, data, message)
