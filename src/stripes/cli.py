@@ -1,58 +1,43 @@
 """Command line frontend.
 
 One subcommand per invocation; output is line oriented, one fact per
-line, and byte-stable for fixed inputs and seeds.  Exit codes: 0 success,
-1 invalid atlas (one ``stripes: line N: ...`` line from the parser, which
-rejects every violation ``atlas.validate`` reports) or failed selfcheck, 2
-usage error, 3 precondition error (for example a disconnected atlas passed
-to ``kernel``), 4 internal error (a guard on a fact the package proves,
-such as an exceptional component without a leaf reversal, did not hold;
-one ``stripes: internal error: ...`` line).  A reader that closes stdout
-early (``stripes aut FILE | head -n 1``) ends the command quietly, exit 0,
-or 1 for a failed selfcheck, whose verdict is known before it prints.
+line, and byte-stable for fixed inputs and seeds.
 
-``aut``, ``iso`` and ``report`` find witnesses by rooted traversal: one
-root strip's image, side flip and reversal bit force the rest.  Of the 4n
-root frames of a connected atlas of n strips, only those whose root strip
-reads like the reference root (its sides' glued/free flags in frame
-order) are walked, each up to its first row (one per strip) that differs
-from the reference; ``canonical_form`` still traverses all 4n.
-Disconnected atlases pair their components with an explicit stack, so any
-number of components fits.  ``kernel`` reads the single all-leaf reversal
-of the reduced atlas off its sides, O(size), and builds no leaf-space model.
+Commands compute, ``main`` writes.  ``_run`` returns the exit code and the
+stdout text, and writes only the files a command is asked for (``-o OUT``,
+``--svg PATH``).  ``main`` is the one writer of stdout.  It writes a
+command's text as one string, so a command that fails leaves stdout
+empty.
 
-The structural commands build only what they print, from an atlas that
-``parse_atlas`` accepts by whole-text checks.  ``classify`` reads the leaf
-points off the atlas (``leaf_points``) and builds no leaf-space model.
-Plain ``dual`` prints its counts from the atlas: the dual graph has one
-vertex per strip and one edge per gluing, so only ``dual --dot`` builds
-it.  Plain ``leafspace`` formats one position pass (``leaf_point_table``),
-each label rendered once; only ``--dot`` and ``--svg`` build the model.
+Exit codes: 0 success, 1 invalid atlas (one ``stripes: line N: ...`` line
+from the parser) or failed selfcheck, 2 usage error (bad arguments, a file
+that cannot be read or written, or a stdout whose encoding cannot carry
+the output: one ``stripes: cannot write U+03A9 to stdout (encoding
+ascii)`` line), 3 precondition error (for example a disconnected atlas
+passed to ``kernel``), 4 internal error (a guard on a fact the package
+proves did not hold; one ``stripes: internal error: ...`` line).  A
+reader that closes stdout early (``stripes aut FILE | head -n 1``) ends
+the command quietly with the exit code it already had: 0, or 1 for a
+failed selfcheck.
 
 The argument parser is built once per process, so repeated in-process
 ``main`` calls (tests, library users) do not rebuild it.
 
 A command loads only the modules it uses.  This module imports ``atlas``
-alone; every other name below is bound on its first use by ``__getattr__``
-(PEP 562), which imports the home module, and then kept as a module global,
-as an import would keep it.  ``_run`` reads those names through the module
-(``_cli.name``), so a value set on ``stripes.cli`` (a test's monkeypatch, a
-tracer's wrapper) is the one called.  ``validate`` and plain ``dual`` load
-nothing more; ``classify`` and plain ``leafspace`` add ``leafspace``;
-``reduce`` adds ``reduction``; ``aut``, ``kernel``, ``report`` and ``iso``
-(to print a witness) add ``symmetry``, which loads ``leafspace`` and
-``reduction``; ``selfcheck`` adds ``selfcheck``, which loads those three;
-``random`` adds ``corpus``.  Only ``--dot`` and ``--svg`` add ``render``
-(and ``leafspace`` for the model, ``dualgraph`` for ``dual --dot``).
+alone; every other name below is read from its home module by
+``__getattr__`` (PEP 562), which imports that module on first use and
+keeps no copy here.  ``_run`` reads those names through the module
+(``_cli.name``), so it calls the home module's current value, or a value
+set on ``stripes.cli`` itself (a test's monkeypatch) while that is set.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import os
 import sys
+from importlib import import_module
 from pathlib import Path
 
 from .atlas import (
@@ -64,7 +49,7 @@ from .atlas import (
     serialize_atlas,
 )
 
-# Name -> home module, for the names bound on first use.
+# Name -> home module, for the names read on use.
 _LAZY = {
     "AtlasAutomorphism": "symmetry",
     "enumerate_automorphisms": "symmetry",
@@ -90,10 +75,7 @@ def __getattr__(name: str):
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = globals()[name] = getattr(import_module(f"{__package__}.{module}"), name)
-    return value
+    return getattr(import_module(f"{__package__}.{module}"), name)
 
 
 _cli = sys.modules[__name__]
@@ -166,37 +148,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
+def _write(text: str, out: str | None) -> str:
+    """Write ``text`` to the file ``out`` and return what stdout gets: ""
+    then, or ``text`` itself when there is no ``out``."""
     if not out:
-        sys.stdout.write(text)
-        return
+        return text
     try:
         Path(out).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise SystemExit2(f"cannot write {out}: {exc.strerror or exc}") from exc
+    return ""
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(args: argparse.Namespace) -> tuple[int, str]:
+    """One command's exit code and stdout text."""
     if args.command == "validate":
         _load(args.file)
-        print("OK")
-        return EXIT_OK
+        return EXIT_OK, "OK\n"
 
     if args.command == "random":
         try:
             atlas = _cli.random_atlas(args.strips, args.max_ints, args.seed, args.glue_prob)
         except ValueError as exc:
             raise SystemExit2(str(exc)) from exc
-        _emit(serialize_atlas(atlas), args.out)
-        return EXIT_OK
+        return EXIT_OK, _write(serialize_atlas(atlas), args.out)
 
     if args.command == "iso":
         witness = isomorphic(_load(args.file), _load(args.other))
         if witness is None:
-            print("NOT-ISOMORPHIC")
-        else:
-            print("ISOMORPHIC " + _cli.AtlasAutomorphism(*witness).format())
-        return EXIT_OK
+            return EXIT_OK, "NOT-ISOMORPHIC\n"
+        return EXIT_OK, f"ISOMORPHIC {_cli.AtlasAutomorphism(*witness).format()}\n"
 
     atlas = _load(args.file)
 
@@ -207,17 +188,15 @@ def _run(args: argparse.Namespace) -> int:
             f"{point.kind} {' '.join(point.intervals)} {text[classify(atlas, point)]}\n"
             for point in _cli.leaf_points(atlas)
         ]
-        sys.stdout.write("".join(lines))
-        return EXIT_OK
+        return EXIT_OK, "".join(lines)
 
     if args.command == "leafspace":
         if args.svg or args.dot:
             model = _cli.build_leaf_space(atlas)
             if args.svg:
-                _emit(_cli.leafspace_svg(model), args.svg)
+                _write(_cli.leafspace_svg(model), args.svg)
             if args.dot:
-                sys.stdout.write(_cli.leafspace_dot(model))
-                return EXIT_OK
+                return EXIT_OK, _cli.leafspace_dot(model)
         # Arcs are the strips in atlas order; every label is rendered once.
         points, slots, closures = _cli.leaf_point_table(atlas)
         labels = [point.label() for point in points]
@@ -227,16 +206,16 @@ def _run(args: argparse.Namespace) -> int:
             lines.append(f"point {label} kind={point.kind} attach={attach}\n")
         for label, closure in zip(labels, closures):
             lines.append(f"hcl {label} = {','.join([labels[q] for q in closure])}\n")
-        sys.stdout.write("".join(lines))
-        return EXIT_OK
+        return EXIT_OK, "".join(lines)
 
     if args.command == "reduce":
+        exceptional: list[str] = []
         proper: list[StripedAtlas] = []
         for outcome in _cli.reduce_atlas(atlas):
             if outcome.kind is _cli.SurfaceKind.OPEN_CYLINDER:
-                print("CYLINDER")
+                exceptional.append("CYLINDER\n")
             elif outcome.kind is _cli.SurfaceKind.OPEN_MOEBIUS_BAND:
-                print("MOEBIUS")
+                exceptional.append("MOEBIUS\n")
             else:
                 proper.append(outcome.atlas)
         # OUT always gets the proper part, so no earlier file survives
@@ -249,48 +228,37 @@ def _run(args: argparse.Namespace) -> int:
                     tuple(g for a in proper for g in a.gluings),
                 )
             )
-        if text or args.out:
-            _emit(text, args.out)
-        return EXIT_OK
+        return EXIT_OK, "".join(exceptional) + _write(text, args.out)
 
     if args.command == "dual":
         if args.dot:
-            sys.stdout.write(_cli.export_dot(_cli.build_dual_graph(atlas)))
-            return EXIT_OK
+            return EXIT_OK, _cli.export_dot(_cli.build_dual_graph(atlas))
         # One vertex per strip and one edge per gluing, by construction.
         vertices, edges = len(atlas.strips), len(atlas.gluings)
-        sys.stdout.write(f"vertices {vertices}\nedges {edges}\neuler {vertices - edges}\n")
-        return EXIT_OK
+        return EXIT_OK, f"vertices {vertices}\nedges {edges}\neuler {vertices - edges}\n"
 
     if args.command == "aut":
-        for aut in _cli.enumerate_automorphisms(atlas):
-            print(aut.format())
-        return EXIT_OK
+        lines = [f"{aut.format()}\n" for aut in _cli.enumerate_automorphisms(atlas)]
+        return EXIT_OK, "".join(lines)
 
     if args.command == "kernel":
-        result = _cli.leaf_action_kernel(atlas)
-        if result.is_trivial:
-            print("TRIVIAL")
-        else:
-            print("Z2 witness=(id;m=0;r=1)")
-        return EXIT_OK
+        trivial = _cli.leaf_action_kernel(atlas).is_trivial
+        return EXIT_OK, "TRIVIAL\n" if trivial else "Z2 witness=(id;m=0;r=1)\n"
 
     if args.command == "report":
         result = _cli.homeotopy_report(atlas)
-        print(f"autOrder {result.aut_order}")
-        print(f"kernel {result.kernel.label()}")
-        print(f"imageOrder {result.image_order}")
-        print(f"leafModelAutOrder {result.leaf_model_aut_order}")
-        return EXIT_OK
+        return EXIT_OK, (
+            f"autOrder {result.aut_order}\n"
+            f"kernel {result.kernel.label()}\n"
+            f"imageOrder {result.image_order}\n"
+            f"leafModelAutOrder {result.leaf_model_aut_order}\n"
+        )
 
     if args.command == "selfcheck":
         report = _cli.selfcheck(atlas)
-        # The verdict is the exit code, also when the reader stops early.
-        with contextlib.suppress(BrokenPipeError):
-            for line in report.lines():
-                print(line)
-            print("SELFCHECK OK" if report.ok else "SELFCHECK FAILED")
-        return EXIT_OK if report.ok else EXIT_INVALID
+        verdict = "SELFCHECK OK" if report.ok else "SELFCHECK FAILED"
+        text = "".join(f"{line}\n" for line in [*report.lines(), verdict])
+        return (EXIT_OK if report.ok else EXIT_INVALID), text
 
     raise SystemExit2(f"unknown command {args.command!r}")
 
@@ -302,16 +270,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
-    code = EXIT_OK
     try:
-        code = _run(args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # The reader is gone: with stdout on devnull, the flush at exit cannot
-        # fail.  A code already computed (a failed selfcheck) stands.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return code
+        code, text = _run(args)
     except SystemExit2 as exc:
         print(f"stripes: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -324,6 +284,18 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:
         print(f"stripes: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone: with stdout on devnull, the flush at exit
+        # cannot fail, and the code already computed stands.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except UnicodeEncodeError as exc:
+        char = f"U+{ord(exc.object[exc.start]):04X}"
+        print(f"stripes: cannot write {char} to stdout (encoding {exc.encoding})", file=sys.stderr)
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -64,11 +64,11 @@ class LeafPoint(_LeafPointFields):
 
     @property
     def is_seam(self) -> bool:
-        return len(self.intervals) == 2
+        return self.kind == "seam"
 
     @property
     def kind(self) -> str:
-        return "seam" if self.is_seam else "free"
+        return "seam" if len(self.intervals) == 2 else "free"
 
     def label(self) -> str:
         return "{" + ",".join(self.intervals) + "}"

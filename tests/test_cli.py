@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stripes
+from dot_grammar import DotError, parse_dot, undeclared_ends
 from stripes.atlas import (
     AtlasError,
     Gluing,
@@ -23,9 +24,24 @@ from stripes.atlas import (
     parse_atlas,
     serialize_atlas,
 )
-from stripes.cli import main
+from stripes.cli import _LAZY, main
 from stripes.corpus import necklace, random_atlas
+from stripes.dualgraph import build_dual_graph
 from stripes.fixtures import FIXTURE_NAMES, fixture_text
+from stripes.leafspace import leaf_points
+
+
+@pytest.fixture(autouse=True)
+def cli_holds_no_library_copies():
+    # stripes.cli reads each library name from its home module.  Undoing a
+    # monkeypatch on stripes.cli sets the old value back there, a copy a
+    # later patch of the home module would miss, so each test drops it and
+    # the next checks that none is left.
+    cli = sys.modules["stripes.cli"]
+    assert not _LAZY.keys() & vars(cli).keys()
+    yield
+    for name in _LAZY.keys() & vars(cli).keys():
+        delattr(cli, name)
 
 
 @pytest.fixture()
@@ -319,6 +335,60 @@ def test_dot_escapes_identifiers(atlas_file, capsys):
     assert '"S\\"x.0" -> "{a<b,e}"' in run(capsys, "leafspace", path, "--dot")[1]
 
 
+# Names with characters XML 1.0 forbids; the parser takes any token without
+# whitespace or '#'.
+CONTROL_NAMES = "strip A\x01B\nside0 x\x00y z\ufffe\nstrip T\nside1 e\x1b\uffff\nglue x\x00y e\x1b\uffff +\n"
+
+
+def check_dot(command: str, text: str, atlas: StripedAtlas) -> None:
+    # Both --dot outputs follow the DOT grammar, every edge end is a
+    # declared node, and the quoted strings read back as the identifiers.
+    graph = parse_dot(text)
+    assert not undeclared_ends(graph)
+    if command == "leafspace":
+        ends = {f"{s.id}.{side}" for s in atlas.strips for side in (0, 1)}
+        assert (graph.kind, set(graph.nodes)) == ("digraph", ends | {p.label() for p in leaf_points(atlas)})
+        arcs = [attrs["label"] for tail, head, attrs in graph.edges if tail in ends and head in ends]
+        assert sorted(arcs) == sorted(atlas.strip_ids)
+    else:
+        assert (graph.kind, set(graph.nodes)) == ("graph", set(atlas.strip_ids))
+        labels = [attrs["label"] for _, _, attrs in graph.edges]
+        assert labels == [edge.label() for edge in build_dual_graph(atlas).edges]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [*FIXTURE_NAMES, pytest.param(ODD_NAMES, id="ODD_NAMES"), pytest.param(CONTROL_NAMES, id="CONTROL_NAMES")],
+)
+@pytest.mark.parametrize("command", ["leafspace", "dual"])
+def test_dot_follows_the_grammar(atlas_file, command, text):
+    path = atlas_file(text)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main([command, path, "--dot"]) == 0
+    check_dot(command, out.getvalue(), parse_atlas(Path(path).read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'digraph g { "a\\" -> "b" }',  # the backslash pairs with the closing quote
+        'digraph g { "a" -> "b" ',  # no closing brace
+        'graph g { "a" -> "b" }',  # a directed edge in an undirected graph
+        'digraph g { "a" [label="x" }',  # an open attribute list
+        'digraph g { node -> "b" }',  # a keyword as a node
+        'digraph g { "a b" c" }',  # a stray quote
+        'digraph g { "a" } "b"',  # text after the graph
+        'strict digraph g { "a" }',  # DOT that stripes does not write
+        'digraph { "a" }',
+        'digraph g { "a" -> "b" -> "c" }',
+    ],
+)
+def test_dot_checker_rejects_malformed_text(text):
+    with pytest.raises(DotError):
+        parse_dot(text)
+
+
 def test_svg_escapes_identifiers(atlas_file, capsys, tmp_path):
     svg_path = tmp_path / "odd.svg"
     code, _, _ = run(capsys, "leafspace", atlas_file(ODD_NAMES), "--svg", str(svg_path))
@@ -404,6 +474,48 @@ def test_closed_stdout_keeps_a_failed_selfcheck_exit_1(atlas_file, monkeypatch, 
         monkeypatch.undo()
 
 
+def run_cli(*argv: str, **env: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(stripes.__file__).parents[1]), **env)
+    return subprocess.run([sys.executable, "-m", "stripes.cli", *argv], capture_output=True, env=env)
+
+
+@pytest.mark.parametrize(
+    "argv, printed",
+    [
+        ("validate {f}", b"OK\n"),
+        ("dual {f}", b"vertices 1\nedges 1\neuler 0\n"),
+        ("kernel {f}", b"Z2 witness=(id;m=0;r=1)\n"),
+        ("report {f}", b"autOrder 2\nkernel Z2\nimageOrder 1\nleafModelAutOrder 1\n"),
+        *[(f"{command} {{f}}", None) for command in ("classify", "leafspace", "reduce", "aut", "selfcheck")],
+        ("leafspace {f} --dot", None),
+        ("dual {f} --dot", None),
+        ("iso {f} {f}", None),
+    ],
+    ids=lambda value: value if isinstance(value, str) else "prints" if value else "fails",
+)
+def test_stdout_that_cannot_encode_a_name_exits_2_with_one_line(tmp_path, argv, printed):
+    # On an ASCII stdout, a command whose output names no identifier prints
+    # it; any other ends with one line and prints nothing.
+    path = tmp_path / "greek.atlas"
+    path.write_text("strip \u03a9\nside0 \u03b1 \u03b2\nglue \u03b1 \u03b2 +\n", encoding="utf-8")
+    done = run_cli(*(arg.format(f=path) for arg in argv.split()), PYTHONIOENCODING="ascii")
+    if printed is not None:
+        assert (done.returncode, done.stdout, done.stderr) == (0, printed, b"")
+        return
+    err = done.stderr.decode()
+    assert done.returncode == 2, err
+    assert err.startswith("stripes: cannot write U+03") and err.count("\n") == 1
+    assert err.endswith(" to stdout (encoding ascii)\n")
+    assert done.stdout == b""
+
+
+def test_failed_command_prints_nothing(atlas_file, tmp_path):
+    # reduce knows CYLINDER before it writes OUT, but prints it only on success.
+    done = run_cli("reduce", atlas_file("CYL"), "-o", str(tmp_path / "missing" / "x"))
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.startswith(b"stripes: cannot write ") and done.stderr.count(b"\n") == 1
+
+
 def test_parser_is_reused_across_calls(atlas_file, capsys):
     path = atlas_file("PUNCTURED")
     first = run(capsys, "report", path)
@@ -482,8 +594,9 @@ def test_every_command_ends_cleanly_on_any_identifiers(
 ):
     # A random atlas renamed with distinct drawn identifiers: every file
     # command, and each output option, exits 0 or 3 with at most one stderr
-    # line; the SVG parses, and reduce -o writes what plain reduce prints
-    # after its CYLINDER / MOEBIUS lines.
+    # line; the SVG parses, both --dot texts pass the DOT checker, and
+    # reduce -o writes what plain reduce prints after its CYLINDER / MOEBIUS
+    # lines.
     atlas = random_atlas(strips, max_ints, seed, glue_prob)
     old = [*atlas.strip_ids, *atlas.intervals()]
     new = data.draw(st.lists(identifiers, min_size=len(old), max_size=len(old), unique=True))
@@ -517,6 +630,8 @@ def test_every_command_ends_cleanly_on_any_identifiers(
         assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
         printed[tuple(argv)] = out.getvalue()
     ET.parse(svg)
+    for command in ("leafspace", "dual"):
+        check_dot(command, printed[(command, path, "--dot")], atlas)
     written = Path(reduced).read_text(encoding="utf-8")
     assert printed[("reduce", path, "-o", reduced)] + written == printed[("reduce", path)]
 

@@ -113,3 +113,29 @@ def test_unknown_name_raises_attribute_error():
 def test_disconnected_error_is_one_class():
     assert symmetry.DisconnectedAtlasError is atlas.DisconnectedAtlasError
     assert stripes.DisconnectedAtlasError is atlas.DisconnectedAtlasError
+
+
+def test_cli_reads_the_home_modules_current_value():
+    # A patch on the home module, present at the CLI's first use, is gone
+    # from the CLI once it is undone; a value set on stripes.cli wins
+    # while it is set.
+    code = """
+import sys
+import stripes.cli as cli
+import stripes.symmetry as symmetry
+real, calls = symmetry.homeotopy_report, []
+def counted(atlas):
+    calls.append(atlas)
+    return real(atlas)
+symmetry.homeotopy_report = counted
+assert cli.main(["report", sys.argv[1]]) == 0
+symmetry.homeotopy_report = real
+assert cli.main(["report", sys.argv[1]]) == 0
+assert len(calls) == 1, len(calls)
+cli.homeotopy_report = counted
+assert cli.main(["report", sys.argv[1]]) == 0
+del cli.homeotopy_report
+assert cli.main(["report", sys.argv[1]]) == 0
+assert len(calls) == 2, len(calls)
+"""
+    assert "stripes.symmetry" in loaded_after(code, str(DATA / "plane.atlas"))
