@@ -5,7 +5,8 @@
 # stdout to the file OUT, or left on stdout when OUT is "-" (for a pipe).  It
 # fails, showing stderr and the tail of OUT, when the command exits with
 # another code than EXPECT (default 0) or prints a traceback.  With a
-# non-zero EXPECT, stderr must be one `stripes: ...` line.
+# non-zero EXPECT, stderr must be one `stripes: ...` line.  Only a regular
+# OUT is shown: a device such as /dev/full reads without end.
 out=$1
 shift
 expect=${EXPECT:-0}
@@ -22,7 +23,7 @@ if [ "$expect" -ne 0 ]; then
 fi
 if [ -z "$ok" ]; then
     echo "stripes $* exited $code, not $expect, or printed a traceback" >&2
-    [ "$out" = - ] || tail -n 20 "$out" >&2
+    if [ -f "$out" ]; then tail -n 20 "$out" >&2; fi
     cat "$err" >&2
     exit 1
 fi

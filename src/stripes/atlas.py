@@ -214,22 +214,32 @@ class StripedAtlas:
     def _partners(self) -> dict[str, tuple[tuple, tuple]]:
         """Per strip id, one entry per interval of each side: ``None`` when
         free, else the partner's ``(strip id, side, index, index from the
-        end, 1 if the gluing decreases else 0)``; what :func:`_rows` reads."""
-        glued, locations, strips = self.gluing_of, self.locations, self.strips_by_id
+        end, 1 if the gluing decreases else 0)``; what :func:`_rows` and
+        :func:`_frame_signatures` read.
+
+        One pass over the sides places every interval, its first
+        occurrence winning, in a side of all-``None`` entries; one pass
+        over the gluings fills both ends of each, an interval's first
+        gluing winning.  No other index is read or built."""
+        table: dict[str, tuple[list, list]] = {}
+        # interval -> (its entry as a partner, less the bit; its side's entries; its index)
+        place: dict[str, tuple[tuple, list, int]] = {}
+        for sid, side0, side1 in self.strips:
+            table[sid] = sides = [None] * len(side0), [None] * len(side1)
+            for which, names, entries in ((0, side0, sides[0]), (1, side1, sides[1])):
+                last = len(names) - 1
+                for index, name in enumerate(names):
+                    place.setdefault(name, ((sid, which, index, last - index), entries, index))
         decreasing = _DECREASING
-
-        def entry(name: str):
-            g = glued.get(name)
-            if g is None:
-                return None
-            other, side, index = locations[g.b if g.a == name else g.a]
-            back = len(strips[other][1 + side]) - 1 - index
-            return other, side, index, back, int(g.parity is decreasing)
-
-        return {
-            s.id: (tuple(map(entry, s.side0)), tuple(map(entry, s.side1)))
-            for s in self.strips
-        }
+        for a, b, parity in self.gluings:
+            bit = int(parity is decreasing)
+            at_a, entries_a, i = place[a]
+            at_b, entries_b, j = place[b]
+            if entries_a[i] is None:
+                entries_a[i] = (*at_b, bit)
+            if entries_b[j] is None:
+                entries_b[j] = (*at_a, bit)
+        return {sid: (tuple(side0), tuple(side1)) for sid, (side0, side1) in table.items()}
 
     @cached_property
     def free_intervals(self) -> tuple[str, ...]:
@@ -689,48 +699,69 @@ def _frame_signatures(
     # Every root frame, in ``_root_frames`` order, with the glued/free flags
     # of its root strip's sides as the frame reads them: side ``flip`` then
     # the other, both reversed when ``rev``.  Each strip's flags are read
-    # once.  A witness keeps side sizes and keeps glued intervals glued, so
-    # frames that a witness matches have equal signatures.  Parities are
-    # left out: a gluing to another strip reads through that strip's
-    # reversal bit.
-    glued = atlas.gluing_of.__contains__
-    for s in atlas.strips:
-        side0, side1 = tuple(map(glued, s.side0)), tuple(map(glued, s.side1))
+    # once, off its ``_partners`` entries (glued when not ``None``).  A
+    # witness keeps side sizes and keeps glued intervals glued, so frames
+    # that a witness matches have equal signatures.  Parities are left out:
+    # a gluing to another strip reads through that strip's reversal bit.
+    for sid, (entries0, entries1) in atlas._partners.items():
+        side0 = tuple([entry is not None for entry in entries0])
+        side1 = tuple([entry is not None for entry in entries1])
         back0, back1 = side0[::-1], side1[::-1]
-        yield (s.id, 0, 0), (side0, side1)
-        yield (s.id, 0, 1), (back0, back1)
-        yield (s.id, 1, 0), (side1, side0)
-        yield (s.id, 1, 1), (back1, back0)
+        yield (sid, 0, 0), (side0, side1)
+        yield (sid, 0, 1), (back0, back1)
+        yield (sid, 1, 0), (side1, side0)
+        yield (sid, 1, 1), (back1, back0)
+
+
+class _Walk(NamedTuple):
+    """A walk from one root frame: the frame, its root strip's signature,
+    and the rows, visit order and strip frames of :func:`_rows`."""
+
+    root: tuple[str, int, int]
+    signature: tuple[tuple[bool, ...], ...]
+    rows: list[tuple]
+    order: list[str]
+    frames: dict[str, tuple[int, int]]
+
+
+def _reference_walk(atlas: StripedAtlas) -> _Walk:
+    """The walk of an atlas's first root frame, the reference that
+    witness matching compares against.  It visits every strip exactly
+    when the atlas is connected."""
+    root, signature = next(_frame_signatures(atlas))
+    order: list[str] = []
+    frames: dict[str, tuple[int, int]] = {}
+    return _Walk(root, signature, list(_rows(atlas, *root, order, frames)), order, frames)
 
 
 def _connected_witnesses(
-    src: StripedAtlas, dst: StripedAtlas
+    src: StripedAtlas, dst: StripedAtlas, reference: _Walk | None = None
 ) -> Iterator[tuple[dict[str, str], dict[str, int], dict[str, int]]]:
-    """Witnesses between connected atlases, in the order of ``dst``'s root
+    """Witnesses from a connected atlas, in the order of ``dst``'s root
     frames.
 
     Both atlases read the same from matching root frames exactly when a
     witness sends one root frame to the other; composing the two frames
     strip by strip gives that witness.  The rows of ``src``'s reference
-    frame are built once.  A frame of ``dst`` whose root strip reads
-    differently is skipped unwalked; any other is walked only up to its
-    first row that differs from the reference rows, so a frame that fails
-    early costs a few rows, not a traversal.  When ``dst is src`` the
-    reference frame matches itself without a walk.
+    frame are built once, or passed in as ``reference`` by a caller that
+    has walked them (:func:`_reference_walk`).  A frame of ``dst`` whose
+    root strip reads differently is skipped unwalked; any other is walked
+    only up to its first row that differs from the reference rows, so a
+    frame that fails early costs a few rows, not a traversal.  A frame
+    matches only when its walk yields as many rows as the reference, so a
+    disconnected ``dst`` has no match.  When ``dst is src`` the reference
+    frame matches itself without a walk.
     """
-    reference, signature = next(_frame_signatures(src))
-    order: list[str] = []
-    frames: dict[str, tuple[int, int]] = {}
-    rows = list(_rows(src, *reference, order, frames))
-    for root, root_signature in _frame_signatures(dst):
-        if root_signature != signature:
+    root, signature, rows, order, frames = reference or _reference_walk(src)
+    for other_root, other_signature in _frame_signatures(dst):
+        if other_signature != signature:
             continue
-        if dst is src and root == reference:
+        if dst is src and other_root == root:
             other_order, other_frames = order, frames
         else:
             other_order, other_frames = [], {}
-            walk = _rows(dst, *root, other_order, other_frames)
-            if not all(map(tuple.__eq__, rows, walk)):
+            walk = _rows(dst, *other_root, other_order, other_frames)
+            if not all(map(tuple.__eq__, rows, walk)) or len(other_order) != len(order):
                 continue
         strip_map = dict(zip(order, other_order))
         yield (
@@ -745,23 +776,29 @@ def iter_witnesses(
 ) -> Iterator[tuple[dict[str, str], dict[str, int], dict[str, int]]]:
     """Yield every valid witness from ``src`` to ``dst``.
 
-    On connected atlases one root frame of ``src`` is matched against
-    those of the 4n root frames of ``dst`` whose root strip reads the same
-    (its sides' glued/free flags in frame order); the rest cannot match
-    and are skipped.  Matching compares the breadth-first rows of the two
+    ``src``'s reference frame is walked first.  When that walk visits
+    every strip, ``src`` is connected, and it is matched against those of
+    the 4n root frames of ``dst`` whose root strip reads the same (its
+    sides' glued/free flags in frame order); the rest cannot match and
+    are skipped.  Matching compares the breadth-first rows of the two
     frames and stops at the first row that differs, so only a matching
-    frame is walked to the end.  Components are paired with components of
-    equal canonical form, in every way; the witnesses of each pair of
+    frame is walked to the end; a frame of a disconnected ``dst`` never
+    yields all n rows.  Neither atlas is split into components on this
+    path.  Only a ``src`` whose reference walk stops short, or that has no
+    strips, is split: components are paired with components of equal
+    canonical form, in every way; the witnesses of each pair of
     components are found once and replayed for every pairing that uses it.
     """
     if len(src.strips) != len(dst.strips) or len(src.gluings) != len(dst.gluings):
         return
+    if src.strips:
+        reference = _reference_walk(src)
+        if len(reference.order) == len(src.strips):
+            yield from _connected_witnesses(src, dst, reference)
+            return
     src_parts = component_atlases(src)
     dst_parts = src_parts if dst is src else component_atlases(dst)
     if len(src_parts) != len(dst_parts):
-        return
-    if len(src_parts) == 1:
-        yield from _connected_witnesses(src, dst)
         return
     if not src_parts:  # the empty atlas has the empty witness
         yield {}, {}, {}

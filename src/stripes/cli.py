@@ -11,14 +11,15 @@ empty.
 
 Exit codes: 0 success, 1 invalid atlas (one ``stripes: line N: ...`` line
 from the parser) or failed selfcheck, 2 usage error (bad arguments, a file
-that cannot be read or written, or a stdout whose encoding cannot carry
-the output: one ``stripes: cannot write U+03A9 to stdout (encoding
-ascii)`` line), 3 precondition error (for example a disconnected atlas
-passed to ``kernel``), 4 internal error (a guard on a fact the package
-proves did not hold; one ``stripes: internal error: ...`` line).  A
-reader that closes stdout early (``stripes aut FILE | head -n 1``) ends
-the command quietly with the exit code it already had: 0, or 1 for a
-failed selfcheck.
+that cannot be read or written, a stdout that cannot be written: one
+``stripes: cannot write stdout: No space left on device`` line, or a
+stdout whose encoding cannot carry the output: one ``stripes: cannot
+write U+03A9 to stdout (encoding ascii)`` line), 3 precondition error
+(for example a disconnected atlas passed to ``kernel``), 4 internal error
+(a guard on a fact the package proves did not hold; one ``stripes:
+internal error: ...`` line).  A reader that closes stdout early
+(``stripes aut FILE | head -n 1``) ends the command quietly with the exit
+code it already had: 0, or 1 for a failed selfcheck.
 
 The argument parser is built once per process, so repeated in-process
 ``main`` calls (tests, library users) do not rebuild it.
@@ -287,10 +288,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader is gone: with stdout on devnull, the flush at exit
-        # cannot fail, and the code already computed stands.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        # With stdout on devnull the flush at exit cannot fail again.  A
+        # closed pipe means the reader is gone, and the code already
+        # computed stands; any other failed write (a full disk) is one line.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"stripes: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     except UnicodeEncodeError as exc:
         char = f"U+{ord(exc.object[exc.start]):04X}"
         print(f"stripes: cannot write {char} to stdout (encoding {exc.encoding})", file=sys.stderr)

@@ -14,8 +14,9 @@ model's arc ends, and
 through it: the enumeration route of the kernel.  ``closure_scan`` tests
 every ground element of a finite space against all its basic sets.
 ``connected_witnesses`` traverses all 4n root frames of ``dst``, with no
-root-signature pruning and no reuse of the reference traversal; the
-package's matcher must yield the same witnesses in the same order.
+root-signature pruning and no reuse of the reference traversal (it
+ignores a reference walk passed in); the package's matcher must yield the
+same witnesses in the same order.
 ``iter_witnesses_recursive`` pairs the components of disconnected atlases
 by recursion, one generator frame per component, so it stops at the
 recursion limit; the package's explicit stack must yield the same
@@ -129,9 +130,10 @@ def _relabelled(atlas: StripedAtlas, strip_map, side_flip, reversal) -> StripedA
     return StripedAtlas(tuple(strips), tuple(gluings))
 
 
-def connected_witnesses(src: StripedAtlas, dst: StripedAtlas):
-    """Witnesses between connected atlases from every root frame of ``dst``
-    whose traversal reads like ``src``'s reference frame, in frame order."""
+def connected_witnesses(src: StripedAtlas, dst: StripedAtlas, reference=None):
+    """Witnesses from a connected atlas from every root frame of ``dst``
+    whose traversal reads like ``src``'s reference frame, in frame order.
+    ``reference``, the package's walk of that frame, is ignored."""
     text, order, frames = _traverse(src, src.strip_ids[0], 0, 0)
     for root in _root_frames(dst):
         other_text, other_order, other_frames = _traverse(dst, *root)

@@ -474,6 +474,31 @@ def test_closed_stdout_keeps_a_failed_selfcheck_exit_1(atlas_file, monkeypatch, 
         monkeypatch.undo()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *[f"{command} {{f}}" for command in ("validate", "classify", "leafspace", "dual")],
+        *[f"{command} {{f}}" for command in ("reduce", "kernel", "report", "selfcheck", "aut")],
+        "leafspace {f} --dot",
+        "leafspace {f} --svg {svg}",
+        "dual {f} --dot",
+        "iso {f} {f}",
+        "random --strips 3 --max-ints 2 --seed 1",
+    ],
+)
+def test_stdout_that_cannot_be_written_exits_2_with_one_line(atlas_file, tmp_path, argv):
+    # /dev/full fails every write with ENOSPC, at the write or at the flush.
+    args = argv.format(f=atlas_file("PUNCTURED"), svg=tmp_path / "out.svg").split()
+    env = dict(os.environ, PYTHONPATH=str(Path(stripes.__file__).parents[1]))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "stripes.cli", *args], stdout=full, stderr=subprocess.PIPE, env=env
+        )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == b"stripes: cannot write stdout: No space left on device\n"
+
+
 def run_cli(*argv: str, **env: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(Path(stripes.__file__).parents[1]), **env)
     return subprocess.run([sys.executable, "-m", "stripes.cli", *argv], capture_output=True, env=env)

@@ -32,10 +32,13 @@ from stripes.atlas import (
     _traverse,
     canonical_form,
     component_atlases,
+    connected_components,
     is_connected,
     is_valid_witness,
     isomorphic,
     iter_witnesses,
+    parse_atlas,
+    serialize_atlas,
 )
 from stripes.corpus import exhaustive_family, necklace, random_atlas
 from stripes.symmetry import enumerate_automorphisms
@@ -48,10 +51,24 @@ def witnesses(src, dst):
 
 
 def oracle_order(src: StripedAtlas, dst: StripedAtlas) -> list:
-    """``iter_witnesses`` with the unpruned 4n-frame matcher in its place."""
+    """``iter_witnesses`` with the unpruned 4n-frame matcher in its place.
+
+    Every connected match must go through the swapped function, on the
+    reference-walk path as on the component route; so the oracle must have
+    run, and only on connected non-empty pairs."""
+    pairs = []
+
+    def oracle(part, other, *reference):
+        pairs.append((part, other))
+        return bruteforce.connected_witnesses(part, other, *reference)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch_everywhere(patch, _connected_witnesses, bruteforce.connected_witnesses)
-        return list(iter_witnesses(src, dst))
+        patch_everywhere(patch, _connected_witnesses, oracle)
+        expected = list(iter_witnesses(src, dst))
+    assert pairs
+    for part, other in pairs:
+        assert part.strips and other.strips and is_connected(part) and is_connected(other)
+    return expected
 
 
 def assert_same_order(src: StripedAtlas, dst: StripedAtlas) -> None:
@@ -309,3 +326,76 @@ def test_isomorphic_pairs_many_components():
     witness = isomorphic(atlas, copy)
     assert witness is not None
     assert is_valid_witness(atlas, copy, *witness)
+
+
+def assert_no_witness_either_way(a: StripedAtlas, b: StripedAtlas) -> None:
+    assert len(a.strips) == len(b.strips) and len(a.gluings) == len(b.gluings)
+    assert len(component_atlases(a)) != len(component_atlases(b))
+    for src, dst in ((a, b), (b, a)):
+        assert witnesses(src, dst) == bruteforce.witnesses(src, dst) == []
+        assert isomorphic(src, dst) is None
+
+
+def test_connected_against_disconnected_necklaces():
+    # 4 strips and 8 gluings each: one cycle of four, two cycles of two.
+    two = disjoint_union([necklace(2), necklace(2)], Random(4))
+    assert_no_witness_either_way(necklace(4), two)
+
+
+def pairs_of_other_component_counts(atlases: list, rng: Random, count: int) -> list:
+    """``count`` seeded pairs with equal strip and gluing counts and
+    different numbers of components."""
+    by_size: dict[tuple[int, int, int], list] = {}
+    for atlas in atlases:
+        key = (len(atlas.strips), len(atlas.gluings), len(component_atlases(atlas)))
+        by_size.setdefault(key, []).append(atlas)
+    keys = [
+        (k, l) for k in by_size for l in by_size if k[:2] == l[:2] and k[2] < l[2]
+    ]
+    assert keys
+    pairs = []
+    for _ in range(count):
+        k, l = rng.choice(keys)
+        pairs.append((rng.choice(by_size[k]), rng.choice(by_size[l])))
+    return pairs
+
+
+def test_connected_against_disconnected_on_the_family():
+    for a, b in pairs_of_other_component_counts(list(exhaustive_family(2, 2)), Random(5), 200):
+        assert_no_witness_either_way(a, b)
+
+
+def test_connected_against_disconnected_on_random_atlases():
+    corpus = [random_atlas(3 + seed % 2, 2, 8000 + seed) for seed in range(60)]
+    pairs = pairs_of_other_component_counts(corpus, Random(6), 20)
+    assert sum(is_connected(a) for a, _ in pairs) >= 5
+    for a, b in pairs:
+        assert_no_witness_either_way(a, b)
+
+
+def fresh(atlas: StripedAtlas) -> StripedAtlas:
+    """The atlas parsed from its text, with no index built."""
+    return parse_atlas(serialize_atlas(atlas))
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["isomorphic", "not-isomorphic"])
+def test_connected_search_builds_one_index(monkeypatch, flip):
+    # The reference walk of a connected source shows it connected: neither
+    # atlas is split into components, and the partner table is the one
+    # index either builds.
+    atlas = necklace(4)
+    other = moved_copy(parity_flipped(atlas) if flip else atlas, Random(7))
+    a, b = fresh(atlas), fresh(other)
+    splits = count_calls(monkeypatch, connected_components)
+    assert (isomorphic(a, b) is None) == flip
+    assert not splits
+    for built in (vars(a), vars(b)):
+        assert "_partners" in built
+        assert not {"locations", "gluing_of", "strips_by_id", "components"} & built.keys()
+
+
+def test_disconnected_source_takes_the_component_route():
+    atlas = disjoint_union([necklace(2), necklace(2)], Random(8))
+    a, b = fresh(atlas), fresh(moved_copy(atlas, Random(9)))
+    assert isomorphic(a, b) is not None
+    assert len(vars(a)["components"]) == len(vars(b)["components"]) == 2
