@@ -749,10 +749,15 @@ def _connected_witnesses(
     only up to its first row that differs from the reference rows, so a
     frame that fails early costs a few rows, not a traversal.  A frame
     matches only when its walk yields as many rows as the reference, so a
-    disconnected ``dst`` has no match.  When ``dst is src`` the reference
-    frame matches itself without a walk.
+    disconnected ``dst`` has no match.  Once the failed walks have reached
+    more than twice as many strips as ``src`` has, the failing walk is
+    finished, once: if it stops short, ``dst`` is disconnected and the
+    search ends.  So a disconnected ``dst`` costs O(size), not a walk of
+    its component from every frame, and no index of ``dst`` is built.
+    When ``dst is src`` the reference frame matches itself without a walk.
     """
     root, signature, rows, order, frames = reference or _reference_walk(src)
+    reached = None if dst is src else 0  # strips of failed walks; None once dst is connected
     for other_root, other_signature in _frame_signatures(dst):
         if other_signature != signature:
             continue
@@ -762,6 +767,16 @@ def _connected_witnesses(
             other_order, other_frames = [], {}
             walk = _rows(dst, *other_root, other_order, other_frames)
             if not all(map(tuple.__eq__, rows, walk)) or len(other_order) != len(order):
+                if reached is not None:
+                    reached += len(other_order)
+                    if reached > 2 * len(order):
+                        # This walk, finished, stops short exactly when dst
+                        # is disconnected, and then no frame can match.
+                        for _ in walk:
+                            pass
+                        if len(other_order) != len(order):
+                            return
+                        reached = None
                 continue
         strip_map = dict(zip(order, other_order))
         yield (

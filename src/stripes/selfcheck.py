@@ -8,23 +8,22 @@ group, functoriality of the induced leaf-space action, the kernel
 dichotomy with its witness cross-check, and the reduction invariants.
 
 The group laws and functoriality are checked in one closure pass over a
-greedy generating set, which forms each generator product once.  Each
-enumerated automorphism, and its leaf map from :func:`induced_leaf_map`,
-is encoded once as a tuple of positions, so that a product is one pick of
-entries out of a table.  The kernel comes from the same route as in
-``kernel`` and ``report``, read off the working atlas's sides, and the
-witness cross-check compares its reversal with the members of the working
-atlas's enumerated group that act trivially on the leaf space: the reduced
-atlas's group on a proper component, the group of the canonical one-strip
-atlas on an exceptional one.  Each of those members must also pass the
-witness-validity oracle, ``is_valid_witness``, on the working atlas; no
-other command runs it.
+greedy generating set, which forms each generator product once.  The
+enumerated automorphisms and their leaf maps from :func:`induced_leaf_map`
+compose through their own methods, on position codes, so a product is
+one pick of entries out of the generator's table.  The kernel comes from
+the same route as in ``kernel`` and ``report``, read off the working
+atlas's sides, and the witness cross-check compares its reversal with
+the members of the working atlas's enumerated group that act trivially
+on the leaf space: the reduced atlas's group on a proper component, the
+group of the canonical one-strip atlas on an exceptional one.  Each of
+those members must also pass the witness-validity oracle,
+``is_valid_witness``, on the working atlas; no other command runs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .atlas import StripedAtlas, component_atlases, is_valid_witness, isomorphic, validate
 from .leafspace import (
@@ -44,6 +43,7 @@ from .symmetry import (
     _reversal,
     _working_atlas,
     enumerate_automorphisms,
+    identity_automorphism,
     induced_leaf_map,
 )
 
@@ -138,14 +138,11 @@ def _check_component(report: SelfCheckReport, atlas: StripedAtlas, label: str) -
     add("classification-consistency", ok)
 
     # Group laws of the enumerated automorphisms and functoriality of the
-    # induced leaf-space action, both read off one closure pass, with every
-    # element and its leaf map encoded once as position tuples.
+    # induced leaf-space action, both read off one closure pass.
     group = enumerate_automorphisms(atlas)
     leaf_maps = [induced_leaf_map(model, aut) for aut in group]
-    codes = _automorphism_codes(atlas, group)
-    identity = tuple(range(0, 4 * len(atlas.strips), 4))
-    psi = dict(zip(codes, _leaf_map_codes(model, leaf_maps)))
-    laws, functorial = _closure(identity, codes, psi)
+    identity = identity_automorphism(atlas)
+    laws, functorial = _closure(identity, group, dict(zip(group, leaf_maps)))
     add("group-laws", laws)
     add("psi-functoriality", functorial)
 
@@ -245,65 +242,10 @@ def _kernel_dichotomy(members) -> tuple[bool, str]:
     return not detail and len(members) == len(nontrivial) + 1, detail
 
 
-# Position codes.  An automorphism is the tuple of 4 * j + 2 * f + r over
-# the strip positions i, where strip i goes to strip j with side flip f and
-# reversal r.  A leaf map is the same over the points followed by the arcs,
-# in model order: a point's bits are 0 and an arc's are its reversal.  The
-# table of a code lists, at 4 * j + b, its entry j with bits xored by b; so
-# the code of "a after c" picks the entries of c out of a's table.
-
-
-def _automorphism_codes(atlas: StripedAtlas, automorphisms) -> list[tuple[int, ...]]:
-    """The position code of each automorphism of ``atlas``."""
-    ids = atlas.strip_ids
-    position = {s: 4 * i for i, s in enumerate(ids)}
-    return [
-        tuple(
-            [
-                position[aut.strip_map[s]] + 2 * aut.side_flip[s] + aut.reversal[s]
-                for s in ids
-            ]
-        )
-        for aut in automorphisms
-    ]
-
-
-def _leaf_map_codes(model: LeafSpaceModel, leaf_maps) -> list[tuple[int, ...]]:
-    """The position code of each leaf map of ``model``."""
-    points, arcs = model.points, model.arcs
-    position = {x: 4 * i for i, x in enumerate((*points, *arcs))}.__getitem__
-    return [
-        (
-            *map(position, map(m.point_map.__getitem__, points)),
-            *[position(m.arc_map[a]) + m.arc_reversed[a] for a in arcs],
-        )
-        for m in leaf_maps
-    ]
-
-
-def _table(code: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple([entry ^ bits for entry in code for bits in (0, 1, 2, 3)])
-
-
-def _compose(table: tuple[int, ...], code: tuple[int, ...]) -> tuple[int, ...]:
-    """The code of a after ``code``, given the table of a."""
-    product = itemgetter(*code)(table)
-    return product if len(code) > 1 else (product,)
-
-
-def _inverse(code: tuple[int, ...]) -> tuple[int, ...]:
-    back = sorted(range(len(code)), key=code.__getitem__)
-    return tuple([4 * i + (code[i] & 3) for i in back])
-
-
-def _is_identity(code: tuple[int, ...]) -> bool:
-    return code == tuple(range(0, 4 * len(code), 4))
-
-
 def _closure(identity, group, psi) -> tuple[bool, bool]:
-    """Whether the code list ``group`` holds the identity and every inverse
-    and is closed, and whether ``psi`` (code -> leaf-map code) respects
-    composition on it: psi(e) = id and psi(a*b) = psi(a)*psi(b).
+    """Whether the automorphism list ``group`` holds ``identity`` and every
+    inverse and is closed, and whether ``psi`` (automorphism -> leaf map)
+    respects composition on it: psi(e) = id and psi(a*b) = psi(a)*psi(b).
 
     Each element not yet reached from ``identity`` by left products of the
     earlier generators that stay inside ``group`` becomes a generator.  Each
@@ -312,21 +254,22 @@ def _closure(identity, group, psi) -> tuple[bool, bool]:
     reached element by every generator so far.  The product must lie in
     ``group``, and psi(s*b) must equal psi(s)*psi(b).  Every element is a
     product of generators, so both facts hold for every pair (a, b) by
-    induction on the length of a."""
+    induction on the length of a.  Only generators compose on the left, so
+    only they, and their leaf maps, build a table."""
     members = set(group)
-    laws = identity in members and all(_inverse(code) in members for code in group)
-    functorial = identity in psi and _is_identity(psi[identity])
+    laws = identity in members and all(aut.inverse() in members for aut in group)
+    functorial = identity in psi and psi[identity].is_identity
     generators, reached, pending = [], {identity}, []
-    for code in group:
-        if code in reached:
+    for aut in group:
+        if aut in reached:
             continue
-        generators.append((_table(code), _table(psi[code]) if functorial else None))
-        pending += [(generators[-1], b) for b in reached]
+        generators.append(aut)
+        pending += [(aut, b) for b in reached]
         while pending:
-            (table, psi_table), b = pending.pop()
-            product = _compose(table, b)
+            s, b = pending.pop()
+            product = s.compose(b)
             if functorial:
-                functorial = psi.get(product) == _compose(psi_table, psi[b])
+                functorial = psi.get(product) == psi[s].compose(psi[b])
             if product not in members:
                 laws = False
             elif product not in reached:

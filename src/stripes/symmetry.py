@@ -7,7 +7,9 @@ whether its leaves are traversed in reversed order (``reversal``).  The
 side flip reverses the transverse direction of the strip and hence the
 orientation of the corresponding arc of the leaf space; the reversal bit
 reverses every leaf inside the strip and is invisible on the leaf space
-except through the induced permutation of boundary leaves.
+except through the induced permutation of boundary leaves.  Both the
+automorphisms and their leaf maps are held as position codes, one tuple
+of ints each, laid out on :class:`AtlasAutomorphism`; the dicts are views.
 
 For a reduced atlas these triples realise the group of isotopy classes.
 On a non-reduced atlas the enumerated group is merely combinatorial: a
@@ -49,139 +51,179 @@ from .reduction import (
 )
 
 
-@dataclass(frozen=True)
-class AtlasAutomorphism:
-    """A strip permutation with a side flip bit and a reversal bit per strip."""
+class _Coded:
+    """A map between two tuples of labels held as one position code, with
+    entry i ``4 * j + bits`` when source label i goes to target label j
+    (the layout is on :class:`AtlasAutomorphism`).  ``compose`` picks
+    entries out of a table of ``self``, built on first use and kept: at
+    ``4 * j + b`` it lists entry j with its bits xored by b."""
 
-    strip_map: dict[str, str]
-    side_flip: dict[str, int]
-    reversal: dict[str, int]
+    __slots__ = ("_source", "_target", "_code", "_table")
 
-    def key(self):
-        """Sort key: images, side flips, reversal bits, each in strip order."""
-        strips = sorted(self.strip_map)
+    @classmethod
+    def _of(cls, source, target, code: tuple[int, ...]):
+        element = object.__new__(cls)
+        element._source, element._target, element._code = source, target, code
+        return element
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return (
-            *map(self.strip_map.__getitem__, strips),
-            *map(self.side_flip.__getitem__, strips),
-            *map(self.reversal.__getitem__, strips),
+            self._code == other._code
+            and self._source == other._source
+            and self._target == other._target
         )
 
     def __hash__(self):
-        return hash(frozenset(self.strip_map.items()))
+        return hash(self._code)
+
+    @property
+    def is_identity(self) -> bool:
+        code = self._code
+        return code == tuple(range(0, 4 * len(code), 4)) and self._source == self._target
+
+    def compose(self, other):
+        """``self`` after ``other``: apply ``other`` first."""
+        if other._target != self._source:
+            raise ValueError("maps do not compose: other's target is not self's source")
+        try:
+            table = self._table
+        except AttributeError:
+            table = self._table = _table(self._code)
+        return self._of(other._source, self._target, tuple(map(table.__getitem__, other._code)))
+
+    def inverse(self):
+        code = [0] * len(self._code)
+        for i, entry in enumerate(self._code):
+            code[entry >> 2] = 4 * i + (entry & 3)
+        return self._of(self._target, self._source, tuple(code))
+
+
+def _table(code: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([entry ^ bits for entry in code for bits in (0, 1, 2, 3)])
+
+
+class AtlasAutomorphism(_Coded):
+    """A strip permutation with a side flip bit and a reversal bit per strip.
+
+    Held as one position code over the sorted strip ids: entry i is
+    ``4 * j + 2 * f + r`` when strip i goes to strip j with side flip f
+    and reversal r.  ``strip_map``, ``side_flip`` and ``reversal`` are
+    read-only views, dicts built from the code on each read, and the
+    constructor takes those three dicts.  A witness between two atlases
+    maps the source's sorted ids onto the target's.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, strip_map: dict, side_flip: dict, reversal: dict):
+        source, target = tuple(sorted(strip_map)), tuple(sorted(set(strip_map.values())))
+        self._source, self._target = source, source if target == source else target
+        position = {s: 4 * j for j, s in enumerate(target)}
+        self._code = _encode(source, position, strip_map, side_flip, reversal)
+
+    @property
+    def strip_map(self) -> dict[str, str]:
+        return dict(zip(self._source, [self._target[e >> 2] for e in self._code]))
+
+    @property
+    def side_flip(self) -> dict[str, int]:
+        return dict(zip(self._source, [e >> 1 & 1 for e in self._code]))
+
+    @property
+    def reversal(self) -> dict[str, int]:
+        return dict(zip(self._source, [e & 1 for e in self._code]))
+
+    def key(self):
+        """Sort key: images, side flips, reversal bits, each in strip order."""
+        code = self._code
+        return (*[e >> 2 for e in code], *[e >> 1 & 1 for e in code], *[e & 1 for e in code])
 
     def __repr__(self):
         return f"AtlasAutomorphism({self.format()})"
 
-    @property
-    def is_identity(self) -> bool:
-        return (
-            all(s == t for s, t in self.strip_map.items())
-            and not any(self.side_flip.values())
-            and not any(self.reversal.values())
-        )
-
-    def compose(self, other: "AtlasAutomorphism") -> "AtlasAutomorphism":
-        """``self`` after ``other``: apply ``other`` first."""
-        return AtlasAutomorphism(
-            strip_map={
-                s: self.strip_map[other.strip_map[s]] for s in other.strip_map
-            },
-            side_flip={
-                s: other.side_flip[s] ^ self.side_flip[other.strip_map[s]]
-                for s in other.strip_map
-            },
-            reversal={
-                s: other.reversal[s] ^ self.reversal[other.strip_map[s]]
-                for s in other.strip_map
-            },
-        )
-
-    def inverse(self) -> "AtlasAutomorphism":
-        backwards = {t: s for s, t in self.strip_map.items()}
-        return AtlasAutomorphism(
-            strip_map=backwards,
-            side_flip={t: self.side_flip[s] for t, s in backwards.items()},
-            reversal={t: self.reversal[s] for t, s in backwards.items()},
-        )
-
     def format(self) -> str:
         """One-line rendering, strips in sorted order."""
-        strips = sorted(self.strip_map)
-        return " ".join(
-            (
-                "sigma: " + ",".join(f"{s}->{self.strip_map[s]}" for s in strips),
-                "m: " + ",".join(f"{s}={self.side_flip[s]}" for s in strips),
-                "r: " + ",".join(f"{s}={self.reversal[s]}" for s in strips),
-            )
+        source, target, code = self._source, self._target, self._code
+        return (
+            "sigma: " + ",".join([f"{s}->{target[e >> 2]}" for s, e in zip(source, code)])
+            + " m: " + ",".join([f"{s}={e >> 1 & 1}" for s, e in zip(source, code)])
+            + " r: " + ",".join([f"{s}={e & 1}" for s, e in zip(source, code)])
         )
+
+
+def _encode(source, position, strip_map, side_flip, reversal) -> tuple[int, ...]:
+    # ``position`` gives 4 * j for the image strip j.
+    return tuple([position[strip_map[s]] + 2 * side_flip[s] + reversal[s] for s in source])
 
 
 def identity_automorphism(atlas: StripedAtlas) -> AtlasAutomorphism:
-    ids = atlas.strip_ids
-    return AtlasAutomorphism(
-        strip_map={s: s for s in ids},
-        side_flip={s: 0 for s in ids},
-        reversal={s: 0 for s in ids},
-    )
+    ids = tuple(sorted(atlas.strip_ids))
+    return AtlasAutomorphism._of(ids, ids, tuple(range(0, 4 * len(ids), 4)))
 
 
 def all_leaf_reversal(atlas: StripedAtlas) -> AtlasAutomorphism:
     """The candidate that keeps every strip and side but reverses all leaves."""
-    ids = atlas.strip_ids
-    return AtlasAutomorphism(
-        strip_map={s: s for s in ids},
-        side_flip={s: 0 for s in ids},
-        reversal={s: 1 for s in ids},
-    )
+    ids = tuple(sorted(atlas.strip_ids))
+    return AtlasAutomorphism._of(ids, ids, tuple(range(1, 4 * len(ids), 4)))
 
 
 def enumerate_automorphisms(atlas: StripedAtlas) -> tuple[AtlasAutomorphism, ...]:
-    """Every valid automorphism, canonically sorted."""
-    return tuple(
-        sorted(
-            (AtlasAutomorphism(*w) for w in iter_witnesses(atlas, atlas)),
-            key=AtlasAutomorphism.key,
-        )
-    )
+    """Every valid automorphism, canonically sorted; all share one id tuple."""
+    ids = tuple(sorted(atlas.strip_ids))
+    position = {s: 4 * j for j, s in enumerate(ids)}
+    group = [
+        AtlasAutomorphism._of(ids, ids, _encode(ids, position, *witness))
+        for witness in iter_witnesses(atlas, atlas)
+    ]
+    group.sort(key=AtlasAutomorphism.key)
+    return tuple(group)
 
 
 # ---------------------------------------------------------------------------
 # Induced action on the leaf space
 
 
-@dataclass(frozen=True)
-class LeafMap:
+class LeafMap(_Coded):
     """Action of an automorphism on the leaf-space model.
 
     Arc ``a`` goes to ``arc_map[a]`` with orientation reversed exactly when
-    the automorphism flips the sides of the underlying strip.
+    the automorphism flips the sides of the underlying strip.  The code
+    runs over the model's points, then its arcs in sorted order, labelled
+    by the pair of the two tuples: a point's bits are 0 and an arc's low
+    bit is its reversal.  ``point_map``, ``arc_map`` and ``arc_reversed``
+    are read-only views, and the constructor takes those three dicts.
     """
 
-    point_map: dict[LeafPoint, LeafPoint]
-    arc_map: dict[str, str]
-    arc_reversed: dict[str, int]
+    __slots__ = ()
 
-    def __hash__(self):
-        return hash(frozenset(self.arc_map.items()))
+    def __init__(self, point_map: dict, arc_map: dict, arc_reversed: dict):
+        points, arcs = labels = tuple(sorted(point_map)), tuple(sorted(arc_map))
+        position = {x: 4 * i for i, x in enumerate((*points, *arcs))}
+        self._source = self._target = labels
+        self._code = (
+            *[position[point_map[p]] for p in points],
+            *[position[arc_map[a]] + arc_reversed[a] for a in arcs],
+        )
 
     @property
-    def is_identity(self) -> bool:
-        return (
-            all(p == q for p, q in self.point_map.items())
-            and all(a == b for a, b in self.arc_map.items())
-            and not any(self.arc_reversed.values())
-        )
+    def point_map(self) -> dict[LeafPoint, LeafPoint]:
+        points = self._source[0]
+        return dict(zip(points, [points[e >> 2] for e in self._code[: len(points)]]))
 
-    def compose(self, other: "LeafMap") -> "LeafMap":
-        """``self`` after ``other``."""
-        return LeafMap(
-            point_map={p: self.point_map[other.point_map[p]] for p in other.point_map},
-            arc_map={a: self.arc_map[other.arc_map[a]] for a in other.arc_map},
-            arc_reversed={
-                a: other.arc_reversed[a] ^ self.arc_reversed[other.arc_map[a]]
-                for a in other.arc_map
-            },
-        )
+    @property
+    def arc_map(self) -> dict[str, str]:
+        points, arcs = self._source
+        return dict(zip(arcs, [arcs[(e >> 2) - len(points)] for e in self._code[len(points) :]]))
+
+    @property
+    def arc_reversed(self) -> dict[str, int]:
+        points, arcs = self._source
+        return dict(zip(arcs, [e & 1 for e in self._code[len(points) :]]))
+
+    def __repr__(self):
+        return f"LeafMap({self.point_map!r}, {self.arc_map!r}, {self.arc_reversed!r})"
 
 
 def induced_leaf_map(model: LeafSpaceModel, aut: AtlasAutomorphism) -> LeafMap:
@@ -193,17 +235,17 @@ def induced_leaf_map(model: LeafSpaceModel, aut: AtlasAutomorphism) -> LeafMap:
     triple does not fit the model: an end of another size, or a point whose
     attachments land on different points or on a point of another kind.
     """
-    # Every end's point positions, and where the triple sends them, in arc order.
-    strip_map, side_flip, reversal = aut.strip_map, aut.side_flip, aut.reversal
+    # Every end's point positions, and where the triple sends them, in strip order.
+    strips, targets, code = aut._source, aut._target, aut._code
     ends, sizes = model.end_table
     sources: list[int] = []
     images: list[int] = []
-    for arc, (end0, end1) in ends.items():
-        target, flip = ends[strip_map[arc]], side_flip[arc]
+    for arc, entry in zip(strips, code):
+        (end0, end1), target, flip = ends[arc], ends[targets[entry >> 2]], entry >> 1 & 1
         image0, image1 = target[flip], target[1 - flip]
         if len(image0) != len(end0) or len(image1) != len(end1):
             raise ValueError("automorphism does not fit the model: side sizes differ")
-        if reversal[arc]:
+        if entry & 1:
             image0, image1 = image0[::-1], image1[::-1]
         sources += end0
         sources += end1
@@ -220,11 +262,10 @@ def induced_leaf_map(model: LeafSpaceModel, aut: AtlasAutomorphism) -> LeafMap:
         raise ValueError(
             f"automorphism does not map {points[min(bad)].label()} onto a leaf point"
         )
-    return LeafMap(
-        point_map=dict(zip(points, [points[landed[i]] for i in range(len(points))])),
-        arc_map=dict(strip_map),
-        arc_reversed=dict(side_flip),
-    )
+    # Arc j sits at position len(points) + j, with the side flip as its reversal.
+    shift, labels = 4 * len(points), (points, strips)
+    arcs = [shift + (entry & ~3) + (entry >> 1 & 1) for entry in code]
+    return LeafMap._of(labels, labels, (*[4 * landed[i] for i in range(len(points))], *arcs))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,11 @@ every ground element of a finite space against all its basic sets.
 root-signature pruning and no reuse of the reference traversal (it
 ignores a reference walk passed in); the package's matcher must yield the
 same witnesses in the same order.
+``compose_triples``, ``inverse_triple``, ``triple_key``, ``format_triple``
+and ``compose_leaf_triples`` are the dict formulas of the group elements,
+which the package holds as position codes; ``group_laws_all_pairs`` and
+``functorial_all_pairs`` compose every pair through them, on the
+elements' dict views.
 ``iter_witnesses_recursive`` pairs the components of disconnected atlases
 by recursion, one generator frame per component, so it stops at the
 recursion limit; the package's explicit stack must yield the same
@@ -304,16 +309,104 @@ def reduce_per_component(atlas: StripedAtlas) -> tuple[SurfaceClass, ...]:
     return tuple(map(reduce_component, component_atlases(atlas)))
 
 
-def functorial_all_pairs(identity, group, leaf_maps) -> bool:
-    """psi(e) = id and psi(a*b) = psi(a)*psi(b) for every pair, |G|^2 checks."""
+def triple(aut: AtlasAutomorphism) -> tuple[dict, dict, dict]:
+    """The dict views of an automorphism: strip map, side flips, reversals."""
+    return aut.strip_map, aut.side_flip, aut.reversal
+
+
+def leaf_triple(leaf_map: LeafMap) -> tuple[dict, dict, dict]:
+    """The dict views of a leaf map: point map, arc map, arc reversals."""
+    return leaf_map.point_map, leaf_map.arc_map, leaf_map.arc_reversed
+
+
+def compose_triples(a, b) -> tuple[dict, dict, dict]:
+    """``a`` after ``b`` for automorphism triples: the side flip and
+    reversal bits combine by xor along ``b``'s strip map."""
+    strip_map, side_flip, reversal = a
+    other_map, other_flip, other_reversal = b
     return (
-        identity in leaf_maps
-        and leaf_maps[identity].is_identity
-        and all(
-            leaf_maps.get(a.compose(b)) == leaf_maps[a].compose(leaf_maps[b])
-            for a in group
-            for b in group
+        {s: strip_map[other_map[s]] for s in other_map},
+        {s: other_flip[s] ^ side_flip[other_map[s]] for s in other_map},
+        {s: other_reversal[s] ^ reversal[other_map[s]] for s in other_map},
+    )
+
+
+def inverse_triple(a) -> tuple[dict, dict, dict]:
+    strip_map, side_flip, reversal = a
+    backwards = {t: s for s, t in strip_map.items()}
+    return (
+        backwards,
+        {t: side_flip[s] for t, s in backwards.items()},
+        {t: reversal[s] for t, s in backwards.items()},
+    )
+
+
+def triple_is_identity(a) -> bool:
+    strip_map, side_flip, reversal = a
+    return (
+        all(s == t for s, t in strip_map.items())
+        and not any(side_flip.values())
+        and not any(reversal.values())
+    )
+
+
+def triple_key(a) -> tuple:
+    """Sort key: images, side flips, reversal bits, each in strip order."""
+    strip_map, side_flip, reversal = a
+    strips = sorted(strip_map)
+    return (
+        *map(strip_map.__getitem__, strips),
+        *map(side_flip.__getitem__, strips),
+        *map(reversal.__getitem__, strips),
+    )
+
+
+def format_triple(a) -> str:
+    """The one-line rendering of ``stripes aut``, strips in sorted order."""
+    strip_map, side_flip, reversal = a
+    strips = sorted(strip_map)
+    return " ".join(
+        (
+            "sigma: " + ",".join(f"{s}->{strip_map[s]}" for s in strips),
+            "m: " + ",".join(f"{s}={side_flip[s]}" for s in strips),
+            "r: " + ",".join(f"{s}={reversal[s]}" for s in strips),
         )
+    )
+
+
+def compose_leaf_triples(a, b) -> tuple[dict, dict, dict]:
+    """``a`` after ``b`` for leaf-map triples: the arc reversals combine
+    by xor along ``b``'s arc map."""
+    point_map, arc_map, arc_reversed = a
+    other_points, other_arcs, other_reversed = b
+    return (
+        {p: point_map[other_points[p]] for p in other_points},
+        {x: arc_map[other_arcs[x]] for x in other_arcs},
+        {x: other_reversed[x] ^ arc_reversed[other_arcs[x]] for x in other_arcs},
+    )
+
+
+def leaf_triple_is_identity(a) -> bool:
+    point_map, arc_map, arc_reversed = a
+    return (
+        all(p == q for p, q in point_map.items())
+        and all(x == y for x, y in arc_map.items())
+        and not any(arc_reversed.values())
+    )
+
+
+def functorial_all_pairs(identity, group, leaf_maps) -> bool:
+    """psi(e) = id and psi(a*b) = psi(a)*psi(b) for every pair, |G|^2 checks,
+    composed on the dict views."""
+    images = {witness_key(triple(aut)): leaf_triple(m) for aut, m in leaf_maps.items()}
+    image_of_identity = images.get(witness_key(triple(identity)))
+    if image_of_identity is None or not leaf_triple_is_identity(image_of_identity):
+        return False
+    mapped = [(a, images[witness_key(a)]) for a in map(triple, group)]
+    return all(
+        images.get(witness_key(compose_triples(a, b))) == compose_leaf_triples(image_a, image_b)
+        for a, image_a in mapped
+        for b, image_b in mapped
     )
 
 
@@ -357,12 +450,14 @@ def leaf_model_automorphism_count(model: LeafSpaceModel) -> int:
 
 
 def group_laws_all_pairs(identity, group) -> bool:
-    """Identity, inverses and a*b in group for every pair, |G|^2 checks."""
-    members = set(group)
+    """Identity, inverses and a*b in group for every pair, |G|^2 checks,
+    composed on the dict views."""
+    triples = [triple(aut) for aut in group]
+    members = set(map(witness_key, triples))
     return (
-        identity in members
-        and all(aut.inverse() in members for aut in group)
-        and all(a.compose(b) in members for a in group for b in group)
+        witness_key(triple(identity)) in members
+        and all(witness_key(inverse_triple(a)) in members for a in triples)
+        and all(witness_key(compose_triples(a, b)) in members for a in triples for b in triples)
     )
 
 

@@ -28,19 +28,12 @@ from stripes.leafspace import (
     special_points,
 )
 from stripes.reduction import SurfaceClass, SurfaceKind, reduce_component
-from stripes.selfcheck import (
-    _automorphism_codes,
-    _closure,
-    _compose,
-    _kernel_dichotomy,
-    _leaf_map_codes,
-    _table,
-    selfcheck,
-)
+from stripes.selfcheck import _closure, _kernel_dichotomy, selfcheck
 from stripes.symmetry import (
     AtlasAutomorphism,
     LeafMap,
     _reversal,
+    _table,
     all_leaf_reversal,
     enumerate_automorphisms,
     identity_automorphism,
@@ -114,17 +107,8 @@ def test_generator_functoriality_agrees_with_all_pairs(fixtures):
             identity = identity_automorphism(sub)
             model = build_leaf_space(sub)
             maps = {aut: induced_leaf_map(model, aut) for aut in group}
-            # The fast check composes position codes; the oracle composes
-            # the automorphisms and leaf maps themselves.
-            codes = _automorphism_codes(sub, group)
-            code_of = dict(zip(group, codes))
-            (identity_code,) = _automorphism_codes(sub, [identity])
-
-            def encoded(leaf_maps):
-                return dict(
-                    zip(map(code_of.get, leaf_maps), _leaf_map_codes(model, leaf_maps.values()))
-                )
-
+            # The fast check composes the generators through the element
+            # methods; the oracle composes the dict views of every pair.
             # Swapping the images of two elements usually breaks the
             # homomorphism; both checks must say so together.
             variants = [maps] + [
@@ -133,18 +117,16 @@ def test_generator_functoriality_agrees_with_all_pairs(fixtures):
                 if maps[a] != maps[b]
             ]
             for variant in variants:
-                _, fast = _closure(identity_code, codes, encoded(variant))
+                _, fast = _closure(identity, group, variant)
                 assert fast == bruteforce.functorial_all_pairs(identity, group, variant)
                 failing += not fast
-            assert _closure(identity_code, codes, encoded(maps)) == (True, True)
+            assert _closure(identity, group, maps) == (True, True)
     assert failing > 0
 
 
-def group_laws(identity, elements, atlas) -> bool:
-    """The group-laws verdict of ``_closure`` on the list ``elements`` of
-    automorphisms of ``atlas``, all encoded as position codes."""
-    identity, *codes = _automorphism_codes(atlas, (identity, *elements))
-    laws, _ = _closure(identity, codes, {})
+def group_laws(identity, elements) -> bool:
+    """The group-laws verdict of ``_closure`` on the list ``elements``."""
+    laws, _ = _closure(identity, elements, {})
     return laws
 
 
@@ -157,14 +139,14 @@ def test_generator_group_laws_agree_with_all_pairs(fixtures):
         for sub in component_atlases(atlas):
             group = enumerate_automorphisms(sub)
             identity = identity_automorphism(sub)
-            assert group_laws(identity, group, sub)
+            assert group_laws(identity, group)
             assert bruteforce.group_laws_all_pairs(identity, group)
             # Without one element the list is no group: it lacks the
             # identity, or it is a proper subset of more than half the group.
             for missing in group:
                 if len(group) > 2 or missing == identity:
                     rest = tuple(aut for aut in group if aut != missing)
-                    assert not group_laws(identity, rest, sub)
+                    assert not group_laws(identity, rest)
                     assert not bruteforce.group_laws_all_pairs(identity, rest)
                     removals += 1
             # Every sub-list of a small group, some of them closed under
@@ -172,7 +154,7 @@ def test_generator_group_laws_agree_with_all_pairs(fixtures):
             if len(group) <= 8:
                 for mask in range(2 ** len(group)):
                     part = tuple(aut for i, aut in enumerate(group) if mask >> i & 1)
-                    assert group_laws(identity, part, sub) == bruteforce.group_laws_all_pairs(
+                    assert group_laws(identity, part) == bruteforce.group_laws_all_pairs(
                         identity, part
                     )
                     subsets += 1
@@ -392,12 +374,25 @@ def test_selfcheck_computes_each_fact_once(fixtures):
 def test_selfcheck_forms_each_product_once(monkeypatch):
     # necklace(6): 24 automorphisms and 3 greedy generators.  Each product
     # s*b of a generator and an element is formed once, and its leaf map
-    # once: one table per generator for each, and 2 * 3 * 24 compositions.
+    # once: one table per generator for each (an automorphism's code has
+    # 6 entries, a leaf map's 12 points and 6 arcs), and 3 * 24
+    # compositions of each kind.
     tables = count_calls(monkeypatch, _table)
-    compositions = count_calls(monkeypatch, _compose)
+    compositions = {}
+    for kind in (AtlasAutomorphism, LeafMap):
+        calls = compositions[kind] = []
+
+        def counted(a, b, compose=kind.compose, calls=calls):
+            calls.append(a)
+            return compose(a, b)
+
+        monkeypatch.setattr(kind, "compose", counted)
     assert selfcheck(necklace(6)).ok
-    assert len(tables) == 2 * 3
-    assert len(compositions) == len(tables) * 24 == 144
+    assert sorted(len(code) for code, in tables) == [6, 6, 6, 18, 18, 18]
+    for kind, calls in compositions.items():
+        assert len(calls) == 3 * 24 == 72
+        assert all(type(a) is kind for a in calls)
+        assert len({id(a) for a in calls}) == 3
 
 
 def test_selfcheck_reuses_the_kernel_witness(fixtures):

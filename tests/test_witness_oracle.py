@@ -399,3 +399,22 @@ def test_disconnected_source_takes_the_component_route():
     a, b = fresh(atlas), fresh(moved_copy(atlas, Random(9)))
     assert isomorphic(a, b) is not None
     assert len(vars(a)["components"]) == len(vars(b)["components"]) == 2
+
+
+def test_disconnected_target_costs_linear_walking(monkeypatch):
+    # Every root frame of two half necklaces reads like the whole necklace
+    # until its component closes, 79,400 rows in all.  Once the failed
+    # walks have reached 2n strips, the failing one is finished and shows
+    # the target disconnected: the search stops, having split neither
+    # atlas.  The other way, the source's reference walk stops short and
+    # the component counts differ.
+    n = 200
+    whole = fresh(necklace(n))
+    halves = fresh(disjoint_union([necklace(n // 2), necklace(n // 2)], Random(10)))
+    rows = count_rows(monkeypatch)
+    assert isomorphic(whole, halves) is None
+    assert len(rows) <= 4 * n
+    assert "components" not in vars(whole) and "components" not in vars(halves)
+    rows.clear()
+    assert isomorphic(halves, whole) is None
+    assert len(rows) <= 4 * n
