@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, tee
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 
 class AtlasError(ValueError):
@@ -734,6 +734,55 @@ def _reference_walk(atlas: StripedAtlas) -> _Walk:
     return _Walk(root, signature, list(_rows(atlas, *root, order, frames)), order, frames)
 
 
+def _matching_walks(
+    src: StripedAtlas,
+    dst: StripedAtlas,
+    reference: _Walk,
+    skip: Callable[[int], bool] | None = None,
+) -> Iterator[tuple[int, list[str], dict[str, tuple[int, int]]]]:
+    """The root frames of ``dst`` that read like ``src``'s reference walk,
+    in ``_root_frames`` order: each as its index there (``4 * position +
+    2 * flip + rev``), visit order and strip frames.
+
+    A frame whose root strip reads differently is skipped unwalked, and so
+    is one for which ``skip(index)`` holds, asked just before its walk;
+    any other is walked only up to its first row that differs from the
+    reference rows, so a frame that fails early costs a few rows, not a
+    traversal.  A frame matches only when its walk yields as many rows as
+    the reference, so a disconnected ``dst`` has no match.  Once the failed
+    walks have reached more than twice as many strips as ``src`` has, the
+    failing walk is finished, once: if it stops short, ``dst`` is
+    disconnected and the search ends.  So a disconnected ``dst`` costs
+    O(size), not a walk of its component from every frame, and no index of
+    ``dst`` is built.  When ``dst is src`` the reference frame matches
+    itself without a walk.
+    """
+    root, signature, rows, order, frames = reference
+    reached = None if dst is src else 0  # strips of failed walks; None once dst is connected
+    for index, (other_root, other_signature) in enumerate(_frame_signatures(dst)):
+        if other_signature != signature:
+            continue
+        if dst is src and other_root == root:
+            yield index, order, frames
+            continue
+        if skip is not None and skip(index):
+            continue
+        other_order, other_frames = [], {}
+        walk = _rows(dst, *other_root, other_order, other_frames)
+        if all(map(tuple.__eq__, rows, walk)) and len(other_order) == len(order):
+            yield index, other_order, other_frames
+        elif reached is not None:
+            reached += len(other_order)
+            if reached > 2 * len(order):
+                # This walk, finished, stops short exactly when dst is
+                # disconnected, and then no frame can match.
+                for _ in walk:
+                    pass
+                if len(other_order) != len(order):
+                    return
+                reached = None
+
+
 def _connected_witnesses(
     src: StripedAtlas, dst: StripedAtlas, reference: _Walk | None = None
 ) -> Iterator[tuple[dict[str, str], dict[str, int], dict[str, int]]]:
@@ -744,46 +793,87 @@ def _connected_witnesses(
     witness sends one root frame to the other; composing the two frames
     strip by strip gives that witness.  The rows of ``src``'s reference
     frame are built once, or passed in as ``reference`` by a caller that
-    has walked them (:func:`_reference_walk`).  A frame of ``dst`` whose
-    root strip reads differently is skipped unwalked; any other is walked
-    only up to its first row that differs from the reference rows, so a
-    frame that fails early costs a few rows, not a traversal.  A frame
-    matches only when its walk yields as many rows as the reference, so a
-    disconnected ``dst`` has no match.  Once the failed walks have reached
-    more than twice as many strips as ``src`` has, the failing walk is
-    finished, once: if it stops short, ``dst`` is disconnected and the
-    search ends.  So a disconnected ``dst`` costs O(size), not a walk of
-    its component from every frame, and no index of ``dst`` is built.
-    When ``dst is src`` the reference frame matches itself without a walk.
+    has walked them (:func:`_reference_walk`), and matched by
+    :func:`_matching_walks`.
     """
-    root, signature, rows, order, frames = reference or _reference_walk(src)
-    reached = None if dst is src else 0  # strips of failed walks; None once dst is connected
-    for other_root, other_signature in _frame_signatures(dst):
-        if other_signature != signature:
-            continue
-        if dst is src and other_root == root:
-            other_order, other_frames = order, frames
-        else:
-            other_order, other_frames = [], {}
-            walk = _rows(dst, *other_root, other_order, other_frames)
-            if not all(map(tuple.__eq__, rows, walk)) or len(other_order) != len(order):
-                if reached is not None:
-                    reached += len(other_order)
-                    if reached > 2 * len(order):
-                        # This walk, finished, stops short exactly when dst
-                        # is disconnected, and then no frame can match.
-                        for _ in walk:
-                            pass
-                        if len(other_order) != len(order):
-                            return
-                        reached = None
-                continue
+    reference = reference or _reference_walk(src)
+    order, frames = reference.order, reference.frames
+    for _, other_order, other_frames in _matching_walks(src, dst, reference):
         strip_map = dict(zip(order, other_order))
         yield (
             strip_map,
             {s: frames[s][0] ^ other_frames[t][0] for s, t in strip_map.items()},
             {s: frames[s][1] ^ other_frames[t][1] for s, t in strip_map.items()},
         )
+
+
+class _Partition:
+    """Union-find over ``0 .. size - 1`` in which every class is named by
+    its least member, so ``find(x) < x`` exactly when an earlier member
+    shares the class of ``x``."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, x: int, y: int) -> None:
+        x, y = self.find(x), self.find(y)
+        if x < y:
+            self.parent[y] = x
+        elif y < x:
+            self.parent[x] = y
+
+
+def automorphism_order(atlas: StripedAtlas) -> int:
+    """The number of automorphisms of an atlas, the size of its reference
+    frame's orbit.
+
+    The group acts freely on the 4n root frames of a connected atlas: an
+    automorphism (sigma, m, r) sends frame (s, f, rev) to (sigma(s), f ^
+    m_s, rev ^ r_s), and one that fixes a frame fixes every strip.  So
+    |Aut| is the number of frames that read like the reference frame, its
+    orbit.  The frames are matched as witness matching does, in order.
+    From the first match other than the reference, every frame is merged
+    with its image under each match found, in one :class:`_Partition`; a
+    frame whose class holds an earlier frame is skipped unwalked, since it
+    matches exactly when that one did.  Each match walked enlarges the
+    group found, so at most log2 |Aut| matching frames are walked besides
+    the reference.  An atlas whose reference walk stops short, or that has
+    no strips, counts its witnesses.
+    """
+    reference = _reference_walk(atlas) if atlas.strips else None
+    if reference is None or len(reference.order) != len(atlas.strips):
+        return sum(1 for _ in iter_witnesses(atlas, atlas))
+    order, frames = reference.order, reference.frames
+    position = {sid: 4 * i for i, sid in enumerate(atlas.strip_ids)}
+    classes = None  # from the first match other than the reference
+
+    def merged(index: int) -> bool:
+        return classes is not None and classes.find(index) != index
+
+    for index, other_order, other_frames in _matching_walks(atlas, atlas, reference, merged):
+        if index == 0:
+            continue
+        if classes is None:
+            classes = _Partition(4 * len(order))
+        for s, t in zip(order, other_order):
+            (f, r), (g, q) = frames[s], other_frames[t]
+            source, target, bits = position[s], position[t], 2 * (f ^ g) + (r ^ q)
+            for b in range(4):
+                classes.union(source + b, target + (b ^ bits))
+    if classes is None:
+        return 1
+    return sum(1 for k in range(4 * len(order)) if classes.find(k) == 0)
 
 
 def iter_witnesses(

@@ -33,6 +33,14 @@ working atlas's group.  The kernel and the report reduce first and check
 connectivity after: reduction keeps the number of components, so a proper
 input is checked on its reduced atlas, often far smaller, and the input's
 own components are found only for a cylinder or Moebius outcome.
+
+``report``'s two group orders are counted by orbits, not element by
+element.  |Aut| is the size of the reference root frame's orbit
+(:func:`~stripes.atlas.automorphism_order`): the group acts freely on root
+frames, and a frame in the orbit of one already decided is not walked.
+The leaf-model order is a product along a stabiliser chain
+(:func:`leaf_model_automorphism_count`), and an option in the orbit of one
+already decided, under the symmetries found so far, is not searched.
 """
 
 from __future__ import annotations
@@ -41,7 +49,13 @@ from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
-from .atlas import DisconnectedAtlasError, StripedAtlas, iter_witnesses
+from .atlas import (
+    DisconnectedAtlasError,
+    StripedAtlas,
+    _Partition,
+    automorphism_order,
+    iter_witnesses,
+)
 from .leafspace import LeafPoint, LeafSpaceModel, build_leaf_space
 from .reduction import (
     SurfaceClass,
@@ -385,10 +399,15 @@ def homeotopy_report(atlas: StripedAtlas) -> HomeotopyReport:
     Requires a connected atlas, checked as in :func:`leaf_action_kernel`.
     Works on the reduced atlas; an exceptional component is replaced by
     its canonical one-strip atlas, to which it is foliated homeomorphic.
-    The group acts freely on root frames, so |Aut| counts witnesses.
+    The group acts freely on root frames, so |Aut| is the size of the
+    reference frame's orbit, which
+    :func:`~stripes.atlas.automorphism_order` counts by merging frames
+    under the automorphisms it meets; no group element is built.  The
+    leaf-model order comes from :func:`leaf_model_automorphism_count` on
+    the working atlas's model.
     """
     working, kernel = _working_atlas(atlas, _reduce_connected(atlas))
-    aut_order = sum(1 for _ in iter_witnesses(working, working))
+    aut_order = automorphism_order(working)
     return HomeotopyReport(
         aut_order=aut_order,
         kernel=kernel,
@@ -408,13 +427,22 @@ def leaf_model_automorphism_count(model: LeafSpaceModel) -> int:
     incidences form a group, counted exactly along a stabiliser chain: its
     order is the product, over the arcs in breadth-first order, of the
     number of images an arc can take while the arcs before it stay fixed.
-    The arc itself, unreversed, extends by the identity; each other image
-    is confirmed by a backtracking search from that arc on, pruned three
-    ways: a non-root arc's image must share a point with its parent's
-    image, both ends' attachment signatures must match, and a point whose
-    arcs are all placed must land on an incidence still free in the target
-    multiset.  Points of equal incidence are interchangeable, which
-    contributes the product of their counts' factorials.
+    The arc itself, unreversed, extends by the identity; another image is
+    confirmed by a backtracking search from that arc on, which returns the
+    symmetry it finds, pruned three ways: a non-root arc's image must share
+    a point with its parent's image, both ends' attachment signatures must
+    match, and a point whose arcs are all placed must land on an incidence
+    still free in the target multiset.
+
+    The arcs are taken deepest first, so every symmetry found so far fixes
+    the arcs before the current one.  Its images are merged into orbits
+    under those symmetries (McKay and Piperno's automorphism pruning): an
+    image in the orbit of a confirmed one counts without a search, and one
+    in the orbit of a failed one fails without one.  Each confirmed search
+    enlarges the group found, so on a necklace the 2n images of the first
+    arc take two searches, not 2n - 1.  Points of equal incidence are
+    interchangeable, which contributes the product of their counts'
+    factorials.
     """
     incidence = {
         point: tuple(sorted((a.end.strip, a.end.side) for a in model.attachments[point]))
@@ -451,8 +479,10 @@ def leaf_model_automorphism_count(model: LeafSpaceModel) -> int:
     for key in incidence.values():
         completed[max(position[s] for s, _ in key)].append(key)
 
-    def options(arc: str, image: dict, used: set) -> list[tuple[str, int]]:
-        pool = model.arcs if parent[arc] is None else neighbours[image[parent[arc]][0]]
+    def options(arc: str, parent_image: str | None, used: set) -> list[tuple[str, int]]:
+        # The images (arc, bit) that ``arc`` may take when its BFS parent
+        # went to ``parent_image``; every arc may take a root's.
+        pool = model.arcs if parent_image is None else neighbours[parent_image]
         return [
             (other, bit)
             for other in pool
@@ -462,42 +492,89 @@ def leaf_model_automorphism_count(model: LeafSpaceModel) -> int:
             and signature[(arc, 1)] == signature[(other, 1 - bit)]
         ]
 
-    def extends(start: int, choice: tuple[str, int]) -> bool:
-        # Depth-first without recursion from ``start``, the arcs before it
-        # fixed: choices left per depth, and each choice's point images, to undo it.
-        image = {arc: (arc, 0) for arc in order[:start]}
-        used = set(image)
-        placed = Counter(key for keys in completed[:start] for key in keys)
-        choices, trail = [[choice]], []
+    def lands(key: tuple) -> tuple:
+        # The incidence that a point of incidence ``key`` lands on under ``image``.
+        return tuple(sorted((image[s][0], side ^ image[s][1]) for s, side in key))
+
+    def extends(start: int, choice: tuple[str, int]) -> dict[str, tuple[str, int]] | None:
+        # Depth-first without recursion from ``start``, on ``image``, ``used``
+        # and ``free``, which hold the arcs before it fixed: choices left per
+        # depth, and each choice's point images, to undo it.  What it placed
+        # is undone before it returns the symmetry found, as arc -> (image,
+        # bit), or None.
+        choices, trail, symmetry = [[choice]], [], None
         while choices:
             depth = start + len(choices) - 1
             arc = order[depth]
             if start + len(trail) > depth:
-                placed.subtract(trail.pop())
+                for key in trail.pop():
+                    free[key] += 1
                 used.discard(image.pop(arc)[0])
             if not choices[-1]:
                 choices.pop()
                 continue
             image[arc] = choices[-1].pop()
             used.add(image[arc][0])
-            landed = [
-                tuple(sorted((image[s][0], side ^ image[s][1]) for s, side in key))
-                for key in completed[depth]
-            ]
-            placed.update(landed)
+            landed = [lands(key) for key in completed[depth]]
+            for key in landed:
+                free[key] = free.get(key, 0) - 1
             trail.append(landed)
-            if any(placed[key] > target[key] for key in landed):
+            if any(free[key] < 0 for key in landed):
                 continue
             if depth + 1 == len(order):
-                return True
-            choices.append(options(order[depth + 1], image, used))
-        return False
+                symmetry = dict(image)
+                break
+            following = parent[order[depth + 1]]
+            choices.append(
+                options(order[depth + 1], None if following is None else image[following][0], used)
+            )
+        for arc, landed in zip(order[start:], trail):
+            for key in landed:
+                free[key] += 1
+            used.discard(image.pop(arc)[0])
+        return symmetry
 
-    count = 1
-    for depth, arc in enumerate(order):
-        fixed = {a: (a, 0) for a in order[:depth]}
-        others = [c for c in options(arc, fixed, set(fixed)) if c != (arc, 0)]
-        count *= 1 + sum(extends(depth, choice) for choice in others)
+    def merge(orbits: _Partition, images: list, where: dict, symmetry: dict) -> None:
+        # Join each option with its image under a symmetry that fixes the
+        # arcs before the options' arc.
+        for i, (other, bit) in enumerate(images):
+            moved, flip = symmetry[other]
+            orbits.union(i, where[moved, bit ^ flip])
+
+    # Deepest arc first, so that every symmetry found so far fixes the arcs
+    # before the current one: ``image`` and ``used`` hold those arcs, fixed,
+    # and ``free`` the incidences of the target multiset they leave free.
+    count, found = 1, []
+    image = {arc: (arc, 0) for arc in order}
+    used = set(order)
+    free = dict.fromkeys(target, 0)
+    for depth in reversed(range(len(order))):
+        arc = order[depth]
+        used.discard(arc)
+        for key in completed[depth]:
+            free[key] += 1
+        # Option 0 is the arc itself.  Another is kept only if the points it
+        # completes land on incidences of the target, a check that the
+        # symmetries fixing the arcs before it preserve.
+        images = [(arc, 0)]
+        for option in options(arc, parent[arc], used):
+            image[arc] = option
+            if option != (arc, 0) and all(lands(key) in target for key in completed[depth]):
+                images.append(option)
+        del image[arc]
+        if len(images) == 1:
+            continue
+        where = {option: i for i, option in enumerate(images)}
+        orbits = _Partition(len(images))
+        for symmetry in found:
+            merge(orbits, images, where, symmetry)
+        for i in range(1, len(images)):
+            if orbits.find(i) == i:  # else an option before it in its orbit was decided
+                symmetry = extends(depth, images[i])
+                if symmetry is not None:
+                    found.append(symmetry)
+                    merge(orbits, images, where, symmetry)
+        count *= sum(1 for i in range(len(images)) if orbits.find(i) == 0)
     for size in target.values():
         count *= factorial(size)
     return count
