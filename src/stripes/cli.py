@@ -21,8 +21,16 @@ internal error: ...`` line).  A reader that closes stdout early
 (``stripes aut FILE | head -n 1``) ends the command quietly with the exit
 code it already had: 0, or 1 for a failed selfcheck.
 
-The argument parser is built once per process, so repeated in-process
-``main`` calls (tests, library users) do not rebuild it.
+The command line is one table, ``COMMANDS``: each command's positionals,
+its options (a flag, or one value of type ``str``, ``int`` or ``float``
+with its default) and the options it requires.  The reader ``_read``, the
+``-h``/``--help`` text and every usage error come from that table.
+Options come before or after the positionals, as ``--name value`` or
+``--name=value``; a long option may be any unique prefix, ``-o OUT`` may
+be written ``-oOUT``, and the last of a repeated option wins.  A value
+may start with ``-`` when it reads as a negative number (``--max-ints
+-1``).  A usage error is one ``stripes: ... (usage: ...)`` line.  ``--``
+is not read as the end of the options; it is an unknown option.
 
 A command loads only the modules it uses.  This module imports ``atlas``
 alone; every other name below is read from its home module by
@@ -34,12 +42,12 @@ set on ``stripes.cli`` itself (a test's monkeypatch) while that is set.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
+import re
 import sys
 from importlib import import_module
 from pathlib import Path
+from typing import NamedTuple
 
 from .atlas import (
     AtlasError,
@@ -103,50 +111,180 @@ class SystemExit2(Exception):
     """Usage failure carrying its message."""
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="stripes",
-        description="combinatorial atlases of strip-glued surfaces and their leaf spaces",
+class Option(NamedTuple):
+    """A command's option.  A flag (``type`` None) reads True when given and
+    False when not; any other option reads one value, converted by
+    ``type``, or ``default`` when it is not given."""
+
+    key: str  # the name ``_run`` reads its value under
+    type: type | None = None
+    metavar: str = ""
+    default: object = None
+    required: bool = False
+
+
+class Command(NamedTuple):
+    """A command's summary, its positionals (each read under its name in
+    lower case) and its options by spelling."""
+
+    summary: str
+    positionals: tuple[str, ...]
+    options: dict[str, Option]
+
+
+_FILE = ("FILE",)
+
+# The whole grammar of the command line: the reader, the help text and
+# every usage error are read from this table.
+COMMANDS = {
+    "validate": Command("check atlas invariants", _FILE, {}),
+    "classify": Command("classify every boundary leaf", _FILE, {}),
+    "leafspace": Command(
+        "describe the leaf-space model; --dot prints it as a DOT digraph, --svg writes an SVG rendering",
+        _FILE,
+        {"--dot": Option("dot"), "--svg": Option("svg", str, "PATH")},
+    ),
+    "reduce": Command(
+        "merge strips across regular seams; -o writes the reduced atlas to OUT",
+        _FILE,
+        {"-o": Option("out", str, "OUT")},
+    ),
+    "dual": Command("dual graph of the atlas; --dot prints it as DOT text", _FILE, {"--dot": Option("dot")}),
+    "aut": Command("enumerate atlas automorphisms", _FILE, {}),
+    "kernel": Command("kernel of the induced leaf-space action", _FILE, {}),
+    "report": Command("group orders around the leaf-space action", _FILE, {}),
+    "iso": Command("search for an isomorphism from FILE to OTHER", ("FILE", "OTHER"), {}),
+    "random": Command(
+        "emit a seeded random atlas of N strips, at most M intervals per side, each offered for"
+        " gluing with probability P; -o writes it to OUT",
+        (),
+        {
+            "--strips": Option("strips", int, "N", required=True),
+            "--max-ints": Option("max_ints", int, "M", required=True),
+            "--seed": Option("seed", int, "S", required=True),
+            "--glue-prob": Option("glue_prob", float, "P", 0.75),
+            "-o": Option("out", str, "OUT"),
+        },
+    ),
+    "selfcheck": Command("run all invariant cross-checks", _FILE, {}),
+}
+
+_HELP = Option("help")
+_HELP_SPELLINGS = {"-h": _HELP, "--help": _HELP}
+# Per command: every spelling it takes, help included, and the values it
+# reads when nothing is given.
+_SPELLINGS = {name: {**c.options, **_HELP_SPELLINGS} for name, c in COMMANDS.items()}
+_DEFAULTS = {
+    name: {
+        "command": name,
+        **dict.fromkeys(map(str.lower, c.positionals)),
+        **{o.key: o.default if o.type else False for o in c.options.values()},
+    }
+    for name, c in COMMANDS.items()
+}
+# A token that reads as a negative number is a value, not an option.
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+class _Help(Exception):
+    """``-h`` or ``--help``: the help text is the command's output."""
+
+
+def _usage(name: str) -> str:
+    command = COMMANDS[name]
+    words = ["stripes", name, *command.positionals]
+    for spelling, option in command.options.items():
+        word = f"{spelling} {option.metavar}" if option.type else spelling
+        words.append(word if option.required else f"[{word}]")
+    return " ".join(words)
+
+
+def _help(name: str | None) -> str:
+    if name:
+        return f"usage: {_usage(name)}\n\n{COMMANDS[name].summary}\n"
+    return "".join(
+        [
+            "usage: stripes COMMAND ...\n\n"
+            "combinatorial atlases of strip-glued surfaces and their leaf spaces\n\ncommands:\n",
+            *[f"  {_usage(n)}\n      {c.summary}\n" for n, c in COMMANDS.items()],
+            "\n`stripes COMMAND --help` shows one command.\n",
+        ]
     )
-    commands = parser.add_subparsers(dest="command", required=True)
 
-    def with_file(name: str, help_text: str) -> argparse.ArgumentParser:
-        sub = commands.add_parser(name, help=help_text)
-        sub.add_argument("file", help="atlas text file")
-        return sub
 
-    with_file("validate", "check atlas invariants")
-    with_file("classify", "classify every boundary leaf")
+def _option(token: str, spellings: dict[str, Option]) -> tuple[str, str | None] | None:
+    """The spelling an option token names and the value attached to it (by
+    ``=``, or after ``-o``), or None for a value token.  A long option may
+    be a unique prefix; an unknown option keeps its token as spelling."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, attached = token.partition("=")
+    if name in spellings:
+        return name, attached if eq else None
+    if name[:2] == "--":
+        if len(name) > 2:
+            found = [spelling for spelling in spellings if spelling.startswith(name)]
+            if len(found) > 1:
+                raise SystemExit2(f"ambiguous option {name} could match {', '.join(found)}")
+            if found:
+                return found[0], attached if eq else None
+    elif token[:2] in spellings:
+        return token[:2], token[2:]
+    if _NEGATIVE.match(token) or " " in token:
+        return None
+    return token, None
 
-    leafspace = with_file("leafspace", "describe the leaf-space model")
-    leafspace.add_argument("--dot", action="store_true", help="emit a DOT digraph")
-    leafspace.add_argument("--svg", metavar="PATH", help="write an SVG rendering")
 
-    reduce_cmd = with_file("reduce", "merge strips across regular seams")
-    reduce_cmd.add_argument("-o", metavar="OUT", dest="out", help="output file")
+def _read(argv: list[str]) -> dict[str, object]:
+    """The command ``argv`` names and its values by key.  Raises ``_Help``
+    for ``-h``/``--help`` and ``SystemExit2`` for a usage error."""
+    if not argv or argv[0] not in COMMANDS:
+        if argv and _option(argv[0], _HELP_SPELLINGS) in (("-h", None), ("--help", None)):
+            raise _Help(_help(None))
+        problem = f"unknown command {argv[0]!r}" if argv else "missing command"
+        raise SystemExit2(f"{problem}; choose from {', '.join(COMMANDS)} (stripes --help)")
+    name = argv[0]
+    command, spellings, values = COMMANDS[name], _SPELLINGS[name], dict(_DEFAULTS[name])
 
-    dual = with_file("dual", "dual graph of the atlas")
-    dual.add_argument("--dot", action="store_true", help="emit DOT text")
+    def usage(problem: str) -> SystemExit2:
+        return SystemExit2(f"{problem} (usage: {_usage(name)})")
 
-    with_file("aut", "enumerate atlas automorphisms")
-    with_file("kernel", "kernel of the induced leaf-space action")
-    with_file("report", "group orders around the leaf-space action")
-
-    iso = commands.add_parser("iso", help="search for an isomorphism")
-    iso.add_argument("file", help="first atlas file")
-    iso.add_argument("other", help="second atlas file")
-
-    rand = commands.add_parser("random", help="emit a seeded random atlas")
-    rand.add_argument("--strips", type=int, required=True, metavar="N")
-    rand.add_argument("--max-ints", type=int, required=True, metavar="M")
-    rand.add_argument("--seed", type=int, required=True, metavar="S")
-    rand.add_argument("--glue-prob", type=float, default=0.75, metavar="P")
-    rand.add_argument("-o", metavar="OUT", dest="out", help="output file")
-
-    with_file("selfcheck", "run all invariant cross-checks")
-
-    return parser
+    free: list[str] = []  # positionals
+    extra: list[str] = []  # unknown options and surplus positionals
+    tokens = iter(argv[1:])
+    for token in tokens:
+        found = _option(token, spellings)
+        if found is None:
+            (free if len(free) < len(command.positionals) else extra).append(token)
+            continue
+        spelling, value = found
+        option = spellings.get(spelling)
+        if option is None:
+            extra.append(token)
+        elif option.type is None:
+            if value is not None:
+                raise usage(f"{spelling} takes no value")
+            if option is _HELP:
+                raise _Help(_help(name))
+            values[option.key] = True
+        else:
+            if value is None:
+                value = next(tokens, None)
+                if value is None or _option(value, spellings) is not None:
+                    raise usage(f"{spelling} needs a value {option.metavar}")
+            try:
+                values[option.key] = option.type(value)
+            except ValueError:
+                raise usage(f"{spelling}: invalid {option.type.__name__} value {value!r}") from None
+    if len(free) < len(command.positionals):
+        raise usage(f"missing {command.positionals[len(free)]}")
+    for spelling, option in command.options.items():
+        if option.required and values[option.key] is None:
+            raise usage(f"missing {spelling} {option.metavar}")
+    if extra:
+        raise usage(f"unrecognized arguments: {' '.join(extra)}")
+    values.update(zip(map(str.lower, command.positionals), free))
+    return values
 
 
 def _write(text: str, out: str | None) -> str:
@@ -161,28 +299,30 @@ def _write(text: str, out: str | None) -> str:
     return ""
 
 
-def _run(args: argparse.Namespace) -> tuple[int, str]:
-    """One command's exit code and stdout text."""
-    if args.command == "validate":
-        _load(args.file)
+def _run(args: dict) -> tuple[int, str]:
+    """One command's exit code and stdout text, for the values ``_read``
+    returns."""
+    command = args["command"]
+    if command == "validate":
+        _load(args["file"])
         return EXIT_OK, "OK\n"
 
-    if args.command == "random":
+    if command == "random":
         try:
-            atlas = _cli.random_atlas(args.strips, args.max_ints, args.seed, args.glue_prob)
+            atlas = _cli.random_atlas(args["strips"], args["max_ints"], args["seed"], args["glue_prob"])
         except ValueError as exc:
             raise SystemExit2(str(exc)) from exc
-        return EXIT_OK, _write(serialize_atlas(atlas), args.out)
+        return EXIT_OK, _write(serialize_atlas(atlas), args["out"])
 
-    if args.command == "iso":
-        witness = isomorphic(_load(args.file), _load(args.other))
+    if command == "iso":
+        witness = isomorphic(_load(args["file"]), _load(args["other"]))
         if witness is None:
             return EXIT_OK, "NOT-ISOMORPHIC\n"
         return EXIT_OK, f"ISOMORPHIC {_cli.AtlasAutomorphism(*witness).format()}\n"
 
-    atlas = _load(args.file)
+    atlas = _load(args["file"])
 
-    if args.command == "classify":
+    if command == "classify":
         # One classify_leaf call per point; each class's text is read once.
         classify, text = _cli.classify_leaf, {kind: kind.value for kind in _cli.LeafClass}
         lines = [
@@ -191,12 +331,12 @@ def _run(args: argparse.Namespace) -> tuple[int, str]:
         ]
         return EXIT_OK, "".join(lines)
 
-    if args.command == "leafspace":
-        if args.svg or args.dot:
+    if command == "leafspace":
+        if args["svg"] or args["dot"]:
             model = _cli.build_leaf_space(atlas)
-            if args.svg:
-                _write(_cli.leafspace_svg(model), args.svg)
-            if args.dot:
+            if args["svg"]:
+                _write(_cli.leafspace_svg(model), args["svg"])
+            if args["dot"]:
                 return EXIT_OK, _cli.leafspace_dot(model)
         # Arcs are the strips in atlas order; every label is rendered once.
         points, slots, closures = _cli.leaf_point_table(atlas)
@@ -209,7 +349,7 @@ def _run(args: argparse.Namespace) -> tuple[int, str]:
             lines.append(f"hcl {label} = {','.join([labels[q] for q in closure])}\n")
         return EXIT_OK, "".join(lines)
 
-    if args.command == "reduce":
+    if command == "reduce":
         exceptional: list[str] = []
         proper: list[StripedAtlas] = []
         for outcome in _cli.reduce_atlas(atlas):
@@ -229,24 +369,24 @@ def _run(args: argparse.Namespace) -> tuple[int, str]:
                     tuple(g for a in proper for g in a.gluings),
                 )
             )
-        return EXIT_OK, "".join(exceptional) + _write(text, args.out)
+        return EXIT_OK, "".join(exceptional) + _write(text, args["out"])
 
-    if args.command == "dual":
-        if args.dot:
+    if command == "dual":
+        if args["dot"]:
             return EXIT_OK, _cli.export_dot(_cli.build_dual_graph(atlas))
         # One vertex per strip and one edge per gluing, by construction.
         vertices, edges = len(atlas.strips), len(atlas.gluings)
         return EXIT_OK, f"vertices {vertices}\nedges {edges}\neuler {vertices - edges}\n"
 
-    if args.command == "aut":
+    if command == "aut":
         lines = [f"{aut.format()}\n" for aut in _cli.enumerate_automorphisms(atlas)]
         return EXIT_OK, "".join(lines)
 
-    if args.command == "kernel":
+    if command == "kernel":
         trivial = _cli.leaf_action_kernel(atlas).is_trivial
         return EXIT_OK, "TRIVIAL\n" if trivial else "Z2 witness=(id;m=0;r=1)\n"
 
-    if args.command == "report":
+    if command == "report":
         result = _cli.homeotopy_report(atlas)
         return EXIT_OK, (
             f"autOrder {result.aut_order}\n"
@@ -255,24 +395,20 @@ def _run(args: argparse.Namespace) -> tuple[int, str]:
             f"leafModelAutOrder {result.leaf_model_aut_order}\n"
         )
 
-    if args.command == "selfcheck":
+    if command == "selfcheck":
         report = _cli.selfcheck(atlas)
         verdict = "SELFCHECK OK" if report.ok else "SELFCHECK FAILED"
         text = "".join(f"{line}\n" for line in [*report.lines(), verdict])
         return (EXIT_OK if report.ok else EXIT_INVALID), text
 
-    raise SystemExit2(f"unknown command {args.command!r}")
+    raise SystemExit2(f"unknown command {command!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help
-        return int(exc.code or 0)
-    try:
-        code, text = _run(args)
+        code, text = _run(_read(sys.argv[1:] if argv is None else argv))
+    except _Help as exc:
+        code, text = EXIT_OK, str(exc)
     except SystemExit2 as exc:
         print(f"stripes: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -43,10 +43,17 @@ one point at a time; the CLI reads its points off the atlas and renders
 each label once.  ``leafspace_text`` with ``build_leaf_space`` is the
 model route of plain ``leafspace``, where the CLI reads one position pass
 (``leaf_point_table``) and builds no model.
+``build_parser`` is the argparse parser the CLI read its argv with, and
+``argparse_values`` its reading of one argv; the CLI's own reader of its
+command table must accept the same argv with the same values.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import functools
+import io
 import itertools
 from math import factorial
 from random import Random
@@ -748,3 +755,59 @@ def leafspace_text(atlas: StripedAtlas, build=build_leaf_space_located) -> str:
         closure = ",".join(q.label() for q in sorted(hcl_point(model, point)))
         lines.append(f"hcl {point.label()} = {closure}\n")
     return "".join(lines)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="stripes",
+        description="combinatorial atlases of strip-glued surfaces and their leaf spaces",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    def with_file(name: str, help_text: str) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=help_text)
+        sub.add_argument("file", help="atlas text file")
+        return sub
+
+    with_file("validate", "check atlas invariants")
+    with_file("classify", "classify every boundary leaf")
+
+    leafspace = with_file("leafspace", "describe the leaf-space model")
+    leafspace.add_argument("--dot", action="store_true", help="emit a DOT digraph")
+    leafspace.add_argument("--svg", metavar="PATH", help="write an SVG rendering")
+
+    reduce_cmd = with_file("reduce", "merge strips across regular seams")
+    reduce_cmd.add_argument("-o", metavar="OUT", dest="out", help="output file")
+
+    dual = with_file("dual", "dual graph of the atlas")
+    dual.add_argument("--dot", action="store_true", help="emit DOT text")
+
+    with_file("aut", "enumerate atlas automorphisms")
+    with_file("kernel", "kernel of the induced leaf-space action")
+    with_file("report", "group orders around the leaf-space action")
+
+    iso = commands.add_parser("iso", help="search for an isomorphism")
+    iso.add_argument("file", help="first atlas file")
+    iso.add_argument("other", help="second atlas file")
+
+    rand = commands.add_parser("random", help="emit a seeded random atlas")
+    rand.add_argument("--strips", type=int, required=True, metavar="N")
+    rand.add_argument("--max-ints", type=int, required=True, metavar="M")
+    rand.add_argument("--seed", type=int, required=True, metavar="S")
+    rand.add_argument("--glue-prob", type=float, default=0.75, metavar="P")
+    rand.add_argument("-o", metavar="OUT", dest="out", help="output file")
+
+    with_file("selfcheck", "run all invariant cross-checks")
+
+    return parser
+
+
+def argparse_values(argv: list[str]) -> dict | None:
+    """The namespace ``build_parser`` reads from ``argv``, as a dict, or
+    None where it exits with a usage error (its message is dropped)."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return vars(build_parser().parse_args(argv))
+    except SystemExit:
+        return None

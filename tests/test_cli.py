@@ -10,10 +10,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stripes
+from bruteforce import argparse_values
 from dot_grammar import DotError, parse_dot, undeclared_ends
 from stripes.atlas import (
     AtlasError,
@@ -24,7 +25,7 @@ from stripes.atlas import (
     parse_atlas,
     serialize_atlas,
 )
-from stripes.cli import _LAZY, main
+from stripes.cli import _LAZY, COMMANDS, SystemExit2, _read, main
 from stripes.corpus import necklace, random_atlas
 from stripes.dualgraph import build_dual_graph
 from stripes.fixtures import FIXTURE_NAMES, fixture_text
@@ -280,7 +281,7 @@ def test_selfcheck_fixtures(atlas_file, capsys, name):
 
 
 def test_selfcheck_takes_no_samples_option(atlas_file, capsys):
-    # selfcheck has no settings: argparse rejects the removed option.
+    # selfcheck has no settings: the reader rejects the removed option.
     code, out, err = run(capsys, "selfcheck", atlas_file("PUNCTURED"), "--samples", "2")
     assert (code, out) == (2, "")
     assert "unrecognized arguments: --samples 2" in err
@@ -288,6 +289,113 @@ def test_selfcheck_takes_no_samples_option(atlas_file, capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+    capsys.readouterr()
+    assert main(["kernel", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: stripes kernel")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["kernel"],
+        ["kernel", "{f}", "extra"],
+        ["leafspace", "{f}", "--svg"],
+        ["reduce", "{f}", "-o"],
+        ["random", "--strips", "x", "--max-ints", "1", "--seed", "1"],
+        ["random", "--strips", "2", "--seed", "1"],
+        ["random", "--s", "2", "--max-ints", "1", "--seed", "1"],  # ambiguous prefix
+        # "--" ends the options for argparse; the reader takes no such form.
+        ["kernel", "--", "{f}"],
+    ],
+)
+def test_usage_error_exits_2_with_one_line(atlas_file, capsys, argv):
+    code, out, err = run(capsys, *(arg.format(f=atlas_file("PUNCTURED")) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("stripes: ") and err.count("\n") == 1
+
+
+# Tokens the reader and argparse are compared on, and near misses: values
+# of the wrong type and unknown options.  A token that starts with "-" is
+# an option, a word with a space, or a negative number argparse reads as a
+# value on every supported Python; no drawn token asks for help.
+WORDS = ["in.atlas", "b c", "-a b", "", "-", "-1", "-0.5", "x=y"]
+VALUES = {  # type -> (good values, bad values)
+    str: (["out.txt", "", "-1", "a=b", " x", "-.5"], []),
+    int: (["3", "-2", "0", " 7", "1_0"], ["x", "1.5", "-.5", ""]),
+    float: (["0.5", "-0.1", "1e-3", "nan", "3", "-.5"], ["x", ""]),
+}
+UNKNOWN = ["--samples", "--frobnicate", "--dots", "-x", "-q"]
+
+
+def one_in(draw, n: int) -> bool:
+    return draw(st.integers(1, n)) == 1
+
+
+@st.composite
+def option_tokens(draw, spelling: str, option) -> list[str]:
+    # The full spelling or a prefix of a long one (a prefix shared by two
+    # options is a near miss), and its value apart, after "=", attached to
+    # a short option, or missing.
+    if spelling.startswith("--") and one_in(draw, 2):
+        spelling = draw(st.sampled_from([spelling[:k] for k in range(3, len(spelling))]))
+    if option is None or option.type is None:
+        return [f"{spelling}=1"] if one_in(draw, 10) else [spelling]
+    if one_in(draw, 10):
+        return [spelling]
+    good, bad = VALUES[option.type]
+    value = draw(st.sampled_from(bad if bad and one_in(draw, 10) else good))
+    form = draw(st.sampled_from(["apart"] * 5 + ["equals"] * 3 + ["attached"]))
+    if form == "equals":
+        return [f"{spelling}={value}"]
+    if form == "attached" and not spelling.startswith("--") and value[:1] not in ("", "="):
+        return [spelling + value]
+    return [spelling, value]
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    # A command with its positionals (one missing or one extra now and
+    # then), its required options (one left out now and then), up to four
+    # more options with repeats, and now and then an unknown one, in any
+    # order.
+    name = draw(st.sampled_from([*COMMANDS, "frobnicate"]))
+    command = COMMANDS.get(name)
+    positionals = len(command.positionals) if command else 0
+    positionals = max(0, positionals + draw(st.sampled_from([-1, 1] + [0] * 8)))
+    pieces = [[draw(st.sampled_from(WORDS))] for _ in range(positionals)]
+    options = command.options if command else {}
+    chosen = [s for s, option in options.items() if option.required and not one_in(draw, 20)]
+    if options:
+        chosen += draw(st.lists(st.sampled_from(list(options)), max_size=4))
+    if one_in(draw, 8):
+        chosen.append(draw(st.sampled_from(UNKNOWN)))
+    pieces += [draw(option_tokens(s, options.get(s))) for s in chosen]
+    return [name, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
+def read_values(argv: list[str]) -> dict | None:
+    try:
+        return _read(argv)
+    except SystemExit2:
+        return None
+
+
+@settings(max_examples=600, deadline=None)
+@given(command_lines())
+@example(["random", "--str", "2", "--max", "1", "--seed", "1", "--glue", "0.5"])
+@example(["random", "--max-ints", "-1", "--seed=3", "--strips", "2", "--seed", "4", "-oOUT"])
+@example(["leafspace", "--svg=a.svg", "in.atlas", "--d", "--sv", "b.svg"])
+@example(["iso", "-1", "--frobnicate", "b c"])
+@example(["reduce", "in.atlas", "-o", "--dots"])
+def test_reader_agrees_with_argparse(argv):
+    # Both accept or both reject, with the same values; repr, so that a nan
+    # read by both compares equal.
+    expected, got = argparse_values(argv), read_values(argv)
+    assert (expected is None) == (got is None), (argv, expected, got)
+    if expected is not None:
+        assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in expected.items()}
 
 
 @pytest.mark.parametrize(

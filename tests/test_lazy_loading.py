@@ -36,11 +36,12 @@ HOME = {name: module for module, names in PUBLIC.items() for name in names.split
 
 
 def loaded_after(code: str, *args: str) -> set[str]:
-    """The ``stripes`` modules a fresh interpreter holds after ``code``."""
+    """The ``stripes`` modules a fresh interpreter holds after ``code``, and
+    ``argparse`` if it holds that: the CLI reads its argv without it."""
     probe = code + (
         "\nimport sys"
         "\nsys.stdout.flush()"
-        "\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'stripes'), file=sys.stderr)"
+        "\nprint(*sorted(m for m in sys.modules if m.split('.')[0] in ('stripes', 'argparse')), file=sys.stderr)"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe, *args],
