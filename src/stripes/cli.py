@@ -33,11 +33,12 @@ may start with ``-`` when it reads as a negative number (``--max-ints
 is not read as the end of the options; it is an unknown option.
 
 A command loads only the modules it uses.  This module imports ``atlas``
-alone; every other name below is read from its home module by
-``__getattr__`` (PEP 562), which imports that module on first use and
-keeps no copy here.  ``_run`` reads those names through the module
-(``_cli.name``), so it calls the home module's current value, or a value
-set on ``stripes.cli`` itself (a test's monkeypatch) while that is set.
+alone; each branch of ``_run`` imports the names it calls from their home
+modules where it runs, so it calls each home module's current binding
+and keeps no copy here.  ``isomorphic`` and ``homeotopy_report`` (which
+imports ``symmetry``'s on each call) are names of this module, so a test
+can substitute either on ``stripes.cli``, and undoing that puts the real
+function back.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from __future__ import annotations
 import os
 import re
 import sys
-from importlib import import_module
 from pathlib import Path
 from typing import NamedTuple
 
@@ -58,36 +58,12 @@ from .atlas import (
     serialize_atlas,
 )
 
-# Name -> home module, for the names read on use.
-_LAZY = {
-    "AtlasAutomorphism": "symmetry",
-    "enumerate_automorphisms": "symmetry",
-    "homeotopy_report": "symmetry",
-    "leaf_action_kernel": "symmetry",
-    "LeafClass": "leafspace",
-    "build_leaf_space": "leafspace",
-    "classify_leaf": "leafspace",
-    "leaf_point_table": "leafspace",
-    "leaf_points": "leafspace",
-    "SurfaceKind": "reduction",
-    "reduce_atlas": "reduction",
-    "build_dual_graph": "dualgraph",
-    "export_dot": "dualgraph",
-    "leafspace_dot": "render",
-    "leafspace_svg": "render",
-    "random_atlas": "corpus",
-    "selfcheck": "selfcheck",
-}
 
+def homeotopy_report(atlas: StripedAtlas):
+    from .symmetry import homeotopy_report
 
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__package__}.{module}"), name)
+    return homeotopy_report(atlas)
 
-
-_cli = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -289,8 +265,9 @@ def _read(argv: list[str]) -> dict[str, object]:
 
 def _write(text: str, out: str | None) -> str:
     """Write ``text`` to the file ``out`` and return what stdout gets: ""
-    then, or ``text`` itself when there is no ``out``."""
-    if not out:
+    then, or ``text`` itself when there is no ``out``.  An empty ``out`` is
+    a path like any other, so it fails to be written."""
+    if out is None:
         return text
     try:
         Path(out).write_text(text, encoding="utf-8")
@@ -308,8 +285,10 @@ def _run(args: dict) -> tuple[int, str]:
         return EXIT_OK, "OK\n"
 
     if command == "random":
+        from .corpus import random_atlas
+
         try:
-            atlas = _cli.random_atlas(args["strips"], args["max_ints"], args["seed"], args["glue_prob"])
+            atlas = random_atlas(args["strips"], args["max_ints"], args["seed"], args["glue_prob"])
         except ValueError as exc:
             raise SystemExit2(str(exc)) from exc
         return EXIT_OK, _write(serialize_atlas(atlas), args["out"])
@@ -318,28 +297,36 @@ def _run(args: dict) -> tuple[int, str]:
         witness = isomorphic(_load(args["file"]), _load(args["other"]))
         if witness is None:
             return EXIT_OK, "NOT-ISOMORPHIC\n"
-        return EXIT_OK, f"ISOMORPHIC {_cli.AtlasAutomorphism(*witness).format()}\n"
+        from .symmetry import AtlasAutomorphism
+
+        return EXIT_OK, f"ISOMORPHIC {AtlasAutomorphism(*witness).format()}\n"
 
     atlas = _load(args["file"])
 
     if command == "classify":
+        from .leafspace import LeafClass, classify_leaf, leaf_points
+
         # One classify_leaf call per point; each class's text is read once.
-        classify, text = _cli.classify_leaf, {kind: kind.value for kind in _cli.LeafClass}
+        text = {kind: kind.value for kind in LeafClass}
         lines = [
-            f"{point.kind} {' '.join(point.intervals)} {text[classify(atlas, point)]}\n"
-            for point in _cli.leaf_points(atlas)
+            f"{point.kind} {' '.join(point.intervals)} {text[classify_leaf(atlas, point)]}\n"
+            for point in leaf_points(atlas)
         ]
         return EXIT_OK, "".join(lines)
 
     if command == "leafspace":
-        if args["svg"] or args["dot"]:
-            model = _cli.build_leaf_space(atlas)
-            if args["svg"]:
-                _write(_cli.leafspace_svg(model), args["svg"])
+        from .leafspace import build_leaf_space, leaf_point_table
+
+        if args["svg"] is not None or args["dot"]:
+            from .render import leafspace_dot, leafspace_svg
+
+            model = build_leaf_space(atlas)
+            if args["svg"] is not None:
+                _write(leafspace_svg(model), args["svg"])
             if args["dot"]:
-                return EXIT_OK, _cli.leafspace_dot(model)
+                return EXIT_OK, leafspace_dot(model)
         # Arcs are the strips in atlas order; every label is rendered once.
-        points, slots, closures = _cli.leaf_point_table(atlas)
+        points, slots, closures = leaf_point_table(atlas)
         labels = [point.label() for point in points]
         lines = [f"arc {s.id} side0={len(s.side0)} side1={len(s.side1)}\n" for s in atlas.strips]
         for label, point, where in zip(labels, points, slots):
@@ -350,12 +337,14 @@ def _run(args: dict) -> tuple[int, str]:
         return EXIT_OK, "".join(lines)
 
     if command == "reduce":
+        from .reduction import SurfaceKind, reduce_atlas
+
         exceptional: list[str] = []
         proper: list[StripedAtlas] = []
-        for outcome in _cli.reduce_atlas(atlas):
-            if outcome.kind is _cli.SurfaceKind.OPEN_CYLINDER:
+        for outcome in reduce_atlas(atlas):
+            if outcome.kind is SurfaceKind.OPEN_CYLINDER:
                 exceptional.append("CYLINDER\n")
-            elif outcome.kind is _cli.SurfaceKind.OPEN_MOEBIUS_BAND:
+            elif outcome.kind is SurfaceKind.OPEN_MOEBIUS_BAND:
                 exceptional.append("MOEBIUS\n")
             else:
                 proper.append(outcome.atlas)
@@ -373,21 +362,27 @@ def _run(args: dict) -> tuple[int, str]:
 
     if command == "dual":
         if args["dot"]:
-            return EXIT_OK, _cli.export_dot(_cli.build_dual_graph(atlas))
+            from .dualgraph import build_dual_graph, export_dot
+
+            return EXIT_OK, export_dot(build_dual_graph(atlas))
         # One vertex per strip and one edge per gluing, by construction.
         vertices, edges = len(atlas.strips), len(atlas.gluings)
         return EXIT_OK, f"vertices {vertices}\nedges {edges}\neuler {vertices - edges}\n"
 
     if command == "aut":
-        lines = [f"{aut.format()}\n" for aut in _cli.enumerate_automorphisms(atlas)]
+        from .symmetry import enumerate_automorphisms
+
+        lines = [f"{aut.format()}\n" for aut in enumerate_automorphisms(atlas)]
         return EXIT_OK, "".join(lines)
 
     if command == "kernel":
-        trivial = _cli.leaf_action_kernel(atlas).is_trivial
+        from .symmetry import leaf_action_kernel
+
+        trivial = leaf_action_kernel(atlas).is_trivial
         return EXIT_OK, "TRIVIAL\n" if trivial else "Z2 witness=(id;m=0;r=1)\n"
 
     if command == "report":
-        result = _cli.homeotopy_report(atlas)
+        result = homeotopy_report(atlas)
         return EXIT_OK, (
             f"autOrder {result.aut_order}\n"
             f"kernel {result.kernel.label()}\n"
@@ -396,7 +391,9 @@ def _run(args: dict) -> tuple[int, str]:
         )
 
     if command == "selfcheck":
-        report = _cli.selfcheck(atlas)
+        from .selfcheck import selfcheck
+
+        report = selfcheck(atlas)
         verdict = "SELFCHECK OK" if report.ok else "SELFCHECK FAILED"
         text = "".join(f"{line}\n" for line in [*report.lines(), verdict])
         return (EXIT_OK if report.ok else EXIT_INVALID), text

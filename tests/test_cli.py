@@ -25,24 +25,11 @@ from stripes.atlas import (
     parse_atlas,
     serialize_atlas,
 )
-from stripes.cli import _LAZY, COMMANDS, SystemExit2, _read, main
+from stripes.cli import COMMANDS, SystemExit2, _read, main
 from stripes.corpus import necklace, random_atlas
 from stripes.dualgraph import build_dual_graph
 from stripes.fixtures import FIXTURE_NAMES, fixture_text
 from stripes.leafspace import leaf_points
-
-
-@pytest.fixture(autouse=True)
-def cli_holds_no_library_copies():
-    # stripes.cli reads each library name from its home module.  Undoing a
-    # monkeypatch on stripes.cli sets the old value back there, a copy a
-    # later patch of the home module would miss, so each test drops it and
-    # the next checks that none is left.
-    cli = sys.modules["stripes.cli"]
-    assert not _LAZY.keys() & vars(cli).keys()
-    yield
-    for name in _LAZY.keys() & vars(cli).keys():
-        delattr(cli, name)
 
 
 @pytest.fixture()
@@ -413,6 +400,11 @@ def test_reader_agrees_with_argparse(argv):
         ["validate", "{punctured}/"],
         ["iso", "{punctured}", "{binary}"],
         ["random", "--strips", "2", "--max-ints", "1", "--seed", "1", "--glue-prob", "inf"],
+        # An empty OUT or PATH is a path that cannot be written, not "none".
+        ["reduce", "{punctured}", "-o="],
+        ["reduce", "{punctured}", "-o", ""],
+        ["leafspace", "{punctured}", "--svg="],
+        ["random", "--strips", "2", "--max-ints", "1", "--seed", "1", "-o="],
     ],
 )
 def test_bad_input_exits_2_with_one_line(atlas_file, capsys, tmp_path, argv):
@@ -569,11 +561,10 @@ def test_closed_stdout_exits_0_without_traceback(tmp_path):
 def test_closed_stdout_keeps_a_failed_selfcheck_exit_1(atlas_file, monkeypatch, failures):
     # One failure line stays in the buffer until the final flush; 2,000
     # lines (about 60 KB) overflow it while they are printed.
-    import stripes.cli as cli
     from stripes.selfcheck import CheckResult, SelfCheckReport
 
     failed = SelfCheckReport([CheckResult("s0", "broken", False)] * failures)
-    monkeypatch.setattr(cli, "selfcheck", lambda atlas: failed)
+    monkeypatch.setattr("stripes.selfcheck.selfcheck", lambda atlas: failed)
     read_end, write_end = os.pipe()
     os.close(read_end)
     with os.fdopen(write_end, "w") as closed:

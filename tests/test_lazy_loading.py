@@ -6,12 +6,14 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 import stripes
+import stripes.cli as cli
 from stripes import atlas, symmetry
 
 SRC = Path(stripes.__file__).parents[1]
@@ -116,27 +118,70 @@ def test_disconnected_error_is_one_class():
     assert stripes.DisconnectedAtlasError is atlas.DisconnectedAtlasError
 
 
-def test_cli_reads_the_home_modules_current_value():
-    # A patch on the home module, present at the CLI's first use, is gone
-    # from the CLI once it is undone; a value set on stripes.cli wins
-    # while it is set.
-    code = """
-import sys
-import stripes.cli as cli
-import stripes.symmetry as symmetry
-real, calls = symmetry.homeotopy_report, []
-def counted(atlas):
-    calls.append(atlas)
-    return real(atlas)
-symmetry.homeotopy_report = counted
-assert cli.main(["report", sys.argv[1]]) == 0
-symmetry.homeotopy_report = real
-assert cli.main(["report", sys.argv[1]]) == 0
-assert len(calls) == 1, len(calls)
-cli.homeotopy_report = counted
-assert cli.main(["report", sys.argv[1]]) == 0
-del cli.homeotopy_report
-assert cli.main(["report", sys.argv[1]]) == 0
-assert len(calls) == 2, len(calls)
-"""
-    assert "stripes.symmetry" in loaded_after(code, str(DATA / "plane.atlas"))
+# Per command that imports library names where it runs: its argv, and the
+# home module and name of one function it calls there once.  validate and
+# plain dual call only names the CLI imports from ``atlas``.
+CALLS = [
+    (["random", "--strips", "3", "--max-ints", "2", "--seed", "1"], "corpus", "random_atlas"),
+    (["iso", "{plane}", "{plane}"], "symmetry", "AtlasAutomorphism"),
+    (["classify", "{plane}"], "leafspace", "leaf_points"),
+    (["leafspace", "{plane}"], "leafspace", "leaf_point_table"),
+    (["leafspace", "{plane}", "--dot"], "render", "leafspace_dot"),
+    (["leafspace", "{plane}", "--svg", "{svg}"], "render", "leafspace_svg"),
+    (["reduce", "{plane}"], "reduction", "reduce_atlas"),
+    (["dual", "{plane}", "--dot"], "dualgraph", "export_dot"),
+    (["aut", "{plane}"], "symmetry", "enumerate_automorphisms"),
+    (["kernel", "{plane}"], "symmetry", "leaf_action_kernel"),
+    (["report", "{plane}"], "symmetry", "homeotopy_report"),
+    (["selfcheck", "{plane}"], "selfcheck", "selfcheck"),
+]
+
+
+def test_cli_reads_the_home_modules_current_value(tmp_path, capsys):
+    # A patch on the home module reaches the command while it is set, and
+    # is gone from the CLI once it is undone: the CLI keeps no copy.
+    paths = {"plane": DATA / "plane.atlas", "svg": tmp_path / "out.svg"}
+    assert {argv[0] for argv, _, _ in CALLS} | {"validate", "dual"} == set(cli.COMMANDS)
+    for argv, module, name in CALLS:
+        args = [arg.format(**paths) for arg in argv]
+        home = import_module(f"stripes.{module}")
+        real, calls = getattr(home, name), []
+
+        def counted(*given, real=real, calls=calls):
+            calls.append(given)
+            return real(*given)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(home, name, counted)
+            assert cli.main(args) == 0
+        assert getattr(home, name) is real
+        assert cli.main(args) == 0
+        assert len(calls) == 1, (argv, len(calls))
+    capsys.readouterr()
+
+
+def test_cli_names_can_be_substituted_and_restored(monkeypatch, capsys):
+    # homeotopy_report and isomorphic are names of stripes.cli: a substitute
+    # set there answers for report and iso, and undoing it puts the real
+    # functions back, so a later patch on the home module reaches report.
+    plane = str(DATA / "plane.atlas")
+    real_report = cli.homeotopy_report
+
+    def printed(*argv: str) -> str:
+        assert cli.main(list(argv)) == 0
+        return capsys.readouterr().out
+
+    monkeypatch.setattr(cli, "homeotopy_report", lambda a: replace(real_report(a), aut_order=-1))
+    monkeypatch.setattr(cli, "isomorphic", lambda a, b: None)
+    assert printed("report", plane).startswith("autOrder -1\n")
+    assert printed("iso", plane, plane) == "NOT-ISOMORPHIC\n"
+    monkeypatch.undo()
+    assert cli.homeotopy_report is real_report
+    assert cli.isomorphic is atlas.isomorphic
+    assert printed("iso", plane, plane).startswith("ISOMORPHIC ")
+
+    calls = []
+    real = symmetry.homeotopy_report
+    monkeypatch.setattr(symmetry, "homeotopy_report", lambda a: calls.append(a) or real(a))
+    assert printed("report", plane).startswith("autOrder 4\n")
+    assert len(calls) == 1
