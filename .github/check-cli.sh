@@ -2,7 +2,8 @@
 # Usage: [EXPECT=CODE] sh .github/check-cli.sh OUT ARGS...
 #
 # Runs `python -m stripes.cli ARGS` with a 60 s limit (timeout exits 124), its
-# stdout to the file OUT, or left on stdout when OUT is "-" (for a pipe).  It
+# stdout to the file OUT, left on stdout when OUT is "-" (for a pipe), or
+# closed before the start when OUT is "closed" (as `>&-` does).  It
 # fails, showing stderr and the tail of OUT, when the command exits with
 # another code than EXPECT (default 0) or prints a traceback.  With a
 # non-zero EXPECT, stderr must be one `stripes: ...` line.  Only a regular
@@ -10,7 +11,11 @@
 out=$1
 shift
 expect=${EXPECT:-0}
-[ "$out" = - ] || exec > "$out"
+case $out in
+    -) ;;
+    closed) exec >&- ;;
+    *) exec > "$out" ;;
+esac
 err=$(mktemp)
 trap 'rm -f "$err"' EXIT
 timeout 60 python -m stripes.cli "$@" 2> "$err"

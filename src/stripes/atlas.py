@@ -211,25 +211,26 @@ class StripedAtlas:
         return out
 
     @cached_property
-    def _partners(self) -> dict[str, tuple[tuple, tuple]]:
-        """Per strip id, one entry per interval of each side: ``None`` when
-        free, else the partner's ``(strip id, side, index, index from the
-        end, 1 if the gluing decreases else 0)``; what :func:`_rows` and
-        :func:`_frame_signatures` read.
+    def _partners(self) -> tuple[tuple[tuple, tuple], ...]:
+        """Per strip, by position in ``strips``, one entry per interval of
+        each side: ``None`` when free, else the partner's ``(position,
+        side, index, index from the end, 1 if the gluing decreases else
+        0)``; what :func:`_rows` and :func:`_frame_signatures` read.
 
         One pass over the sides places every interval, its first
         occurrence winning, in a side of all-``None`` entries; one pass
         over the gluings fills both ends of each, an interval's first
         gluing winning.  No other index is read or built."""
-        table: dict[str, tuple[list, list]] = {}
+        table: list[tuple[list, list]] = []
         # interval -> (its entry as a partner, less the bit; its side's entries; its index)
         place: dict[str, tuple[tuple, list, int]] = {}
-        for sid, side0, side1 in self.strips:
-            table[sid] = sides = [None] * len(side0), [None] * len(side1)
+        for position, (_, side0, side1) in enumerate(self.strips):
+            sides = [None] * len(side0), [None] * len(side1)
+            table.append(sides)
             for which, names, entries in ((0, side0, sides[0]), (1, side1, sides[1])):
                 last = len(names) - 1
                 for index, name in enumerate(names):
-                    place.setdefault(name, ((sid, which, index, last - index), entries, index))
+                    place.setdefault(name, ((position, which, index, last - index), entries, index))
         decreasing = _DECREASING
         for a, b, parity in self.gluings:
             bit = int(parity is decreasing)
@@ -239,7 +240,7 @@ class StripedAtlas:
                 entries_a[i] = (*at_b, bit)
             if entries_b[j] is None:
                 entries_b[j] = (*at_a, bit)
-        return {sid: (tuple(side0), tuple(side1)) for sid, (side0, side1) in table.items()}
+        return tuple([(tuple(side0), tuple(side1)) for side0, side1 in table])
 
     @cached_property
     def free_intervals(self) -> tuple[str, ...]:
@@ -601,37 +602,31 @@ def is_valid_witness(
     return True
 
 
-def _rows(
-    atlas: StripedAtlas,
-    root: str,
-    flip: int,
-    rev: int,
-    order: list[str],
-    frames: dict[str, tuple[int, int]],
-) -> Iterator[tuple]:
+def _rows(atlas: StripedAtlas, root: int, frames: list[int]) -> Iterator[tuple]:
     """Walk a connected atlas breadth first from one root frame, one row
     per visited strip.
 
-    The root is read with side ``flip`` as its side 0 and in reversed
-    order when ``rev`` is set.  Each newly reached strip takes the side
-    holding the partner interval as its side 0, and the reversal bit that
-    makes the reaching gluing read ``+``.  A row is ``(len side0, len
-    side1, *entries)`` with one entry per position in frame order:
-    ``None`` when free, else the partner's ``(visit number, side in its
-    frame, index in its frame, parity bit as read)``.  So the rows depend
-    only on the structure and the root frame.  ``order`` and ``frames``
-    receive the visit order and every reached strip's frame ``(flip,
-    rev)`` as the walk goes; once the last row is out they are complete.
+    A frame is one int, ``4 * position + 2 * flip + rev``: the strip at
+    ``position`` in ``atlas.strips``, read with side ``flip`` as its side
+    0 and in reversed order when ``rev`` is set.  Each newly reached strip
+    takes the side holding the partner interval as its side 0, and the
+    reversal bit that makes the reaching gluing read ``+``.  A row is
+    ``(len side0, len side1, *entries)`` with one entry per position in
+    frame order: ``None`` when free, else the partner's ``(visit number,
+    side in its frame, index in its frame, parity bit as read)``.  So the
+    rows depend only on the structure and the root frame.  ``frames``,
+    empty when passed, receives the frame of every visited strip in visit
+    order, ``root`` first; it is the walk's queue, so it is complete once
+    the last row is out.
     """
     partners = atlas._partners
-    seen = {root: (0, flip, rev)}
-    frames[root] = (flip, rev)
-    order.append(root)
-    for sid in order:
-        _, f, r = seen[sid]
-        side0, side1 = partners[sid]
-        if f:
+    seen = {root >> 2: 0}  # position -> visit number
+    frames.append(root)
+    for frame in frames:
+        side0, side1 = partners[frame >> 2]
+        if frame & 2:
             side0, side1 = side1, side0
+        r = frame & 1
         if r:
             side0, side1 = side0[::-1], side1[::-1]
         row: list = [len(side0), len(side1)]
@@ -640,20 +635,18 @@ def _rows(
                 row.append(None)
                 continue
             other, side, index, back, bit = entry
-            known = seen.get(other)
-            if known is None:
-                known = seen[other] = (len(order), side, r ^ bit)
-                frames[other] = (side, r ^ bit)
-                order.append(other)
-            visit, other_flip, other_rev = known
+            visit = seen.get(other)
+            if visit is None:
+                visit = seen[other] = len(frames)
+                frames.append(4 * other + 2 * side + (r ^ bit))
+            other_frame = frames[visit]
+            other_rev = other_frame & 1
             index = back if other_rev else index
-            row.append((visit, side ^ other_flip, index, bit ^ r ^ other_rev))
+            row.append((visit, side ^ (other_frame >> 1 & 1), index, bit ^ r ^ other_rev))
         yield tuple(row)
 
 
-def _traverse(
-    atlas: StripedAtlas, root: str, flip: int, rev: int
-) -> tuple[str, list[str], dict[str, tuple[int, int]]]:
+def _traverse(atlas: StripedAtlas, root: int) -> str:
     """Relabel a connected atlas from one root frame: the text of its
     :func:`_rows`.
 
@@ -661,15 +654,12 @@ def _traverse(
     position, ``T<k>.<side>.<index>`` in the strip's frame; gluings are
     sorted by their names.  So the text, like the rows, depends only on
     the structure and the root frame, and two frames give equal texts
-    exactly when they give equal rows.  Returns the text, the visit order
-    and every strip's frame ``(flip, rev)``.  Only ``canonical_form``
-    needs the text; witness matching compares rows.
+    exactly when they give equal rows.  Only ``canonical_form`` needs the
+    text; witness matching compares rows.
     """
-    order: list[str] = []
-    frames: dict[str, tuple[int, int]] = {}
     strips: list[Strip] = []
     gluings: list[Gluing] = []
-    for k, row in enumerate(_rows(atlas, root, flip, rev, order, frames)):
+    for k, row in enumerate(_rows(atlas, root, [])):
         tag, size0 = f"T{k + 1}", row[0]
         names = [f"{tag}.0.{i}" for i in range(size0)]
         names += [f"{tag}.1.{i}" for i in range(row[1])]
@@ -683,55 +673,42 @@ def _traverse(
             partner = f"T{visit + 1}.{side}.{index}"
             gluings.append(Gluing(names[position], partner, _PARITY_OF_BIT[bit]))
     gluings.sort()  # by (a, b): no two gluings share an end
-    return serialize_atlas(StripedAtlas(tuple(strips), tuple(gluings))), order, frames
+    return serialize_atlas(StripedAtlas(tuple(strips), tuple(gluings)))
 
 
-def _root_frames(atlas: StripedAtlas) -> Iterator[tuple[str, int, int]]:
-    for sid in atlas.strip_ids:
-        for flip in (0, 1):
-            for rev in (0, 1):
-                yield sid, flip, rev
-
-
-def _frame_signatures(
-    atlas: StripedAtlas,
-) -> Iterator[tuple[tuple[str, int, int], tuple[tuple[bool, ...], ...]]]:
-    # Every root frame, in ``_root_frames`` order, with the glued/free flags
-    # of its root strip's sides as the frame reads them: side ``flip`` then
+def _frame_signatures(atlas: StripedAtlas) -> Iterator[tuple[tuple[bool, ...], ...]]:
+    # One signature per root frame, in frame order: the glued/free flags of
+    # its root strip's sides as the frame reads them, side ``flip`` then
     # the other, both reversed when ``rev``.  Each strip's flags are read
     # once, off its ``_partners`` entries (glued when not ``None``).  A
     # witness keeps side sizes and keeps glued intervals glued, so frames
     # that a witness matches have equal signatures.  Parities are left out:
     # a gluing to another strip reads through that strip's reversal bit.
-    for sid, (entries0, entries1) in atlas._partners.items():
+    for entries0, entries1 in atlas._partners:
         side0 = tuple([entry is not None for entry in entries0])
         side1 = tuple([entry is not None for entry in entries1])
         back0, back1 = side0[::-1], side1[::-1]
-        yield (sid, 0, 0), (side0, side1)
-        yield (sid, 0, 1), (back0, back1)
-        yield (sid, 1, 0), (side1, side0)
-        yield (sid, 1, 1), (back1, back0)
+        yield side0, side1
+        yield back0, back1
+        yield side1, side0
+        yield back1, back0
 
 
 class _Walk(NamedTuple):
-    """A walk from one root frame: the frame, its root strip's signature,
-    and the rows, visit order and strip frames of :func:`_rows`."""
+    """A walk from one root frame: its root strip's signature, and the rows
+    and strip frames of :func:`_rows`."""
 
-    root: tuple[str, int, int]
     signature: tuple[tuple[bool, ...], ...]
     rows: list[tuple]
-    order: list[str]
-    frames: dict[str, tuple[int, int]]
+    frames: list[int]
 
 
 def _reference_walk(atlas: StripedAtlas) -> _Walk:
-    """The walk of an atlas's first root frame, the reference that
-    witness matching compares against.  It visits every strip exactly
-    when the atlas is connected."""
-    root, signature = next(_frame_signatures(atlas))
-    order: list[str] = []
-    frames: dict[str, tuple[int, int]] = {}
-    return _Walk(root, signature, list(_rows(atlas, *root, order, frames)), order, frames)
+    """The walk of an atlas's frame 0, the reference that witness matching
+    compares against.  It visits every strip exactly when the atlas is
+    connected."""
+    frames: list[int] = []
+    return _Walk(next(_frame_signatures(atlas)), list(_rows(atlas, 0, frames)), frames)
 
 
 def _matching_walks(
@@ -739,13 +716,12 @@ def _matching_walks(
     dst: StripedAtlas,
     reference: _Walk,
     skip: Callable[[int], bool] | None = None,
-) -> Iterator[tuple[int, list[str], dict[str, tuple[int, int]]]]:
+) -> Iterator[list[int]]:
     """The root frames of ``dst`` that read like ``src``'s reference walk,
-    in ``_root_frames`` order: each as its index there (``4 * position +
-    2 * flip + rev``), visit order and strip frames.
+    in frame order: each as the strip frames of its walk, root first.
 
     A frame whose root strip reads differently is skipped unwalked, and so
-    is one for which ``skip(index)`` holds, asked just before its walk;
+    is one for which ``skip(frame)`` holds, asked just before its walk;
     any other is walked only up to its first row that differs from the
     reference rows, so a frame that fails early costs a few rows, not a
     traversal.  A frame matches only when its walk yields as many rows as
@@ -757,28 +733,28 @@ def _matching_walks(
     ``dst`` is built.  When ``dst is src`` the reference frame matches
     itself without a walk.
     """
-    root, signature, rows, order, frames = reference
+    signature, rows, frames = reference
     reached = None if dst is src else 0  # strips of failed walks; None once dst is connected
-    for index, (other_root, other_signature) in enumerate(_frame_signatures(dst)):
+    for root, other_signature in enumerate(_frame_signatures(dst)):
         if other_signature != signature:
             continue
-        if dst is src and other_root == root:
-            yield index, order, frames
+        if dst is src and root == frames[0]:
+            yield frames
             continue
-        if skip is not None and skip(index):
+        if skip is not None and skip(root):
             continue
-        other_order, other_frames = [], {}
-        walk = _rows(dst, *other_root, other_order, other_frames)
-        if all(map(tuple.__eq__, rows, walk)) and len(other_order) == len(order):
-            yield index, other_order, other_frames
+        other: list[int] = []
+        walk = _rows(dst, root, other)
+        if all(map(tuple.__eq__, rows, walk)) and len(other) == len(frames):
+            yield other
         elif reached is not None:
-            reached += len(other_order)
-            if reached > 2 * len(order):
+            reached += len(other)
+            if reached > 2 * len(frames):
                 # This walk, finished, stops short exactly when dst is
                 # disconnected, and then no frame can match.
                 for _ in walk:
                     pass
-                if len(other_order) != len(order):
+                if len(other) != len(frames):
                     return
                 reached = None
 
@@ -790,20 +766,22 @@ def _connected_witnesses(
     frames.
 
     Both atlases read the same from matching root frames exactly when a
-    witness sends one root frame to the other; composing the two frames
-    strip by strip gives that witness.  The rows of ``src``'s reference
+    witness sends one root frame to the other: it sends the k-th strip
+    frame of one walk to the k-th of the other, and the low bits of their
+    xor are its side flip and reversal.  The rows of ``src``'s reference
     frame are built once, or passed in as ``reference`` by a caller that
     has walked them (:func:`_reference_walk`), and matched by
-    :func:`_matching_walks`.
+    :func:`_matching_walks`.  The dicts list ``src``'s strips in visit order.
     """
     reference = reference or _reference_walk(src)
-    order, frames = reference.order, reference.frames
-    for _, other_order, other_frames in _matching_walks(src, dst, reference):
-        strip_map = dict(zip(order, other_order))
+    frames = reference.frames
+    ids = [src.strips[f >> 2].id for f in frames]
+    for other in _matching_walks(src, dst, reference):
+        bits = [f ^ g for f, g in zip(frames, other)]
         yield (
-            strip_map,
-            {s: frames[s][0] ^ other_frames[t][0] for s, t in strip_map.items()},
-            {s: frames[s][1] ^ other_frames[t][1] for s, t in strip_map.items()},
+            dict(zip(ids, [dst.strips[g >> 2].id for g in other])),
+            dict(zip(ids, [b >> 1 & 1 for b in bits])),
+            dict(zip(ids, [b & 1 for b in bits])),
         )
 
 
@@ -839,41 +817,39 @@ def automorphism_order(atlas: StripedAtlas) -> int:
     frame's orbit.
 
     The group acts freely on the 4n root frames of a connected atlas: an
-    automorphism (sigma, m, r) sends frame (s, f, rev) to (sigma(s), f ^
-    m_s, rev ^ r_s), and one that fixes a frame fixes every strip.  So
-    |Aut| is the number of frames that read like the reference frame, its
-    orbit.  The frames are matched as witness matching does, in order.
-    From the first match other than the reference, every frame is merged
-    with its image under each match found, in one :class:`_Partition`; a
-    frame whose class holds an earlier frame is skipped unwalked, since it
-    matches exactly when that one did.  Each match walked enlarges the
-    group found, so at most log2 |Aut| matching frames are walked besides
-    the reference.  An atlas whose reference walk stops short, or that has
-    no strips, counts its witnesses.
+    automorphism that fixes a frame fixes every strip.  So |Aut| is the
+    number of frames that read like the reference frame, its orbit.  The
+    frames are matched as witness matching does, in order.  A match sends
+    the k-th frame ``a`` of the reference walk to the k-th frame ``b`` of
+    its own, and so frame ``a ^ c`` to ``b ^ c``.  From the first match
+    other than the reference, every frame is merged with its image under
+    each match found, in one :class:`_Partition`; a frame whose class
+    holds an earlier frame is skipped unwalked, since it matches exactly
+    when that one did.  Each match walked enlarges the group found, so at
+    most log2 |Aut| matching frames are walked besides the reference.  An
+    atlas whose reference walk stops short, or that has no strips, counts
+    its witnesses.
     """
     reference = _reference_walk(atlas) if atlas.strips else None
-    if reference is None or len(reference.order) != len(atlas.strips):
+    if reference is None or len(reference.frames) != len(atlas.strips):
         return sum(1 for _ in iter_witnesses(atlas, atlas))
-    order, frames = reference.order, reference.frames
-    position = {sid: 4 * i for i, sid in enumerate(atlas.strip_ids)}
+    frames = reference.frames
     classes = None  # from the first match other than the reference
 
-    def merged(index: int) -> bool:
-        return classes is not None and classes.find(index) != index
+    def merged(frame: int) -> bool:
+        return classes is not None and classes.find(frame) != frame
 
-    for index, other_order, other_frames in _matching_walks(atlas, atlas, reference, merged):
-        if index == 0:
+    for other in _matching_walks(atlas, atlas, reference, merged):
+        if other[0] == frames[0]:
             continue
         if classes is None:
-            classes = _Partition(4 * len(order))
-        for s, t in zip(order, other_order):
-            (f, r), (g, q) = frames[s], other_frames[t]
-            source, target, bits = position[s], position[t], 2 * (f ^ g) + (r ^ q)
-            for b in range(4):
-                classes.union(source + b, target + (b ^ bits))
+            classes = _Partition(4 * len(frames))
+        for a, b in zip(frames, other):
+            for c in range(4):
+                classes.union(a ^ c, b ^ c)
     if classes is None:
         return 1
-    return sum(1 for k in range(4 * len(order)) if classes.find(k) == 0)
+    return sum(1 for k in range(4 * len(frames)) if classes.find(k) == 0)
 
 
 def iter_witnesses(
@@ -898,7 +874,7 @@ def iter_witnesses(
         return
     if src.strips:
         reference = _reference_walk(src)
-        if len(reference.order) == len(src.strips):
+        if len(reference.frames) == len(src.strips):
             yield from _connected_witnesses(src, dst, reference)
             return
     src_parts = component_atlases(src)
@@ -973,5 +949,5 @@ def canonical_form(atlas: StripedAtlas) -> str:
     """
     parts = component_atlases(atlas)
     if len(parts) == 1:
-        return min(_traverse(atlas, *root)[0] for root in _root_frames(atlas))
+        return min(_traverse(atlas, root) for root in range(4 * len(atlas.strips)))
     return "\n".join(sorted(canonical_form(part) for part in parts))

@@ -43,6 +43,7 @@ function back.
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 import sys
@@ -407,17 +408,17 @@ def main(argv: list[str] | None = None) -> int:
     except _Help as exc:
         code, text = EXIT_OK, str(exc)
     except SystemExit2 as exc:
-        print(f"stripes: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(str(exc), EXIT_USAGE)
     except AtlasError as exc:
-        print(f"stripes: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _fail(str(exc), EXIT_INVALID)
     except DisconnectedAtlasError as exc:
-        print(f"stripes: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        return _fail(str(exc), EXIT_PRECONDITION)
     except RuntimeError as exc:
-        print(f"stripes: internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _fail(f"internal error: {exc}", EXIT_INTERNAL)
+    if sys.stdout is None:  # fd 1 was closed before the start
+        if text:
+            return _fail(f"cannot write stdout: {os.strerror(errno.EBADF)}", EXIT_USAGE)
+        return code
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -429,12 +430,18 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         if not isinstance(exc, BrokenPipeError):
-            print(f"stripes: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
-            return EXIT_USAGE
+            return _fail(f"cannot write stdout: {exc.strerror or exc}", EXIT_USAGE)
     except UnicodeEncodeError as exc:
         char = f"U+{ord(exc.object[exc.start]):04X}"
-        print(f"stripes: cannot write {char} to stdout (encoding {exc.encoding})", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(f"cannot write {char} to stdout (encoding {exc.encoding})", EXIT_USAGE)
+    return code
+
+
+def _fail(message: str, code: int) -> int:
+    # One ``stripes:`` line on stderr, dropped when fd 2 was closed before
+    # the start (``print`` to a ``None`` file would write to stdout).
+    if sys.stderr is not None:
+        print(f"stripes: {message}", file=sys.stderr)
     return code
 
 

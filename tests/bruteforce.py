@@ -65,7 +65,7 @@ from stripes.atlas import (
     Strip,
     StripedAtlas,
     _connected_witnesses,
-    _root_frames,
+    _rows,
     _traverse,
     canonical_form as traversal_canonical_form,
     component_atlases,
@@ -144,18 +144,25 @@ def _relabelled(atlas: StripedAtlas, strip_map, side_flip, reversal) -> StripedA
 
 def connected_witnesses(src: StripedAtlas, dst: StripedAtlas, reference=None):
     """Witnesses from a connected atlas from every root frame of ``dst``
-    whose traversal reads like ``src``'s reference frame, in frame order.
+    whose traversal reads like ``src``'s frame 0, in frame order.
     ``reference``, the package's walk of that frame, is ignored."""
-    text, order, frames = _traverse(src, src.strip_ids[0], 0, 0)
-    for root in _root_frames(dst):
-        other_text, other_order, other_frames = _traverse(dst, *root)
-        if other_text != text:
+
+    def strip_frames(atlas: StripedAtlas, root: int) -> list[tuple[str, int, int]]:
+        # (strip id, side flip, reversal) of each strip in visit order.
+        frames: list[int] = []
+        for _ in _rows(atlas, root, frames):
+            pass
+        return [(atlas.strips[f // 4].id, f // 2 % 2, f % 2) for f in frames]
+
+    text, walk = _traverse(src, 0), strip_frames(src, 0)
+    for root in range(4 * len(dst.strips)):
+        if _traverse(dst, root) != text:
             continue
-        strip_map = dict(zip(order, other_order))
+        other = strip_frames(dst, root)
         yield (
-            strip_map,
-            {s: frames[s][0] ^ other_frames[t][0] for s, t in strip_map.items()},
-            {s: frames[s][1] ^ other_frames[t][1] for s, t in strip_map.items()},
+            {s: t for (s, _, _), (t, _, _) in zip(walk, other)},
+            {s: f ^ g for (s, f, _), (_, g, _) in zip(walk, other)},
+            {s: r ^ q for (s, _, r), (_, _, q) in zip(walk, other)},
         )
 
 

@@ -598,6 +598,34 @@ def test_stdout_that_cannot_be_written_exits_2_with_one_line(atlas_file, tmp_pat
     assert done.stderr == b"stripes: cannot write stdout: No space left on device\n"
 
 
+@pytest.mark.parametrize(
+    "fd, argv, code, out, err",
+    [
+        (1, "kernel {f}", 2, b"", b"stripes: cannot write stdout: Bad file descriptor\n"),
+        (1, "aut {f}", 2, b"", b"stripes: cannot write stdout: Bad file descriptor\n"),
+        (1, "reduce {f} -o {out}", 0, b"", b""),
+        (1, "kernel {missing}", 2, b"", b"stripes: cannot read {missing}: No such file or directory\n"),
+        (2, "kernel {missing}", 2, b"", b""),
+        (2, "kernel {f}", 0, b"TRIVIAL\n", b""),
+    ],
+    ids=["stdout-kernel", "stdout-aut", "stdout-reduce-o", "stdout-error", "stderr-error", "stderr-kernel"],
+)
+def test_stream_closed_before_the_start(atlas_file, tmp_path, fd, argv, code, out, err):
+    # As `>&-` or `2>&-`: the stream is None in the command.  A text for a
+    # closed stdout is one line and exit 2, an empty one keeps the code; a
+    # line for a closed stderr is dropped and the code stands.
+    paths = {"f": atlas_file("PUNCTURED"), "out": tmp_path / "r.atlas", "missing": tmp_path / "missing"}
+    env = dict(os.environ, PYTHONPATH=str(Path(stripes.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "stripes.cli", *argv.format(**paths).split()],
+        capture_output=True,
+        env=env,
+        preexec_fn=lambda: os.close(fd),
+    )
+    err = err.replace(b"{missing}", bytes(paths["missing"]))
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
 def run_cli(*argv: str, **env: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(Path(stripes.__file__).parents[1]), **env)
     return subprocess.run([sys.executable, "-m", "stripes.cli", *argv], capture_output=True, env=env)

@@ -27,7 +27,6 @@ from stripes.atlas import (
     Strip,
     StripedAtlas,
     _connected_witnesses,
-    _root_frames,
     _rows,
     _traverse,
     canonical_form,
@@ -240,11 +239,11 @@ def test_rows_and_texts_partition_the_frames_alike():
     for atlas in exhaustive_family(2, 2):
         if not is_connected(atlas):
             continue
-        for root in _root_frames(atlas):
-            rows = tuple(_rows(atlas, *root, [], {}))
-            text, order, frames = _traverse(atlas, *root)
-            assert len(rows) == len(order) == len(frames) == len(atlas.strips)
-            pairs.add((text, rows))
+        for root in range(4 * len(atlas.strips)):
+            frames: list[int] = []
+            rows = tuple(_rows(atlas, root, frames))
+            assert len(rows) == len(frames) == len(set(f // 4 for f in frames)) == len(atlas.strips)
+            pairs.add((_traverse(atlas, root), rows))
     texts = {text for text, _ in pairs}
     assert len(texts) == len({rows for _, rows in pairs}) == len(pairs)
 
