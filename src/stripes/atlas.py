@@ -23,7 +23,6 @@ starts a comment.  Any interval not named in a ``glue`` line is free.
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, tee
@@ -138,20 +137,35 @@ class Gluing(_GluingFields):
         raise KeyError(f"interval {interval!r} is not an endpoint of this gluing")
 
 
-@dataclass(frozen=True, eq=False)
 class StripedAtlas:
     """A finite set of strips plus gluings between their intervals.
 
-    Values are immutable after construction and all operations on them are
-    pure.  Construction performs no validation; see :func:`validate`.
+    ``StripedAtlas(strips, gluings)`` keeps both as tuples.  Values are
+    immutable after construction and all operations on them are pure.
+    Construction performs no validation; see :func:`validate`.  The
+    fields and the cached indexes below live in the instance dict, and an
+    atlas from :func:`parse_atlas` also holds its mark there (``_parsed``),
+    which equality, hashing and the repr ignore.
     """
 
     strips: tuple[Strip, ...]
     gluings: tuple[Gluing, ...]
+    _parsed = False  # set on the instance by parse_atlas: validate has nothing to find
 
-    def __post_init__(self):
-        object.__setattr__(self, "strips", tuple(self.strips))
-        object.__setattr__(self, "gluings", tuple(self.gluings))
+    def __init__(self, strips, gluings):
+        # Written to the dict: assigning attributes is refused below.
+        fields = self.__dict__
+        fields["strips"] = tuple(strips)
+        fields["gluings"] = tuple(gluings)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a StripedAtlas is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a StripedAtlas is immutable")
+
+    def __repr__(self):
+        return f"StripedAtlas(strips={self.strips!r}, gluings={self.gluings!r})"
 
     # Two atlases are equal when they have the same strips and the same
     # gluings; the order in which either was listed is irrelevant.
@@ -257,10 +271,13 @@ def validate(atlas: StripedAtlas) -> list[str]:
     identifier one token of the text format (a non-empty ``str`` with no
     whitespace and no ``#``), as ``serialize_atlas`` needs.
 
-    A valid atlas is accepted by whole-atlas checks on set sizes, the
-    test of :func:`_distinct` that ``parse_atlas`` also applies, and one
-    join and split of all identifiers.  Only an atlas that fails them is
-    walked, strip by strip and gluing by gluing, to list its problems.
+    An atlas returned by :func:`parse_atlas` carries the parser's proof
+    that it holds no violation, and gets a new empty list at once.  Any
+    other atlas (built by hand, by ``corpus`` or by ``reduction``) is
+    accepted by whole-atlas checks on set sizes, the test of
+    :func:`_distinct` that ``parse_atlas`` also applies, and one join and
+    split of all identifiers.  Only an atlas that fails them is walked,
+    strip by strip and gluing by gluing, to list its problems.
 
     Never raises on values built from :class:`Strip` and :class:`Gluing`:
     the point is to report on hand-built or adversarial values.  An
@@ -268,6 +285,8 @@ def validate(atlas: StripedAtlas) -> list[str]:
     any other identifier that is not a ``str``; a parity such as the
     string ``"+"`` is reported as not ``+`` or ``-``.
     """
+    if atlas._parsed:
+        return []
     try:
         # zip(*()) unpacks to nothing: an atlas without strips is walked.
         ids, side0s, side1s = zip(*atlas.strips)
@@ -432,6 +451,11 @@ def parse_atlas(text: str) -> StripedAtlas:
     strip names, intervals and glue ends, glue ends declared), and known
     parities.  Only a faulty text is walked line by line, to report its
     first fault; an unknown glued interval when there is no other.
+
+    Those checks and the tokens' being split out of the text (non-empty,
+    no whitespace, no ``#``) are every invariant :func:`validate` checks,
+    so the atlas returned is marked as checked and ``validate`` returns
+    ``[]`` for it without a second look.
     """
     lines = text.splitlines()
     if "#" in text:
@@ -466,13 +490,15 @@ def parse_atlas(text: str) -> StripedAtlas:
         parities, ends = list(map(parity_of, symbols)), a + b
     if None in parities or not _distinct(names, declared, ends):
         raise _first_fault(lines)
-    return StripedAtlas(
+    atlas = StripedAtlas(
         tuple([new(Strip, (name, tuple(s0 or ()), tuple(s1 or ()))) for name, s0, s1 in strips]),
         tuple([
             new(Gluing, (a, b, parity) if a <= b else (b, a, parity))
             for (_, a, b, _), parity in zip(glues, parities)
         ]),
     )
+    atlas.__dict__["_parsed"] = True
+    return atlas
 
 
 def _first_fault(lines: list[str]) -> AtlasError:

@@ -1,6 +1,6 @@
-"""The hot value types: strips, gluings, leaf points, dual edges and their
-parts are immutable, normalised, hashable, ordered by their fields and
-picklable; and every atlas the parser accepts is valid."""
+"""The hot value types: strips, gluings, atlases, leaf points, dual edges
+and their parts are immutable, normalised, hashable, ordered by their
+fields and picklable; and every atlas the parser accepts is valid."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stripes.atlas import Gluing, Parity, Strip, parse_atlas, validate
+from bruteforce import validate_stepwise
+from stripes.atlas import Gluing, Parity, Strip, StripedAtlas, parse_atlas, validate
 from stripes.corpus import random_atlas
 from stripes.dualgraph import DualEdge, EdgeEnd, build_dual_graph
 from stripes.leafspace import ArcEnd, Attachment, LeafPoint, build_leaf_space
@@ -28,6 +29,8 @@ BUILDERS = [
     (lambda: LeafPoint(("c",)), "intervals"),
     (lambda: EdgeEnd("S", 0, 1), "strip"),
     (lambda: DualEdge((EdgeEnd("T", 1, 0), EdgeEnd("S", 0, 1)), PLUS), "ends"),
+    (lambda: StripedAtlas((Strip("S", ("a",), ("b",)),), (Gluing("b", "a", PLUS),)), "strips"),
+    (lambda: parse_atlas("strip S\nside0 a\nside1 b\nglue a b +\n"), "gluings"),  # marked
 ]
 IDS = [type(build()).__name__ for build, _ in BUILDERS]
 
@@ -60,6 +63,9 @@ def test_values_are_immutable(build, field):
         setattr(value, field, getattr(value, field))
     with pytest.raises(AttributeError):
         value.extra = 1
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(value, field) == getattr(build(), field)
 
 
 @pytest.mark.parametrize("build, field", BUILDERS, ids=IDS)
@@ -76,6 +82,22 @@ def test_reprs_name_the_type_and_fields():
     )
     assert repr(LeafPoint(("b", "a"))) == "LeafPoint(intervals=('a', 'b'))"
     assert repr(Strip("S")) == "Strip(id='S', side0=(), side1=())"
+    assert repr(parse_atlas("strip S\nside0 a\nside1 b\nglue b a -\n")) == (
+        "StripedAtlas(strips=(Strip(id='S', side0=('a',), side1=('b',)),), "
+        "gluings=(Gluing(a='a', b='b', parity=<Parity.DECREASING: '-'>),))"
+    )
+
+
+def test_atlas_keeps_its_fields_as_tuples():
+    # Keyword construction and list arguments give tuple fields; the
+    # parser's mark takes no part in equality, hashing or the repr.
+    strips, gluings = [Strip("S", ("a",), ("b",))], [Gluing("a", "b", MINUS)]
+    atlas = StripedAtlas(gluings=gluings, strips=strips)
+    assert (atlas.strips, atlas.gluings) == (tuple(strips), tuple(gluings))
+    assert type(atlas.strips) is tuple and type(atlas.gluings) is tuple
+    assert atlas == StripedAtlas(tuple(strips), tuple(gluings))
+    parsed = parse_atlas("strip S\nside0 a\nside1 b\nglue a b -\n")
+    assert parsed == atlas and hash(parsed) == hash(atlas) and repr(parsed) == repr(atlas)
 
 
 def field_key(value):
@@ -143,9 +165,14 @@ def atlas_texts(draw):
 @given(atlas_texts())
 def test_parsed_atlases_are_valid(text):
     # The parser rejects each violation validate reports, so the CLI
-    # validates every file once, while parsing it.
+    # validates every file once, while parsing it, and validate trusts the
+    # parser's mark.  The same atlas rebuilt unmarked takes the full route,
+    # which proves the mark right on every text the parser accepts.
     try:
         atlas = parse_atlas(text)
     except ValueError:
         return
-    assert validate(atlas) == []
+    problems = validate(atlas)
+    assert problems == [] and validate(atlas) is not problems
+    rebuilt = StripedAtlas(atlas.strips, atlas.gluings)
+    assert validate(rebuilt) == [] == validate_stepwise(rebuilt)
