@@ -145,7 +145,8 @@ class StripedAtlas:
     Construction performs no validation; see :func:`validate`.  The
     fields and the cached indexes below live in the instance dict, and an
     atlas from :func:`parse_atlas` also holds its mark there (``_parsed``),
-    which equality, hashing and the repr ignore.
+    which equality, hashing and the repr ignore.  Pickling and copying keep
+    the fields and the mark and drop the indexes.
     """
 
     strips: tuple[Strip, ...]
@@ -179,6 +180,10 @@ class StripedAtlas:
 
     def __hash__(self):
         return hash((frozenset(self.strips), frozenset(self.gluings)))
+
+    def __reduce__(self):
+        # A copy carries the value and the parser's mark, not the cached indexes.
+        return type(self), (self.strips, self.gluings), {"_parsed": True} if self._parsed else None
 
     @cached_property
     def strips_by_id(self) -> dict[str, Strip]:

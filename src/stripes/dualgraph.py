@@ -8,7 +8,6 @@ positions).  Loops and parallel edges are allowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .atlas import Gluing, Parity, Strip, StripedAtlas
@@ -41,8 +40,7 @@ class DualEdge(_DualEdgeFields):
         return f"{self.ends[0].label()}--{self.ends[1].label()} {self.parity.symbol}"
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(NamedTuple):
     """Vertices carry (strip id, |side0|, |side1|); edges are decorated seams."""
 
     vertices: tuple[tuple[str, int, int], ...]

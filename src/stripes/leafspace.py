@@ -22,7 +22,6 @@ is the meet of the closures of its basic neighbourhoods in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -94,19 +93,20 @@ _REGULAR, _SPECIAL = LeafClass.REGULAR, LeafClass.SPECIAL
 _SINGULAR_NON_SPECIAL = LeafClass.SINGULAR_NON_SPECIAL
 
 
-@dataclass
-class LeafSpaceModel:
+class _LeafSpaceModelFields(NamedTuple):
+    arcs: tuple[str, ...]
+    points: tuple[LeafPoint, ...]
+    attachments: dict[LeafPoint, tuple[Attachment, ...]]
+    end_points: dict[ArcEnd, tuple[LeafPoint, ...]]
+
+
+class LeafSpaceModel(_LeafSpaceModelFields):
     """Arcs, leaf points, and their ordered end attachments.
 
     ``end_points`` lists, for every arc end, the leaf point of each interval
     of that side in side order; a seam with both intervals on one end
     appears there twice.  Treated as immutable after construction.
     """
-
-    arcs: tuple[str, ...]
-    points: tuple[LeafPoint, ...]
-    attachments: dict[LeafPoint, tuple[Attachment, ...]]
-    end_points: dict[ArcEnd, tuple[LeafPoint, ...]]
 
     def ends_of(self, point: LeafPoint) -> tuple[ArcEnd, ...]:
         """Distinct arc ends a point attaches to, in attachment order."""
@@ -258,39 +258,41 @@ class Sample(NamedTuple):
         return f"y({self.strip}.{self.side}.{self.depth})"
 
 
-@dataclass
-class FiniteBasisSpace:
+class _FiniteBasisSpaceFields(NamedTuple):
+    ground: frozenset
+    basis: tuple[frozenset, ...]
+
+
+class FiniteBasisSpace(_FiniteBasisSpaceFields):
     """A finite topological space presented by a basis of open sets.
 
     Basic sets are indexed by their position in ``basis``; every ground
     point keeps the indices of the basics that contain it.
     """
 
-    ground: frozenset
-    basis: tuple[frozenset, ...]
-
-    def __post_init__(self):
+    @cached_property
+    def _index(self) -> tuple[dict, frozenset]:
+        # Ground point -> the indices of the basics holding it; the points in none.
         indices: dict = {x: [] for x in self.ground}
         for i, basic in enumerate(self.basis):
             for x in basic:
                 indices[x].append(i)
-        self._indices = indices
-        self._unbased = frozenset(x for x, found in indices.items() if not found)
+        return indices, frozenset(x for x, found in indices.items() if not found)
 
     def neighbourhoods(self, x) -> tuple[frozenset, ...]:
         """All basic open sets containing ``x``."""
-        return tuple(map(self.basis.__getitem__, self._indices[x]))
+        return tuple(map(self.basis.__getitem__, self._index[0][x]))
 
     def closure(self, subset: frozenset) -> frozenset:
         """Points every basic neighbourhood of which meets ``subset``: those
         whose basic indices all lie among the indices of the basics meeting
         it, and vacuously the points with no basic."""
-        indices = self._indices
+        indices, unbased = self._index
         meeting: set[int] = set()
         for y in subset:
             meeting.update(indices.get(y, ()))
         candidates = set().union(*map(self.basis.__getitem__, meeting))
-        return self._unbased | frozenset(
+        return unbased | frozenset(
             x for x in candidates if meeting.issuperset(indices[x])
         )
 

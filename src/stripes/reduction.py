@@ -15,8 +15,8 @@ reduced atlas at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .atlas import Gluing, Parity, Strip, StripedAtlas, component_atlases
 
@@ -27,8 +27,7 @@ class SurfaceKind(Enum):
     OPEN_MOEBIUS_BAND = "moebius"
 
 
-@dataclass(frozen=True)
-class SurfaceClass:
+class SurfaceClass(NamedTuple):
     """Outcome of reducing one connected component.
 
     ``atlas`` carries the reduced atlas for PROPER and is None for the two

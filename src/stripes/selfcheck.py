@@ -23,7 +23,7 @@ those members must also pass the witness-validity oracle,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .atlas import StripedAtlas, component_atlases, is_valid_witness, isomorphic, validate
 from .leafspace import (
@@ -48,8 +48,7 @@ from .symmetry import (
 )
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     component: str
     name: str
     ok: bool
@@ -61,9 +60,16 @@ class CheckResult:
         return f"{status} {self.component}:{self.name}{suffix}"
 
 
-@dataclass
-class SelfCheckReport:
-    results: list[CheckResult] = field(default_factory=list)
+class _SelfCheckReportFields(NamedTuple):
+    results: list[CheckResult]
+
+
+class SelfCheckReport(_SelfCheckReportFields):
+    __slots__ = ()
+
+    def __new__(cls, results: list[CheckResult] | None = None):
+        # A new list per report: a default of [] would be one shared list.
+        return tuple.__new__(cls, ([] if results is None else results,))
 
     @property
     def ok(self) -> bool:
@@ -77,9 +83,7 @@ def selfcheck(atlas: StripedAtlas) -> SelfCheckReport:
     """Run all invariant checks."""
     report = SelfCheckReport()
     problems = validate(atlas)
-    report.results.append(
-        CheckResult("*", "valid-atlas", not problems, "; ".join(problems))
-    )
+    report.results.append(CheckResult("*", "valid-atlas", not problems, "; ".join(problems)))
     if problems:
         return report
     for sub in component_atlases(atlas):
@@ -98,9 +102,7 @@ def _check_component(report: SelfCheckReport, atlas: StripedAtlas, label: str) -
     working_model = build_leaf_space(working)
     model = working_model if own else build_leaf_space(atlas)
     closures, special, boundary = facts = _point_facts(model)
-    add = lambda name, ok, detail="": report.results.append(
-        CheckResult(label, name, ok, detail)
-    )
+    add = lambda name, ok, detail="": report.results.append(CheckResult(label, name, ok, detail))
 
     # Interval bookkeeping: every interval in exactly one point.
     counted = sorted(

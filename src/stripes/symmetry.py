@@ -46,8 +46,8 @@ already decided, under the symmetries found so far, is not searched.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 from .atlas import (
     DisconnectedAtlasError,
@@ -294,8 +294,7 @@ def _require_connected(atlas: StripedAtlas) -> None:
         raise DisconnectedAtlasError("atlas disconnected - apply per component")
 
 
-@dataclass(frozen=True)
-class KernelResult:
+class KernelResult(NamedTuple):
     """Trivial kernel (witness None) or order two with its witness."""
 
     witness: AtlasAutomorphism | None
@@ -378,8 +377,7 @@ def leaf_action_kernel(atlas: StripedAtlas) -> KernelResult:
     return _working_atlas(atlas, _reduce_connected(atlas))[1]
 
 
-@dataclass(frozen=True)
-class HomeotopyReport:
+class HomeotopyReport(NamedTuple):
     """Group sizes around the induced leaf-space action.
 
     ``leaf_model_aut_order`` counts incidence-preserving symmetries of the

@@ -4,9 +4,9 @@ each CLI command loads only the modules it uses."""
 from __future__ import annotations
 
 import os
+import pkgutil
 import subprocess
 import sys
-from dataclasses import replace
 from importlib import import_module
 from pathlib import Path
 
@@ -35,15 +35,12 @@ PUBLIC = {
     "leaf_action_kernel leaf_model_automorphism_count reversal_witness",
 }
 HOME = {name: module for module, names in PUBLIC.items() for name in names.split()}
-# The modules that still define their types with ``dataclasses``; ``atlas``
-# does not, so a command that loads none of these does not load it.
-DATACLASS_MODULES = {"leafspace", "reduction", "symmetry", "selfcheck", "dualgraph"}
 
 
 def loaded_after(code: str, *args: str) -> set[str]:
     """The ``stripes`` modules a fresh interpreter holds after ``code``, and
     ``argparse`` and ``dataclasses`` if it holds them: the CLI reads its
-    argv without the one, and ``atlas`` defines its types without the other."""
+    argv without the one, and no module defines its types with the other."""
     probe = code + (
         "\nimport sys"
         "\nsys.stdout.flush()"
@@ -93,9 +90,14 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, modules):
     args = [arg.format(**paths) for arg in argv]
     code = "import sys\nfrom stripes.cli import main\nassert main(sys.argv[1:]) == 0"
     expected = {"stripes", "stripes.cli", "stripes.atlas"} | {f"stripes.{m}" for m in modules.split()}
-    if DATACLASS_MODULES & set(modules.split()):
-        expected.add("dataclasses")
     assert loaded_after(code, *args) == expected
+
+
+def test_no_submodule_loads_dataclasses():
+    # fixtures, corpus and render included, which no command loads alone.
+    names = {f"stripes.{m.name}" for m in pkgutil.iter_modules(stripes.__path__)}
+    assert {"stripes.cli", "stripes.fixtures", "stripes.corpus", "stripes.render"} <= names
+    assert loaded_after("".join(f"import {name}\n" for name in names)) == {"stripes", *names}
 
 
 def test_all_holds_the_public_names():
@@ -178,7 +180,7 @@ def test_cli_names_can_be_substituted_and_restored(monkeypatch, capsys):
         assert cli.main(list(argv)) == 0
         return capsys.readouterr().out
 
-    monkeypatch.setattr(cli, "homeotopy_report", lambda a: replace(real_report(a), aut_order=-1))
+    monkeypatch.setattr(cli, "homeotopy_report", lambda a: real_report(a)._replace(aut_order=-1))
     monkeypatch.setattr(cli, "isomorphic", lambda a, b: None)
     assert printed("report", plane).startswith("autOrder -1\n")
     assert printed("iso", plane, plane) == "NOT-ISOMORPHIC\n"

@@ -1,20 +1,37 @@
-"""The hot value types: strips, gluings, atlases, leaf points, dual edges
-and their parts are immutable, normalised, hashable, ordered by their
-fields and picklable; and every atlas the parser accepts is valid."""
+"""The value types: strips, gluings, atlases, leaf points, dual edges and
+their parts are immutable, normalised, hashable, ordered by their fields
+and picklable, as are the records that reduction, the kernel, the report,
+the dual graph and selfcheck return; and every atlas the parser accepts
+is valid."""
 
 from __future__ import annotations
 
+import copy
 import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stripes.atlas
 from bruteforce import validate_stepwise
-from stripes.atlas import Gluing, Parity, Strip, StripedAtlas, parse_atlas, validate
-from stripes.corpus import random_atlas
+from stripes.atlas import (
+    Gluing,
+    Parity,
+    Strip,
+    StripedAtlas,
+    canonical_form,
+    parse_atlas,
+    serialize_atlas,
+    validate,
+)
+from stripes.corpus import necklace, random_atlas
 from stripes.dualgraph import DualEdge, EdgeEnd, build_dual_graph
+from stripes.fixtures import fixture_atlas
 from stripes.leafspace import ArcEnd, Attachment, LeafPoint, build_leaf_space
+from stripes.reduction import SurfaceClass, SurfaceKind, reduce_component
+from stripes.selfcheck import CheckResult
+from stripes.symmetry import homeotopy_report, leaf_action_kernel
 
 PLUS, MINUS = Parity.INCREASING, Parity.DECREASING
 
@@ -31,6 +48,15 @@ BUILDERS = [
     (lambda: DualEdge((EdgeEnd("T", 1, 0), EdgeEnd("S", 0, 1)), PLUS), "ends"),
     (lambda: StripedAtlas((Strip("S", ("a",), ("b",)),), (Gluing("b", "a", PLUS),)), "strips"),
     (lambda: parse_atlas("strip S\nside0 a\nside1 b\nglue a b +\n"), "gluings"),  # marked
+    # The records.  Their kernels are trivial: a witness is of a slotted
+    # class, which pickles its slots under protocols 0 and 1 only since
+    # Python 3.11 gave every object a default ``__getstate__``.
+    (lambda: reduce_component(fixture_atlas("LADDER")), "atlas"),
+    (lambda: SurfaceClass(SurfaceKind.OPEN_MOEBIUS_BAND), "kind"),
+    (lambda: leaf_action_kernel(fixture_atlas("PUNCTURED")), "witness"),
+    (lambda: homeotopy_report(fixture_atlas("PUNCTURED")), "kernel"),
+    (lambda: build_dual_graph(fixture_atlas("SAMESIDE")), "edges"),
+    (lambda: CheckResult("N0", "hcl-symmetry", False, "drift"), "ok"),
 ]
 IDS = [type(build()).__name__ for build, _ in BUILDERS]
 
@@ -98,6 +124,29 @@ def test_atlas_keeps_its_fields_as_tuples():
     assert atlas == StripedAtlas(tuple(strips), tuple(gluings))
     parsed = parse_atlas("strip S\nside0 a\nside1 b\nglue a b -\n")
     assert parsed == atlas and hash(parsed) == hash(atlas) and repr(parsed) == repr(atlas)
+
+
+def test_atlas_pickles_to_its_value_and_mark():
+    atlas = parse_atlas(serialize_atlas(necklace(60)))
+    size = len(pickle.dumps(atlas))
+    canonical_form(atlas)
+    atlas.locations, atlas.components  # noqa: B018
+    assert len(pickle.dumps(atlas)) == size
+    for twin in (pickle.loads(pickle.dumps(atlas)), copy.deepcopy(atlas), copy.copy(atlas)):
+        assert twin == atlas and twin._parsed and "locations" not in vars(twin)
+    assert not pickle.loads(pickle.dumps(necklace(3)))._parsed
+
+
+def test_unpickled_parsed_atlas_keeps_the_parsers_mark(monkeypatch):
+    copied = pickle.loads(pickle.dumps(fixture_atlas("LADDER")))
+
+    def walked(*args):
+        raise AssertionError("validate checked a parsed atlas")
+
+    monkeypatch.setattr(stripes.atlas, "_distinct", walked)
+    assert validate(copied) == []
+    with pytest.raises(AssertionError):
+        validate(StripedAtlas(copied.strips, copied.gluings))
 
 
 def field_key(value):
