@@ -60,16 +60,8 @@ class CheckResult(NamedTuple):
         return f"{status} {self.component}:{self.name}{suffix}"
 
 
-class _SelfCheckReportFields(NamedTuple):
+class SelfCheckReport(NamedTuple):
     results: list[CheckResult]
-
-
-class SelfCheckReport(_SelfCheckReportFields):
-    __slots__ = ()
-
-    def __new__(cls, results: list[CheckResult] | None = None):
-        # A new list per report: a default of [] would be one shared list.
-        return tuple.__new__(cls, ([] if results is None else results,))
 
     @property
     def ok(self) -> bool:
@@ -81,9 +73,11 @@ class SelfCheckReport(_SelfCheckReportFields):
 
 def selfcheck(atlas: StripedAtlas) -> SelfCheckReport:
     """Run all invariant checks."""
-    report = SelfCheckReport()
+    report = SelfCheckReport([])
     problems = validate(atlas)
-    report.results.append(CheckResult("*", "valid-atlas", not problems, "; ".join(problems)))
+    report.results.append(
+        CheckResult("*", "valid-atlas", not problems, "; ".join(problems))
+    )
     if problems:
         return report
     for sub in component_atlases(atlas):
@@ -102,7 +96,9 @@ def _check_component(report: SelfCheckReport, atlas: StripedAtlas, label: str) -
     working_model = build_leaf_space(working)
     model = working_model if own else build_leaf_space(atlas)
     closures, special, boundary = facts = _point_facts(model)
-    add = lambda name, ok, detail="": report.results.append(CheckResult(label, name, ok, detail))
+    add = lambda name, ok, detail="": report.results.append(
+        CheckResult(label, name, ok, detail)
+    )
 
     # Interval bookkeeping: every interval in exactly one point.
     counted = sorted(
