@@ -25,7 +25,7 @@ from __future__ import annotations
 from copy import copy
 from enum import Enum
 from functools import cached_property
-from itertools import chain, tee
+from itertools import tee
 from typing import Callable, Iterator, NamedTuple
 
 
@@ -272,75 +272,25 @@ def validate(atlas: StripedAtlas) -> list[str]:
 
     Checked invariants: unique strip ids, globally unique interval names,
     gluing endpoints exist, no interval glued to itself, no interval in
-    more than one gluing, every parity a :class:`Parity` member, every
-    identifier one token of the text format (a non-empty ``str`` with no
-    whitespace and no ``#``), as ``serialize_atlas`` needs.
+    more than one gluing, every parity a :class:`Parity` member, every side
+    a tuple, every identifier one token of the text format (a non-empty
+    ``str`` with no whitespace and no ``#``), as ``serialize_atlas`` needs.
 
     An atlas returned by :func:`parse_atlas` carries the parser's proof
     that it holds no violation, and gets a new empty list at once.  Any
     other atlas (built by hand, by ``corpus`` or by ``reduction``) is
-    accepted by whole-atlas checks on set sizes, the test of
-    :func:`_distinct` that ``parse_atlas`` also applies, and one join and
-    split of all identifiers.  Only an atlas that fails them is walked,
-    strip by strip and gluing by gluing, to list its problems.
+    walked, strip by strip and gluing by gluing, to list every problem.
 
     Never raises on values built from :class:`Strip` and :class:`Gluing`:
-    the point is to report on hand-built or adversarial values.  An
-    identifier that cannot be hashed is reported as not one token, as is
-    any other identifier that is not a ``str``; a parity such as the
-    string ``"+"`` is reported as not ``+`` or ``-``.
+    the point is to report on hand-built or adversarial values.  A side
+    that is not a tuple (``None``, a ``str``, a ``list``) is reported once,
+    and its entries take part in no other check.  An identifier that
+    cannot be hashed is reported as not one token, as is any other
+    identifier that is not a ``str``; it takes part in no duplicate check.
+    A parity such as the string ``"+"`` is reported as not ``+`` or ``-``.
     """
     if atlas._parsed:
         return []
-    try:
-        # zip(*()) unpacks to nothing: an atlas without strips is walked.
-        ids, side0s, side1s = zip(*atlas.strips)
-        intervals = list(chain(*side0s, *side1s))
-        ends, parities = (), ()
-        if atlas.gluings:
-            a, b, parities = zip(*atlas.gluings)
-            ends = a + b
-        words = [*ids, *intervals]
-        joined = " ".join(words)  # TypeError unless every identifier is a str
-        if (
-            _distinct(ids, intervals, ends)
-            and parities.count(_INCREASING) + parities.count(_DECREASING) == len(parities)
-            and "#" not in joined
-            and joined.split() == words
-        ):
-            return []
-    except (TypeError, ValueError):
-        pass  # not accepted: an identifier is not a hashable str, or no strips
-    return _problems(atlas)
-
-
-def _distinct(ids, intervals, ends) -> bool:
-    """The set-size half of a valid atlas: distinct strip ids, distinct
-    intervals, and distinct glue ends (both ends of every gluing) that are
-    all declared intervals."""
-    known, glued = set(intervals), set(ends)
-    return (
-        len(known) == len(intervals)
-        and len(glued) == len(ends)
-        and glued <= known
-        and len(set(ids)) == len(ids)
-    )
-
-
-def _hashable(value) -> bool:
-    try:
-        hash(value)
-    except TypeError:
-        return False
-    return True
-
-
-def _problems(atlas: StripedAtlas) -> list[str]:
-    # What validate returns on an atlas that its whole-atlas checks do not
-    # accept: every violation, found one strip, interval and gluing at a
-    # time.  An unhashable identifier takes part in no duplicate check; the
-    # identifier check at the end (on a strip) or the gluing loop (on a
-    # gluing end) reports it.
     problems: list[str] = []
 
     seen_strips: set[str] = set()
@@ -351,10 +301,16 @@ def _problems(atlas: StripedAtlas) -> list[str]:
             problems.append(f"duplicate strip id {s.id!r}")
         seen_strips.add(s.id)
 
+    names: list = []  # each strip's id, then the entries of its tuple sides
     seen_intervals: set[str] = set()
     for s in atlas.strips:
-        for which in (0, 1):
-            for name in s.side(which):
+        names.append(s.id)
+        for which, side in ((0, s.side0), (1, s.side1)):
+            if not isinstance(side, tuple):
+                problems.append(f"side{which} of strip {s.id!r} is not a tuple of identifiers")
+                continue
+            names += side
+            for name in side:
                 if not _hashable(name):
                     continue
                 if name in seen_intervals:
@@ -378,10 +334,18 @@ def _problems(atlas: StripedAtlas) -> list[str]:
         if count > 1:
             problems.append(f"interval {name!r} multiply glued")
 
-    for name in [n for s in atlas.strips for n in (s.id, *s.side0, *s.side1)]:
+    for name in names:
         if not isinstance(name, str) or "#" in name or name.split() != [name]:
             problems.append(f"identifier {name!r} is not one token of the text format")
     return problems
+
+
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
 
 
 def is_valid(atlas: StripedAtlas) -> bool:
@@ -451,14 +415,15 @@ def parse_atlas(text: str) -> StripedAtlas:
 
     Identifiers are preserved verbatim.  Gluings may reference intervals
     declared on any line, earlier or later.  One loop sorts the lines into
-    strips, sides and glue rows; whole-text checks accept the text: the set
-    sizes of :func:`_distinct`, which ``validate`` also applies (distinct
-    strip names, intervals and glue ends, glue ends declared), and known
-    parities.  Only a faulty text is walked line by line, to report its
-    first fault; an unknown glued interval when there is no other.
+    strips, sides and glue rows; whole-text checks on set sizes accept the
+    text (distinct strip names, intervals and glue ends, glue ends
+    declared), with known parities.  Only a faulty text is walked line by
+    line, to report its first fault; an unknown glued interval when there
+    is no other.
 
-    Those checks and the tokens' being split out of the text (non-empty,
-    no whitespace, no ``#``) are every invariant :func:`validate` checks,
+    Those checks, the tokens' being split out of the text (non-empty, no
+    whitespace, no ``#``) and the sides' being built as tuples are every
+    invariant :func:`validate` checks,
     so the atlas returned is marked as checked and ``validate`` returns
     ``[]`` for it without a second look.
     """
@@ -493,7 +458,14 @@ def parse_atlas(text: str) -> StripedAtlas:
     if glues:
         _, a, b, symbols = zip(*glues)
         parities, ends = list(map(parity_of, symbols)), a + b
-    if None in parities or not _distinct(names, declared, ends):
+    known, glued = set(declared), set(ends)
+    if (
+        None in parities
+        or len(known) != len(declared)
+        or len(glued) != len(ends)
+        or not glued <= known
+        or len(set(names)) != len(names)
+    ):
         raise _first_fault(lines)
     atlas = StripedAtlas(
         tuple([new(Strip, (name, tuple(s0 or ()), tuple(s1 or ()))) for name, s0, s1 in strips]),

@@ -617,10 +617,12 @@ def _hashable(value) -> bool:
 
 def validate_stepwise(atlas: StripedAtlas) -> list[str]:
     """Every invariant violation, found one strip, interval, gluing and
-    identifier at a time.  An unhashable identifier takes part in no
-    duplicate check: on a strip the identifier check reports it, as a
-    gluing end the gluing loop does; a parity that is not a ``Parity``
-    member is reported with its gluing."""
+    identifier at a time.  A side that is not a tuple is reported when the
+    intervals are counted, and its entries are left out of every check.
+    An unhashable identifier takes part in no duplicate check: on a strip
+    the identifier check reports it, as a gluing end the gluing loop does;
+    a parity that is not a ``Parity`` member is reported with its
+    gluing."""
     problems: list[str] = []
 
     seen_strips: set[str] = set()
@@ -634,6 +636,9 @@ def validate_stepwise(atlas: StripedAtlas) -> list[str]:
     seen_intervals: set[str] = set()
     for s in atlas.strips:
         for which in (0, 1):
+            if not isinstance(s.side(which), tuple):
+                problems.append(f"side{which} of strip {s.id!r} is not a tuple of identifiers")
+                continue
             for name in s.side(which):
                 if not _hashable(name):
                     continue
@@ -658,9 +663,11 @@ def validate_stepwise(atlas: StripedAtlas) -> list[str]:
         if count > 1:
             problems.append(f"interval {name!r} multiply glued")
 
-    for name in [n for s in atlas.strips for n in (s.id, *s.side0, *s.side1)]:
-        if not isinstance(name, str) or "#" in name or name.split() != [name]:
-            problems.append(f"identifier {name!r} is not one token of the text format")
+    for s in atlas.strips:
+        sides = [side for side in (s.side0, s.side1) if isinstance(side, tuple)]
+        for name in (s.id, *itertools.chain(*sides)):
+            if not isinstance(name, str) or "#" in name or name.split() != [name]:
+                problems.append(f"identifier {name!r} is not one token of the text format")
     return problems
 
 

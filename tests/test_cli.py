@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import stripes
 from bruteforce import argparse_values
+from conftest import patch_everywhere
 from dot_grammar import DotError, parse_dot, undeclared_ends
 from stripes.atlas import (
     AtlasError,
@@ -24,6 +25,7 @@ from stripes.atlas import (
     iter_witnesses,
     parse_atlas,
     serialize_atlas,
+    validate,
 )
 from stripes.cli import COMMANDS, SystemExit2, _read, main
 from stripes.corpus import necklace, random_atlas
@@ -687,6 +689,52 @@ def test_internal_error_exits_4_with_one_line(atlas_file, capsys, monkeypatch):
     code, out, err = run(capsys, "kernel", atlas_file("CYL"))
     assert (code, out) == (4, "")
     assert err == "stripes: internal error: exceptional component without a reversal\n"
+
+
+def command_forms(paths: list[str], svg: str, out: str) -> list[list[str]]:
+    """Every form of every command in ``COMMANDS`` on the atlas files
+    ``paths``: each file command alone and with each of its options, and
+    ``iso`` on every pair."""
+    forms = [["iso", path, other] for path in paths for other in paths]
+    for path in paths:
+        for name, command in COMMANDS.items():
+            if command.positionals == ("FILE",):
+                forms.append([name, path])
+        forms += [
+            ["leafspace", path, "--dot"],
+            ["leafspace", path, "--svg", svg],
+            ["reduce", path, "-o", out],
+            ["dual", path, "--dot"],
+        ]
+    random = ["random", "--strips", "3", "--max-ints", "2", "--seed", "1"]
+    return forms + [random, [*random, "--glue-prob", "0.5"], [*random, "-o", out]]
+
+
+def test_no_command_validates_an_unmarked_atlas(atlas_file, capsys, monkeypatch, tmp_path):
+    # Every atlas a command validates comes from parse_atlas and carries its
+    # mark, so validate's walk serves no command; were a command to validate
+    # a reduced or hand-built atlas, the walk's cost would count again.
+    # selfcheck is imported first, so that its own name for validate is
+    # patched too.
+    import stripes.selfcheck  # noqa: F401
+
+    paths = [atlas_file(name, f"{name}.atlas") for name in FIXTURE_NAMES]
+    forms = command_forms(paths, str(tmp_path / "out.svg"), str(tmp_path / "out.atlas"))
+    spelled = {(argv[0], token) for argv in forms for token in argv[1:]}
+    for name, command in COMMANDS.items():
+        assert {(name, spelling) for spelling in command.options} <= spelled, name
+    plain = [run(capsys, *argv)[:2] for argv in forms]
+
+    validated = []
+
+    def marked_only(atlas):
+        validated.append(atlas._parsed)
+        return validate(atlas)
+
+    patch_everywhere(monkeypatch, validate, marked_only)
+    assert [run(capsys, *argv)[:2] for argv in forms] == plain
+    assert validated and all(validated)
+    assert {code for code, _ in plain} == {0}
 
 
 # ``aut`` prints one line per automorphism, and repeated components

@@ -31,7 +31,9 @@ from stripes.fixtures import fixture_atlas
 from stripes.leafspace import build_leaf_space
 from stripes.reduction import SurfaceKind, reduce_component
 from stripes.symmetry import (
+    _reduce_connected,
     _reversal,
+    _working_atlas,
     enumerate_automorphisms,
     homeotopy_report,
     induced_leaf_map,
@@ -106,6 +108,24 @@ def test_random_corpus_matches_oracles():
     assert sum(leaf_action_kernel(sub).is_trivial for sub in corpus) >= 50
     assert [sub for sub in corpus if not same_count(sub)] == []
     assert [sub for sub in corpus if not same_kernel(sub)] == []
+
+
+def counted_image(atlas) -> bool:
+    """Whether ψ₀'s image, counted as the distinct leaf maps the working
+    atlas's automorphisms induce, has the order ``report`` gives, and
+    divides the leaf-model order.  So ψ₀'s fibres are the kernel's cosets,
+    found by counting rather than by dividing |Aut| by the kernel."""
+    working = _working_atlas(atlas, _reduce_connected(atlas))[0]
+    model = build_leaf_space(working)
+    images = {induced_leaf_map(model, aut) for aut in enumerate_automorphisms(working)}
+    report = homeotopy_report(atlas)
+    return len(images) == report.image_order and report.leaf_model_aut_order % len(images) == 0
+
+
+def test_psi_image_is_counted_on_both_corpora():
+    corpus = [*exhaustive_components(), *random_components()]
+    assert len(corpus) > 14_000
+    assert [sub for sub in corpus if not counted_image(sub)] == []
 
 
 @pytest.mark.parametrize("n", range(1, 7))

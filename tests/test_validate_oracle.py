@@ -1,13 +1,13 @@
 """``validate`` against the walk oracle ``validate_stepwise``.
 
-``validate`` accepts a valid atlas by whole-atlas set sizes and one join
-and split of its identifiers, and walks only an atlas that fails them.
-On every atlas value, valid or not, it must return what the oracle
-returns: the same problems in the same order, and never raise.  The
-atlases are built by hand, not through the parser: strip ids and
-intervals repeat, intervals are glued to themselves, twice or to unknown
-names, identifiers are empty, hold whitespace or ``#``, are not strings
-or cannot be hashed, and parities are not ``Parity`` members.  The
+``validate`` returns ``[]`` at once for an atlas that ``parse_atlas``
+marked, and walks any other atlas.  On every atlas value, valid or not,
+it must return what the oracle returns: the same problems in the same
+order, and never raise.  The atlases are built by hand, not through the
+parser: strip ids and intervals repeat, intervals are glued to
+themselves, twice or to unknown names, sides are not tuples, identifiers
+are empty, hold whitespace or ``#``, are not strings or cannot be
+hashed, and parities are not ``Parity`` members.  The
 package's corpora must validate, and at scale an atlas with one fault on
 its last strip or gluing must be walked to the oracle's problems.
 """
@@ -35,7 +35,9 @@ from test_reduction_oracle import chain
 # str.split knows (\x1c, \xa0, \u2028) or "#", not a str, or unhashable.
 ODD = ("", "a b", "x\x1c", "\xa0", "y\u2028", "#", "a#b", 3, None, b"a", ("a",), ["a"])
 BAD_PARITIES = ("+", "-", None, 0, ["+"])
-FAULTS = ("strip id", "interval", "self", "twice", "unknown", "identifier", "end", "parity")
+FAULTS = ("strip id", "interval", "self", "twice", "unknown", "side", "identifier", "end", "parity")
+# What a side fault makes of a side's names: a side that is not a tuple.
+SIDE_FORMS = (lambda names: None, lambda names: "".join(map(str, names)), list)
 
 
 @st.composite
@@ -43,8 +45,9 @@ def hand_built(draw) -> StripedAtlas:
     """A valid atlas of up to three strips and six intervals, then up to
     three faults: a repeated strip id or interval, a gluing of an interval
     to itself, a second gluing of a glued interval, a gluing to an unknown
-    name, an odd strip id, interval or gluing end, or a parity that is not
-    a ``Parity`` member."""
+    name, a side that is ``None``, a ``str`` or a ``list``, an odd strip
+    id, interval or gluing end, or a parity that is not a ``Parity``
+    member."""
     ids = draw(st.lists(st.sampled_from("STU"), max_size=3, unique=True))
     names = draw(st.lists(st.sampled_from("abcdef"), max_size=6, unique=True)) if ids else []
     strips = [[sid, [], []] for sid in ids]
@@ -56,6 +59,7 @@ def hand_built(draw) -> StripedAtlas:
         [order[2 * k], order[2 * k + 1], draw(st.sampled_from(list(Parity)))] for k in range(count)
     ]
     anything = st.sampled_from(["z", *ODD, *names])
+    forms = {}  # (strip index, 1 or 2) -> the form of that side
     for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=3)):
         if fault == "strip id" and strips:
             strips.append([draw(st.sampled_from(strips))[0], [], []])
@@ -69,6 +73,9 @@ def hand_built(draw) -> StripedAtlas:
             gluings.append([glued, draw(anything), Parity.DECREASING])
         elif fault == "unknown":
             gluings.append([draw(anything), draw(st.sampled_from(["z", *ODD])), Parity.INCREASING])
+        elif fault == "side" and strips:
+            at = (draw(st.integers(0, len(strips) - 1)), draw(st.integers(1, 2)))
+            forms[at] = draw(st.sampled_from(SIDE_FORMS))
         elif fault == "identifier" and strips:
             strip = draw(st.sampled_from(strips))
             where = strip[1] + strip[2]
@@ -83,8 +90,9 @@ def hand_built(draw) -> StripedAtlas:
             draw(st.sampled_from(gluings))[2] = draw(st.sampled_from(BAD_PARITIES))
     # Gluings are built as given: Gluing() would order a and b, and mixed
     # types do not order.
+    side = lambda k, slot: forms.get((k, slot), tuple)(strips[k][slot])
     return StripedAtlas(
-        tuple(Strip(sid, tuple(side0), tuple(side1)) for sid, side0, side1 in strips),
+        tuple(Strip(strip[0], side(k, 1), side(k, 2)) for k, strip in enumerate(strips)),
         tuple(tuple.__new__(Gluing, tuple(g)) for g in gluings),
     )
 
@@ -121,8 +129,19 @@ def test_validate_matches_stepwise_oracle(atlas):
             StripedAtlas((Strip("S", ("a", "b"), ()),), (Gluing("a", "b", "+"),)),
             "gluing of 'a' and 'b' has parity '+', not '+' or '-'",
         ),
+        (StripedAtlas((Strip("S", None, ()),), ()), "side0 of strip 'S' is not a tuple of identifiers"),
+        (StripedAtlas((Strip("S", "ab", ()),), ()), "side0 of strip 'S' is not a tuple of identifiers"),
+        (StripedAtlas((Strip("S", ["a"], ()),), ()), "side0 of strip 'S' is not a tuple of identifiers"),
     ],
-    ids=["unhashable-strip-id", "unhashable-interval", "unhashable-glue-end", "str-parity"],
+    ids=[
+        "unhashable-strip-id",
+        "unhashable-interval",
+        "unhashable-glue-end",
+        "str-parity",
+        "none-side",
+        "str-side",
+        "list-side",
+    ],
 )
 def test_validate_reports_what_used_to_raise_or_pass(atlas, problem):
     assert validate(atlas) == [problem] == validate_stepwise(atlas)
