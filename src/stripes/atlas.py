@@ -524,7 +524,7 @@ def _first_fault(lines: list[str]) -> AtlasError:
         for end in (a, b):
             if end not in declared:
                 return AtlasError(f"glue references unknown interval {end!r}", lineno)
-    raise AssertionError("parse_atlas found a fault that the line walk does not")
+    raise RuntimeError("parse_atlas found a fault that the line walk does not")
 
 
 def serialize_atlas(atlas: StripedAtlas) -> str:

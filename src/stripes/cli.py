@@ -16,8 +16,9 @@ that cannot be read or written, a stdout that cannot be written: one
 stdout whose encoding cannot carry the output: one ``stripes: cannot
 write U+03A9 to stdout (encoding ascii)`` line), 3 precondition error
 (for example a disconnected atlas passed to ``kernel``), 4 internal error
-(a guard on a fact the package proves did not hold; one ``stripes:
-internal error: ...`` line).  A reader that closes stdout early
+(a guard on a fact the package proves did not hold, such as a fault that
+``parse_atlas`` finds but the line walk wording its message does not; one
+``stripes: internal error: ...`` line).  A reader that closes stdout early
 (``stripes aut FILE | head -n 1``) ends the command quietly with the exit
 code it already had: 0, or 1 for a failed selfcheck.
 

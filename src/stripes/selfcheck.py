@@ -13,11 +13,13 @@ enumerated automorphisms and their leaf maps from :func:`induced_leaf_map`
 compose through their own methods, on position codes, so a product is
 one pick of entries out of the generator's table.  The kernel comes from
 the same route as in ``kernel`` and ``report``, read off the working
-atlas's sides, and the witness cross-check compares its reversal with
-the members of the working atlas's enumerated group that act trivially
-on the leaf space: the reduced atlas's group on a proper component, the
-group of the canonical one-strip atlas on an exceptional one.  Each of
-those members must also pass the witness-validity oracle,
+atlas's sides: the reduced atlas of a proper component, the canonical
+one-strip atlas of a cylinder or Moebius band.  The same two checks run
+for every kind.  The kernel dichotomy and the witness cross-check compare
+the kernel with the members of the working atlas's enumerated group that
+act trivially on the leaf space, and the cross-check requires the
+input's own all-leaf reversal to exist exactly when the kernel's does.
+Each of those members must also pass the witness-validity oracle,
 ``is_valid_witness``, on the working atlas; no other command runs it.
 """
 
@@ -39,7 +41,6 @@ from .leafspace import (
 )
 from .reduction import SurfaceKind, is_reduced, reduce_component
 from .symmetry import (
-    AtlasAutomorphism,
     _reversal,
     _working_atlas,
     enumerate_automorphisms,
@@ -88,10 +89,10 @@ def selfcheck(atlas: StripedAtlas) -> SelfCheckReport:
 
 def _check_component(report: SelfCheckReport, atlas: StripedAtlas, label: str) -> None:
     # The kernel's route gives the working atlas (the reduction, or the
-    # canonical atlas of an exceptional kind) and the kernel; a reduced
-    # component is its own working atlas and shares its model.
+    # canonical atlas of an exceptional kind) and the kernel; a component
+    # that is its own working atlas shares its model.
     outcome = reduce_component(atlas)
-    working, kernel = _working_atlas(atlas, outcome)
+    working, kernel = _working_atlas(outcome)
     own = working == atlas
     working_model = build_leaf_space(working)
     model = working_model if own else build_leaf_space(atlas)
@@ -157,25 +158,15 @@ def _check_component(report: SelfCheckReport, atlas: StripedAtlas, label: str) -
         is_valid_witness(working, working, aut.strip_map, aut.side_flip, aut.reversal)
         for aut in members
     )
-    if outcome.kind is SurfaceKind.PROPER:
-        # The input's own reversal must exist exactly when the kernel's does.
-        witness = kernel.witness if own else _reversal(atlas)
-        add("kernel-dichotomy", *_kernel_dichotomy(members))
-        add(
-            "witness-crosscheck",
-            valid
-            and nontrivial == ([] if kernel.is_trivial else [kernel.witness])
-            and (witness is not None) == (not kernel.is_trivial),
-        )
-    else:
-        # The canonical atlas's group gives the kernel independently: the
-        # kernel's witness must be its one non-identity member, carried to
-        # every strip.
-        add("kernel-dichotomy", kernel.order == 2)
-        add(
-            "witness-crosscheck",
-            valid and [kernel.witness] == [_on_every_strip(aut, atlas) for aut in nontrivial],
-        )
+    # The input's own reversal must exist exactly when the kernel's does.
+    witness = kernel.witness if own else _reversal(atlas)
+    add("kernel-dichotomy", *_kernel_dichotomy(members))
+    add(
+        "witness-crosscheck",
+        valid
+        and nontrivial == ([] if kernel.is_trivial else [kernel.witness])
+        and (witness is not None) == (not kernel.is_trivial),
+    )
 
     # Reduction invariants.
     ok = True
@@ -217,18 +208,8 @@ def _point_facts(model: LeafSpaceModel):
     return closures, special_points(model), boundary_points(model)
 
 
-def _on_every_strip(aut: AtlasAutomorphism, atlas: StripedAtlas) -> AtlasAutomorphism:
-    """A one-strip automorphism fixing its strip, with its side flip and
-    reversal bits on every strip of ``atlas``."""
-    ids = atlas.strip_ids
-    (flip,), (reversal,) = aut.side_flip.values(), aut.reversal.values()
-    return AtlasAutomorphism(
-        dict(zip(ids, ids)), dict.fromkeys(ids, flip), dict.fromkeys(ids, reversal)
-    )
-
-
 def _kernel_dichotomy(members) -> tuple[bool, str]:
-    """Whether ``members``, the automorphisms of a reduced component that act
+    """Whether ``members``, the automorphisms of a working atlas that act
     trivially on the leaf space, are the identity and at most one more
     element, none with non-constant reversal bits; and the FAIL detail."""
     nontrivial = [aut for aut in members if not aut.is_identity]

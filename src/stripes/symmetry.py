@@ -24,15 +24,17 @@ in place with all leaf points fixed, and its reversal bits then agree
 across every gluing, hence are constant on a connected atlas.  So the
 kernel is trivial or holds one more element, the all-ones reversal, which
 fixes every leaf point exactly when every side lists its leaf points (one
-per gluing or free interval) the same forwards and backwards.  One route,
-taken by :func:`leaf_action_kernel`, :func:`homeotopy_report` and
-``selfcheck``, picks the working atlas (reduced, or the canonical one-strip
-atlas of an exceptional kind) and reads the kernel off the sides in
-O(size), with no model and no psi; ``selfcheck`` checks both facts on the
-working atlas's group.  The kernel and the report reduce first and check
-connectivity after: reduction keeps the number of components, so a proper
-input is checked on its reduced atlas, often far smaller, and the input's
-own components are found only for a cylinder or Moebius outcome.
+per gluing or free interval) the same forwards and backwards.  One route
+for every kind, taken by :func:`leaf_action_kernel`,
+:func:`homeotopy_report` and ``selfcheck``, picks the working atlas
+(reduced, or the canonical one-strip atlas of an exceptional kind) and
+reads the kernel off its sides in O(size), with no model and no psi; on
+the canonical atlas the reversal always exists.  ``selfcheck`` checks
+both facts on the working atlas's group.  The kernel and the report
+reduce first and check connectivity after: reduction keeps the number of
+components, so a proper input is checked on its reduced atlas, often far
+smaller, and the input's own components are found only for a cylinder or
+Moebius outcome.
 
 ``report``'s two group orders are counted by orbits, not element by
 element.  |Aut| is the size of the reference root frame's orbit
@@ -57,12 +59,7 @@ from .atlas import (
     iter_witnesses,
 )
 from .leafspace import LeafPoint, LeafSpaceModel, build_leaf_space
-from .reduction import (
-    SurfaceClass,
-    SurfaceKind,
-    canonical_exceptional_atlas,
-    reduce_component,
-)
+from .reduction import SurfaceClass, canonical_exceptional_atlas, reduce_component
 
 
 class _Coded:
@@ -246,16 +243,26 @@ def induced_leaf_map(model: LeafSpaceModel, aut: AtlasAutomorphism) -> LeafMap:
     An attachment at index i of end (s, side) lands on end
     (strip_map[s], side ^ side_flip[s]), at index i, or at len - 1 - i of
     that end when ``reversal[s]`` is set.  Raises ``ValueError`` when the
-    triple does not fit the model: an end of another size, or a point whose
-    attachments land on different points or on a point of another kind.
+    triple does not fit the model: strips that are not the model's arcs, an
+    end of another size, or a point whose attachments land on different
+    points or on a point of another kind.
     """
-    # Every end's point positions, and where the triple sends them, in strip order.
+    # Every end's point positions, and where the triple sends them, in strip
+    # order.  The strips are distinct, so they are the model's arcs when
+    # they are as many and each is found.
     strips, targets, code = aut._source, aut._target, aut._code
     ends, sizes = model.end_table
+    misfit = "automorphism does not fit the model: its strips are not the model's arcs"
+    if len(strips) != len(ends):
+        raise ValueError(misfit)
     sources: list[int] = []
     images: list[int] = []
     for arc, entry in zip(strips, code):
-        (end0, end1), target, flip = ends[arc], ends[targets[entry >> 2]], entry >> 1 & 1
+        try:
+            (end0, end1), target = ends[arc], ends[targets[entry >> 2]]
+        except KeyError:
+            raise ValueError(misfit) from None
+        flip = entry >> 1 & 1
         image0, image1 = target[flip], target[1 - flip]
         if len(image0) != len(end0) or len(image1) != len(end1):
             raise ValueError("automorphism does not fit the model: side sizes differ")
@@ -343,38 +350,34 @@ def _reduce_connected(atlas: StripedAtlas) -> SurfaceClass:
     return outcome
 
 
-def _working_atlas(
-    atlas: StripedAtlas, outcome: SurfaceClass
-) -> tuple[StripedAtlas, KernelResult]:
-    """The atlas that carries the isotopy classes of the connected ``atlas``
-    whose reduction is ``outcome``, and the kernel.
+def _working_atlas(outcome: SurfaceClass) -> tuple[StripedAtlas, KernelResult]:
+    """The atlas that carries the isotopy classes of a connected atlas whose
+    reduction is ``outcome``, and the kernel read off its sides.
 
-    A proper component works on its reduced atlas, whose sides give the
-    kernel; an exceptional one on the canonical one-strip atlas of its kind,
-    and its kernel is its own all-leaf reversal, which must exist.
+    A proper component works on its reduced atlas, an exceptional one on the
+    canonical one-strip atlas of its kind.  On either, the kernel is the
+    working atlas's all-leaf reversal when that fixes every leaf point, and
+    trivial otherwise.
     """
-    if outcome.kind is SurfaceKind.PROPER:
-        return outcome.atlas, KernelResult(_reversal(outcome.atlas))
-    witness = reversal_witness(atlas)
-    if witness is None:
-        raise RuntimeError("exceptional component without a reversal")
-    return canonical_exceptional_atlas(outcome.kind), KernelResult(witness)
+    working = outcome.atlas or canonical_exceptional_atlas(outcome.kind)
+    return working, KernelResult(_reversal(working))
 
 
 def leaf_action_kernel(atlas: StripedAtlas) -> KernelResult:
     """Kernel of the map from surface isotopy classes to leaf-space ones.
 
-    Requires a connected atlas.  Exceptional components (open cylinder or
-    Moebius band) always carry the fibrewise reversal, which preserves
-    every leaf and acts trivially on the base circle, so their kernel has
-    order two.  Otherwise it has order two exactly when the all-leaf
-    reversal of the reduced atlas fixes every leaf point.  O(size).
+    Requires a connected atlas.  The kernel has order two exactly when the
+    all-leaf reversal of the working atlas (the reduced atlas, or the
+    canonical one-strip atlas of a cylinder or Moebius band) fixes every
+    leaf point; the witness is that reversal.  On an exceptional component
+    it always does: the fibrewise reversal preserves every leaf and acts
+    trivially on the base circle.  O(size).
 
     Reduction keeps the number of components, so connectivity is checked on
     the reduced atlas; the input is checked only after a cylinder or
     Moebius outcome, which may describe one component of several.
     """
-    return _working_atlas(atlas, _reduce_connected(atlas))[1]
+    return _working_atlas(_reduce_connected(atlas))[1]
 
 
 class HomeotopyReport(NamedTuple):
@@ -404,7 +407,7 @@ def homeotopy_report(atlas: StripedAtlas) -> HomeotopyReport:
     leaf-model order comes from :func:`leaf_model_automorphism_count` on
     the working atlas's model.
     """
-    working, kernel = _working_atlas(atlas, _reduce_connected(atlas))
+    working, kernel = _working_atlas(_reduce_connected(atlas))
     aut_order = automorphism_order(working)
     return HomeotopyReport(
         aut_order=aut_order,

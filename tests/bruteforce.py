@@ -32,8 +32,8 @@ pass and must return the same sub-atlases in the same order.
 and per request; the package's parser must return the same tuples or
 raise the same error.  ``validate_stepwise`` walks every strip, interval,
 gluing and identifier of an atlas value; the package's ``validate``
-accepts by whole-atlas set sizes and must return the same problems in the
-same order.
+trusts the parser's mark on a parsed atlas and walks any other, and must
+return the same problems in the same order.
 ``build_leaf_space_located``, ``classify_leaf_located`` and
 ``regular_seams_located`` read every interval through ``atlas.location``
 and compare side tuples, where the package's layers read the index once
@@ -86,7 +86,13 @@ from stripes.leafspace import (
     classify_leaf,
     hcl_point,
 )
-from stripes.reduction import SurfaceClass, SurfaceKind, is_reduced, reduce_component
+from stripes.reduction import (
+    SurfaceClass,
+    SurfaceKind,
+    canonical_exceptional_atlas,
+    is_reduced,
+    reduce_component,
+)
 from stripes.symmetry import AtlasAutomorphism, LeafMap, enumerate_automorphisms
 
 
@@ -494,10 +500,15 @@ def leaf_map(atlas: StripedAtlas, aut: AtlasAutomorphism) -> LeafMap:
     return LeafMap(point_map, dict(aut.strip_map), dict(aut.side_flip))
 
 
-def _require_reduced_connected(atlas: StripedAtlas) -> None:
-    # Triples are isotopy classes only on a reduced atlas.
-    if not (is_connected(atlas) and is_reduced(atlas)):
-        raise ValueError("the kernel oracle needs a reduced connected atlas")
+def _require_working(atlas: StripedAtlas) -> None:
+    # Triples are isotopy classes only on a working atlas: a reduced
+    # connected one, or the canonical one-strip atlas of an exceptional kind.
+    exceptional = (SurfaceKind.OPEN_CYLINDER, SurfaceKind.OPEN_MOEBIUS_BAND)
+    if not (
+        (is_connected(atlas) and is_reduced(atlas))
+        or atlas in [canonical_exceptional_atlas(kind) for kind in exceptional]
+    ):
+        raise ValueError("the kernel oracle needs a reduced connected or canonical atlas")
 
 
 def is_isotopically_trivial_on_leaf_space(
@@ -507,20 +518,23 @@ def is_isotopically_trivial_on_leaf_space(
 
     On a reduced atlas every leaf point is either a boundary point or a
     branch point, and the complement of those is the disjoint union of the
-    open arcs.  The induced map is trivially isotopic exactly when it
-    fixes every leaf point and maps every arc to itself preserving
-    orientation; the reversal bits are invisible on the leaf space.
+    open arcs; on a canonical exceptional atlas the leaf space is a circle,
+    one arc with its seam point.  The induced map is trivially isotopic
+    exactly when it fixes every leaf point and maps every arc to itself
+    preserving orientation; the reversal bits are invisible on the leaf
+    space.
     """
-    _require_reduced_connected(atlas)
+    _require_working(atlas)
     if any(s != t for s, t in aut.strip_map.items()) or any(aut.side_flip.values()):
         return False
     return all(p == q for p, q in leaf_map(atlas, aut).point_map.items())
 
 
 def kernel_members(atlas: StripedAtlas) -> tuple[AtlasAutomorphism, ...]:
-    """Automorphisms of a reduced connected atlas acting trivially on the
-    leaf space, in enumeration order.  Their classes form the kernel."""
-    _require_reduced_connected(atlas)
+    """Automorphisms of a working atlas (reduced and connected, or the
+    canonical one-strip atlas of an exceptional kind) acting trivially on
+    the leaf space, in enumeration order.  Their classes form the kernel."""
+    _require_working(atlas)
     return tuple(
         aut
         for aut in enumerate_automorphisms(atlas)

@@ -685,10 +685,12 @@ def test_parser_is_reused_across_calls(atlas_file, capsys):
 
 
 def test_internal_error_exits_4_with_one_line(atlas_file, capsys, monkeypatch):
-    monkeypatch.setattr("stripes.symmetry.reversal_witness", lambda atlas: None)
-    code, out, err = run(capsys, "kernel", atlas_file("CYL"))
+    # A parser that no longer knows side1 finds a fault that the line walk
+    # of its error messages does not: the guard between them is one line.
+    monkeypatch.setattr("stripes.atlas._SIDE_SLOT", {"side0": 1})
+    code, out, err = run(capsys, "validate", atlas_file("CYL"))
     assert (code, out) == (4, "")
-    assert err == "stripes: internal error: exceptional component without a reversal\n"
+    assert err == "stripes: internal error: parse_atlas found a fault that the line walk does not\n"
 
 
 def command_forms(paths: list[str], svg: str, out: str) -> list[list[str]]:

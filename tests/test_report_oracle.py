@@ -1,8 +1,10 @@
 """The kernel and the leaf-model count of ``report`` against their oracles.
 
-``leaf_action_kernel`` checks the single all-leaf reversal of the reduced
-atlas; the oracle enumerates the reduced atlas's group and keeps the
-members acting trivially on the leaf space (``bruteforce.kernel_members``).
+``leaf_action_kernel`` checks the single all-leaf reversal of the working
+atlas (the reduced atlas, or the canonical one-strip atlas of a cylinder
+or Moebius band); the oracle enumerates the working atlas's group and
+keeps the members acting trivially on the leaf space
+(``bruteforce.kernel_members``).
 ``leaf_model_automorphism_count`` is a pruned backtracking search; the
 oracle ``bruteforce.leaf_model_automorphism_count`` tries all n!·2^n arc
 maps.  Both must agree on every small component, on seeded random
@@ -29,7 +31,7 @@ from stripes.atlas import (
 from stripes.corpus import exhaustive_family, necklace, random_atlas
 from stripes.fixtures import fixture_atlas
 from stripes.leafspace import build_leaf_space
-from stripes.reduction import SurfaceKind, reduce_component
+from stripes.reduction import canonical_exceptional_atlas, reduce_component
 from stripes.symmetry import (
     _reduce_connected,
     _reversal,
@@ -62,11 +64,8 @@ def random_components():
 def same_kernel(atlas) -> bool:
     kernel = leaf_action_kernel(atlas)
     outcome = reduce_component(atlas)
-    if outcome.kind is not SurfaceKind.PROPER:
-        return kernel.order == 2  # no reduced atlas to enumerate
-    nontrivial = [
-        aut for aut in bruteforce.kernel_members(outcome.atlas) if not aut.is_identity
-    ]
+    working = outcome.atlas or canonical_exceptional_atlas(outcome.kind)
+    nontrivial = [aut for aut in bruteforce.kernel_members(working) if not aut.is_identity]
     return nontrivial == ([] if kernel.is_trivial else [kernel.witness])
 
 
@@ -115,7 +114,7 @@ def counted_image(atlas) -> bool:
     atlas's automorphisms induce, has the order ``report`` gives, and
     divides the leaf-model order.  So ψ₀'s fibres are the kernel's cosets,
     found by counting rather than by dividing |Aut| by the kernel."""
-    working = _working_atlas(atlas, _reduce_connected(atlas))[0]
+    working = _working_atlas(_reduce_connected(atlas))[0]
     model = build_leaf_space(working)
     images = {induced_leaf_map(model, aut) for aut in enumerate_automorphisms(working)}
     report = homeotopy_report(atlas)

@@ -27,7 +27,12 @@ from stripes.leafspace import (
     hcl_point,
     special_points,
 )
-from stripes.reduction import SurfaceClass, SurfaceKind, reduce_component
+from stripes.reduction import (
+    SurfaceClass,
+    SurfaceKind,
+    canonical_exceptional_atlas,
+    reduce_component,
+)
 from stripes.selfcheck import _closure, _kernel_dichotomy, selfcheck
 from stripes.symmetry import (
     AtlasAutomorphism,
@@ -38,7 +43,6 @@ from stripes.symmetry import (
     enumerate_automorphisms,
     identity_automorphism,
     induced_leaf_map,
-    reversal_witness,
 )
 
 CHECK_NAMES = {
@@ -191,7 +195,7 @@ def test_kernel_dichotomy_guards(fixtures, monkeypatch):
 
 def selfcheck_kernel_members(atlas, monkeypatch) -> list:
     """The kernel members ``selfcheck`` hands to its dichotomy check, one
-    list per PROPER component."""
+    list per component."""
     seen = []
 
     def record(members):
@@ -206,23 +210,25 @@ def selfcheck_kernel_members(atlas, monkeypatch) -> list:
 def test_kernel_members_match_the_oracle_on_reduced_and_unreduced(
     exhaustive_connected, monkeypatch
 ):
-    # A reduced component filters the group it already has; any other
-    # enumerates its reduction.  Both must give the oracle's members.  The
-    # exhaustive family's components are its connected atlases, one per
-    # isomorphism class.
+    # A component that is its own working atlas filters the group it
+    # already has; any other enumerates its working atlas: its reduction,
+    # or the canonical one-strip atlas of a cylinder or Moebius band.  Both
+    # must give the oracle's members on the working atlas.  The exhaustive
+    # family's components are its connected atlases, one per isomorphism
+    # class.
     corpus = list(exhaustive_connected)
     for seed in range(200):
         corpus += component_atlases(random_atlas(1 + seed % 5, 2, 80_000 + seed, 0.9))
-    unreduced = 0
+    unreduced = exceptional = 0
     for sub in corpus:
         outcome = reduce_component(sub)
+        working = outcome.atlas or canonical_exceptional_atlas(outcome.kind)
         members = selfcheck_kernel_members(sub, monkeypatch)
-        if outcome.kind is not SurfaceKind.PROPER:
-            assert members == []
-            continue
-        assert members == [list(bruteforce.kernel_members(outcome.atlas))]
-        unreduced += outcome.atlas != sub
+        assert members == [list(bruteforce.kernel_members(working))]
+        unreduced += working != sub
+        exceptional += outcome.atlas is None
     assert unreduced >= 50
+    assert exceptional >= 10
 
 
 def asymmetric_hcl(model, point):
@@ -295,18 +301,19 @@ def identity_as_reversal(atlas):
 @pytest.mark.parametrize("name", ["CYL", "MOEB"])
 def test_exceptional_witness_crosscheck_can_fail(fixtures, name):
     # The kernel's witness is checked against the enumerated group of the
-    # canonical one-strip atlas and its leaf maps: a wrong witness fails,
-    # and so does a leaf map that lets the side flips into the kernel.
+    # canonical one-strip atlas and its leaf maps: a wrong witness fails the
+    # cross-check alone, and a leaf map that lets the side flips into the
+    # kernel fails it and the dichotomy.
     defects = [
-        (reversal_witness, identity_as_reversal),
-        (induced_leaf_map, leaf_maps_without_orientation),
+        (_reversal, identity_as_reversal, "PASS S:kernel-dichotomy"),
+        (induced_leaf_map, leaf_maps_without_orientation, "FAIL S:kernel-dichotomy"),
     ]
-    for rule, broken in defects:
+    for rule, broken, dichotomy in defects:
         with pytest.MonkeyPatch.context() as patch:
             patch_everywhere(patch, rule, broken)
             lines = selfcheck(fixtures[name]).lines()
         assert "FAIL S:witness-crosscheck" in lines, (rule, lines)
-        assert "PASS S:kernel-dichotomy" in lines
+        assert any(line.startswith(dichotomy) for line in lines), (rule, lines)
 
 
 def test_only_selfcheck_runs_the_validity_oracle(fixtures, tmp_path, capsys):
@@ -350,10 +357,10 @@ def test_selfcheck_enumerates_once_and_builds_few_models(monkeypatch):
 def test_selfcheck_computes_each_fact_once(fixtures):
     # necklace(6) is reduced and builds one model; LADDER is not, and builds
     # a second one for its reduction.  The two-strip open cylinder is
-    # exceptional: its kernel's reversal is read off the input's sides, its
-    # checks read the one model of the input, and the kernel's cross-check
-    # the canonical atlas's.  The reductions: the component and its
-    # reversed listing.
+    # exceptional: its kernel's reversal is read off the canonical atlas's
+    # sides, its checks read the one model of the input, and the kernel's
+    # cross-check the canonical atlas's.  The reductions: the component and
+    # its reversed listing.
     cylinder = parse_atlas(
         "strip S\nside0 a\nside1 b\nstrip T\nside0 c\nside1 d\nglue b c +\nglue d a +\n"
     )
@@ -416,12 +423,30 @@ def test_selfcheck_reuses_the_kernel_witness(fixtures):
 
 
 def test_exceptional_selfcheck_checks_its_reversal_once(fixtures):
-    # An exceptional component's cross-check reads the kernel's witness.
+    # An exceptional component reads its kernel off the canonical atlas of
+    # its kind, whose reversal serves the cross-check when the component is
+    # that atlas (CYL, MOEB).  A two-strip cylinder or Moebius band has its
+    # own reversal read off its sides as well, and checked against it: an
+    # input without one fails the cross-check.
     for name in ("CYL", "MOEB"):
         with pytest.MonkeyPatch.context() as patch:
-            witnesses = count_calls(patch, reversal_witness)
+            reversals = count_calls(patch, _reversal)
             assert selfcheck(fixtures[name]).ok
-        assert [args[0] for args in witnesses] == [fixtures[name]]
+        assert [args[0] for args in reversals] == [fixtures[name]]
+    for parity, name in (("+", "CYL"), ("-", "MOEB")):
+        atlas = parse_atlas(
+            f"strip S\nside0 a\nside1 b\nstrip T\nside0 c\nside1 d\nglue b c +\nglue d a {parity}\n"
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            reversals = count_calls(patch, _reversal)
+            assert selfcheck(atlas).ok
+        assert [args[0] for args in reversals] == [fixtures[name], atlas]
+        with pytest.MonkeyPatch.context() as patch:
+            patch_everywhere(patch, _reversal, lambda sub: None if sub == atlas else _reversal(sub))
+            lines = selfcheck(atlas).lines()
+        assert [line for line in lines if not line.startswith("PASS")] == [
+            "FAIL S:witness-crosscheck"
+        ]
 
 
 def test_thirty_strip_necklace_selfcheck_is_fast():

@@ -8,7 +8,7 @@ import bruteforce
 from stripes.atlas import component_atlases, is_valid_witness, parse_atlas
 from stripes.corpus import necklace, random_atlas, random_connected_atlas
 from stripes.leafspace import LeafPoint, build_leaf_space
-from stripes.reduction import SurfaceKind, reduce_component
+from stripes.reduction import SurfaceKind, canonical_exceptional_atlas, reduce_component
 from stripes.symmetry import (
     AtlasAutomorphism,
     DisconnectedAtlasError,
@@ -21,6 +21,7 @@ from stripes.symmetry import (
     leaf_model_automorphism_count,
     reversal_witness,
 )
+from test_reduction_oracle import chain
 
 
 def aut(strip_map, side_flip, reversal) -> AtlasAutomorphism:
@@ -194,15 +195,22 @@ def test_induced_map_commutes_with_attachments(fixtures):
 
 def test_induced_map_rejects_a_misfit(fixtures):
     model = build_leaf_space(fixtures["PUNCTURED"])
-    swap = {"S": "T", "T": "S"}
-    misfits = {
+    swap, elsewhere = {"S": "T", "T": "S"}, {"S": "V", "T": "W"}
+    zeros = lambda strips: dict.fromkeys(strips, 0)
+    misfits = [
         # T's side 0 holds two intervals and would land on S's empty side 0.
-        "side sizes differ": aut(swap, {"S": 1, "T": 0}, {"S": 0, "T": 0}),
+        ("side sizes differ", aut(swap, {"S": 1, "T": 0}, {"S": 0, "T": 0})),
         # Reversing S alone sends {s1,t1} to s2 and t1, two different points.
-        "onto a leaf point": aut({"S": "S", "T": "T"}, {"S": 0, "T": 0}, {"S": 1, "T": 0}),
-    }
-    for detail, candidate in misfits.items():
-        with pytest.raises(ValueError, match=detail):
+        ("onto a leaf point", aut({"S": "S", "T": "T"}, {"S": 0, "T": 0}, {"S": 1, "T": 0})),
+        # The model's arcs are S and T: an element on S alone, on S, T and
+        # U, or on S and U, and a witness onto V and W do not fit it.
+        *[
+            ("its strips are not the model's arcs", aut(images, zeros(images), zeros(images)))
+            for images in ({"S": "S"}, {s: s for s in "STU"}, {"S": "S", "U": "U"}, elsewhere)
+        ],
+    ]
+    for detail, candidate in misfits:
+        with pytest.raises(ValueError, match=f"^automorphism does not .*{detail}"):
             induced_leaf_map(model, candidate)
     # A free point may not land on a seam: {f} and {g} would both go to {a,b}.
     free_to_seam = parse_atlas("strip S\nside0 a b\nside1 f g\nglue a b +\n")
@@ -301,6 +309,22 @@ def test_kernel_fixtures(fixtures, name, trivial):
         assert all(s == t for s, t in witness.strip_map.items())
         assert not any(witness.side_flip.values())
         assert all(witness.reversal.values())
+
+
+def test_exceptional_kernel_witness_is_the_canonical_reversal():
+    # A cylinder or Moebius band works on the canonical one-strip atlas of
+    # its kind, whatever its own strips: the kernel's witness is that
+    # atlas's all-leaf reversal, in kernel and in report alike.
+    kinds = set()
+    for n in (1, 2, 7, 40):
+        for seed in range(6):
+            atlas = chain(n, seed, True)
+            kind = reduce_component(atlas).kind
+            kinds.add(kind)
+            kernel = leaf_action_kernel(atlas)
+            assert kernel.witness == all_leaf_reversal(canonical_exceptional_atlas(kind))
+            assert homeotopy_report(atlas).kernel == kernel
+    assert kinds == {SurfaceKind.OPEN_CYLINDER, SurfaceKind.OPEN_MOEBIUS_BAND}
 
 
 def test_kernel_witness_fixes_every_point(fixtures):
